@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.polynomial.chebyshev as npcheb
 
-from .chebpoly import ChebExpansion, Polynomial, autocorrelate, to_cheb
-from .errors import InvalidInputError
+from .chebpoly import ChebExpansion, Polynomial, autocorrelate, clenshaw, to_cheb
+from .errors import ConvergenceError, InvalidInputError
 from .intervals import IntervalUnion
 from .remez import minimal_polynomial
 
@@ -75,17 +75,17 @@ def _series_max(c, a: float, b: float, n_grid: int) -> float:
     inv = 0.5 * (math.sqrt(5.0) - 1.0)
     x1 = hi - inv * (hi - lo)
     x2 = lo + inv * (hi - lo)
-    f1 = float(npcheb.chebval(x1, c))
-    f2 = float(npcheb.chebval(x2, c))
+    f1 = clenshaw(x1, c)
+    f2 = clenshaw(x2, c)
     while hi - lo > 1e-13:
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + inv * (hi - lo)
-            f2 = float(npcheb.chebval(x2, c))
+            f2 = clenshaw(x2, c)
         else:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - inv * (hi - lo)
-            f1 = float(npcheb.chebval(x1, c))
+            f1 = clenshaw(x1, c)
     return max(best, f1, f2)
 
 
@@ -193,7 +193,7 @@ def arc_deviation_upper(arcs: ArcSet, n: int) -> float:
     sup = arc_sup_norm(lifted, arcs)
     expected = 2.0**m * result.deviation
     if abs(sup - expected) > 1e-9 * max(1.0, expected):
-        raise InvalidInputError(
+        raise ConvergenceError(
             f"lift sup-norm {sup!r} disagrees with 2^m L_m = {expected!r}"
         )
     return sup

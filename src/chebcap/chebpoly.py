@@ -105,6 +105,27 @@ class Polynomial:
         return Polynomial(tuple(out))
 
 
+def clenshaw(x: float, coeffs: list) -> float:
+    """Chebyshev series sum_k coeffs[k] T_k(x) at one Python float x.
+
+    Performs numpy.polynomial.chebyshev.chebval's operations in its order,
+    length-1 and length-2 branches and the final c0 + c1*x included, so every
+    value is the same IEEE double chebval returns.  On Python floats a scalar
+    inner loop skips numpy's per-scalar dispatch, which is most of chebval's
+    cost on one point.
+    """
+    if len(coeffs) == 1:
+        c0, c1 = coeffs[0], 0
+    elif len(coeffs) == 2:
+        c0, c1 = coeffs
+    else:
+        x2 = 2 * x
+        c0, c1 = coeffs[-2], coeffs[-1]
+        for c in coeffs[-3::-1]:
+            c0, c1 = c - c1, c0 + c1 * x2
+    return c0 + c1 * x
+
+
 @dataclass(frozen=True)
 class ChebExpansion:
     """Expansion against T_0 ... T_n on [-1, 1]; evaluated by Clenshaw recurrence."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebpoly import Polynomial, cheb_T, compose_T, real_roots_in
+from .chebpoly import Polynomial, compose_T, real_roots_in
 from .errors import EmptyImageError, InvalidInputError, NonRealImageError
 from .intervals import IntervalUnion
 

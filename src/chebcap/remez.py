@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
-from .chebpoly import ChebExpansion, Polynomial, real_roots_in, to_monomial
+from .chebpoly import ChebExpansion, Polynomial, clenshaw, real_roots_in, to_monomial
 from .errors import ConvergenceError, DegreeCapError, InvalidInputError
 from .intervals import AffineMap, IntervalUnion, is_subset, normalize
 
@@ -143,15 +143,21 @@ def _solve_on_reference(u: np.ndarray, n: int):
 
 
 def _error_extrema(ct: np.ndarray, e: IntervalUnion, n: int) -> list:
-    """Interval endpoints plus interior critical points of M, with M values."""
-    der = npcheb.chebder(ct)
+    """Interval endpoints plus interior critical points of M, with M values.
+
+    The bisection on M' runs on Python floats through chebpoly.clenshaw: the
+    same IEEE operations as chebval on numpy scalars, so the same points, but
+    without numpy's per-scalar dispatch, which dominated the solve.
+    """
+    der = npcheb.chebder(ct).tolist()
     mu = _angle_lengths(e)
     total = sum(mu)
     out = []
     for (a, b), w in zip(e.intervals, mu):
         k = max(24, int(16 * (n + 1) * w / total) + 8)
-        xs = np.linspace(a, b, k)
-        dv = npcheb.chebval(xs, der)
+        grid = np.linspace(a, b, k)
+        dv = npcheb.chebval(grid, der).tolist()
+        xs = grid.tolist()
         locs = [a, b]
         for i in range(k - 1):
             da, db = dv[i], dv[i + 1]
@@ -161,7 +167,7 @@ def _error_extrema(ct: np.ndarray, e: IntervalUnion, n: int) -> list:
                 ta, tb = xs[i], xs[i + 1]
                 for _ in range(60):
                     tm = 0.5 * (ta + tb)
-                    dm = npcheb.chebval(tm, der)
+                    dm = clenshaw(tm, der)
                     if dm == 0.0:
                         break
                     if da * dm < 0.0:
@@ -171,8 +177,8 @@ def _error_extrema(ct: np.ndarray, e: IntervalUnion, n: int) -> list:
                 locs.append(0.5 * (ta + tb))
         if dv[-1] == 0.0:
             locs.append(xs[-1])
-        for x in sorted(set(locs)):
-            out.append((float(x), float(npcheb.chebval(x, ct))))
+        pts = np.array(sorted(set(locs)))
+        out.extend(zip(pts.tolist(), npcheb.chebval(pts, ct).tolist()))
     out.sort()
     dedup = []
     for x, v in out:

@@ -17,7 +17,8 @@ from chebcap.arcs import (
 )
 from chebcap.capacity import solynin_optimized_bound
 from chebcap.chebpoly import ChebExpansion, Polynomial, to_cheb
-from chebcap.errors import InvalidInputError
+from chebcap import arcs as _arcs
+from chebcap.errors import ConvergenceError, InvalidInputError
 from chebcap.intervals import IntervalUnion, to_angles
 from chebcap.inverse_image import e_alpha
 from chebcap.remez import minimal_polynomial
@@ -180,3 +181,13 @@ def test_deviation_upper_values():
     assert arc_deviation_upper(FULL, 1) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(InvalidInputError):
         arc_deviation_upper(FULL, 0)
+
+
+def test_deviation_upper_lift_disagreement_is_numerical(monkeypatch):
+    # A lift whose sup-norm misses 2^m L_m is a numerical failure of the
+    # self-check, not bad input.
+    true_sup = _arcs.arc_sup_norm
+    monkeypatch.setattr(_arcs, "arc_sup_norm", lambda p, a: 1.5 * true_sup(p, a))
+    for n in (4, 5):
+        with pytest.raises(ConvergenceError, match="lift sup-norm"):
+            arc_deviation_upper(LAM05, n)

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import numpy.polynomial.chebyshev as npcheb
 import numpy.polynomial.polynomial as nppoly
 import pytest
 
@@ -11,6 +12,7 @@ from chebcap.chebpoly import (
     Polynomial,
     autocorrelate,
     cheb_T,
+    clenshaw,
     compose_T,
     real_roots_in,
     to_cheb,
@@ -21,6 +23,25 @@ from chebcap.errors import DegreeCapError, InvalidInputError
 
 def from_roots(roots) -> Polynomial:
     return Polynomial(tuple(nppoly.polyfromroots(roots)))
+
+
+def test_clenshaw_bit_identical_to_chebval():
+    # float.hex tells signed zeros apart, so the branches and the final
+    # c0 + c1*x must match chebval operation for operation.
+    rng = np.random.default_rng(5)
+    xs = [-1.0, 1.0, 0.0, -0.0] + rng.uniform(-1.0, 1.0, 12).tolist()
+    for length in range(1, 102):
+        c = rng.standard_normal(length) * 10.0 ** rng.uniform(-12, 2, length)
+        c[rng.random(length) < 0.2] = 0.0
+        c[rng.random(length) < 0.1] = -0.0
+        coeffs = c.tolist()
+        for x in xs:
+            want = float(npcheb.chebval(x, c))
+            assert clenshaw(x, coeffs).hex() == want.hex(), (length, x)
+    for coeffs in ([0.0], [-0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0, -0.0]):
+        for x in (-1.0, -0.0, 0.0, 1.0):
+            want = float(npcheb.chebval(x, np.array(coeffs)))
+            assert clenshaw(x, coeffs).hex() == want.hex(), (coeffs, x)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from chebcap import arcs as _arcs
 from chebcap import cli
 from chebcap import chebpoly as _chebpoly
 from chebcap import remez as _remez
@@ -96,6 +97,17 @@ def test_arcs_report(capsys):
     assert r["arc_capacity_upper"] >= r["arc_capacity_lower"] - 1e-12
     assert r["arc_capacity_upper"] <= 1.0 + 1e-12
     assert r["deviation_upper"] == pytest.approx(1.5, rel=1e-8)
+
+
+def test_arcs_lift_disagreement_exits_numerical(capsys, monkeypatch):
+    true_sup = _arcs.arc_sup_norm
+    monkeypatch.setattr(_arcs, "arc_sup_norm", lambda p, a: 1.5 * true_sup(p, a))
+    code, out, err = run_cli(
+        capsys, "arcs", "--intervals", "-1 -0.5; 0.5 1", "--degree", "4"
+    )
+    assert code == cli.EXIT_NO_CONVERGENCE == 3
+    assert out == ""
+    assert "lift sup-norm" in err
 
 
 def test_verify_battery_passes(capsys):

@@ -4,13 +4,23 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as npcheb
 
 from oracles import grid_sup_norm, minimax_deviation_oracle
 
 from chebcap.errors import DegreeCapError, InvalidInputError
-from chebcap.intervals import IntervalUnion, is_subset
+from chebcap.intervals import IntervalUnion, is_subset, normalize
 from chebcap.inverse_image import e_alpha, symmetric_two_interval_minpoly
-from chebcap.remez import blow_up_set, minimal_polynomial, minimality_witness
+from chebcap.remez import (
+    _angle_lengths,
+    _error_extrema,
+    _init_reference,
+    _select_reference,
+    _solve_on_reference,
+    blow_up_set,
+    minimal_polynomial,
+    minimality_witness,
+)
 
 FULL = IntervalUnion((-1.0, 1.0))
 
@@ -165,3 +175,75 @@ def test_solver_accuracy_random_unions():
         )
         assert sup <= r.deviation * (1 + 1e-9)
         assert sup >= r.deviation * (1 - 1e-7)
+
+
+def _error_extrema_numpy_scalar(ct, e, n):
+    """Reference: the extremum search with one numpy-scalar chebval per
+    bisection step and per candidate, as the solver first ran it."""
+    der = npcheb.chebder(ct)
+    mu = _angle_lengths(e)
+    total = sum(mu)
+    out = []
+    for (a, b), w in zip(e.intervals, mu):
+        k = max(24, int(16 * (n + 1) * w / total) + 8)
+        xs = np.linspace(a, b, k)
+        dv = npcheb.chebval(xs, der)
+        locs = [a, b]
+        for i in range(k - 1):
+            da, db = dv[i], dv[i + 1]
+            if da == 0.0:
+                locs.append(xs[i])
+            elif da * db < 0.0:
+                ta, tb = xs[i], xs[i + 1]
+                for _ in range(60):
+                    tm = 0.5 * (ta + tb)
+                    dm = npcheb.chebval(tm, der)
+                    if dm == 0.0:
+                        break
+                    if da * dm < 0.0:
+                        tb = tm
+                    else:
+                        ta, da = tm, dm
+                locs.append(0.5 * (ta + tb))
+        if dv[-1] == 0.0:
+            locs.append(xs[-1])
+        for x in sorted(set(locs)):
+            out.append((float(x), float(npcheb.chebval(x, ct))))
+    out.sort()
+    dedup = []
+    for x, v in out:
+        if dedup and x - dedup[-1][0] <= 1e-14:
+            continue
+        dedup.append((x, v))
+    return dedup
+
+
+def _seeded_union():
+    rng = np.random.default_rng(20130626)
+    while True:
+        pts = np.sort(rng.uniform(-1.0, 1.0, 8))
+        if np.min(np.diff(pts)) >= 0.05:
+            return IntervalUnion(tuple(pts))
+
+
+EXTREMA_SETS = {
+    "interval": FULL,
+    "pair-0.6": e_alpha(0.6),
+    "triple": IntervalUnion((-1.0, -0.6, -0.2, 0.2, 0.6, 1.0)),
+    "quad": IntervalUnion((-1.0, -0.65, -0.35, -0.05, 0.25, 0.55, 0.85, 1.0)),
+    "random": _seeded_union(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXTREMA_SETS))
+def test_error_extrema_bit_identical_to_numpy_scalar_loop(name):
+    # The float bisection must reproduce every point and value exactly, on the
+    # first reference and on the two exchanges after it.
+    cn, _ = normalize(EXTREMA_SETS[name])
+    for n in (1, 2, 3, 7, 20, 48, 100):
+        u = _init_reference(cn, n)
+        for _ in range(3):
+            ct, _, _ = _solve_on_reference(u, n)
+            got = _error_extrema(ct, cn, n)
+            assert got == _error_extrema_numpy_scalar(ct, cn, n), (name, n)
+            u = _select_reference(got, n + 1, u, ct)
