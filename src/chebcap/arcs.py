@@ -168,13 +168,7 @@ def lift_even(m_exp: ChebExpansion, m: int) -> Polynomial:
 def lift_odd(m_exp: ChebExpansion, m: int) -> Polynomial:
     """Degree-(2m+1) monic lift: the even lift times z, same modulus on the
     circle."""
-    b = _monic_cheb(m_exp, m)
-    coeffs = [0.0] * (2 * m + 2)
-    coeffs[m + 1] += 2.0**m * b[0]
-    for k in range(1, m + 1):
-        coeffs[m + 1 + k] += 2.0 ** (m - 1) * b[k]
-        coeffs[m + 1 - k] += 2.0 ** (m - 1) * b[k]
-    return Polynomial(tuple(coeffs))
+    return Polynomial((0.0,) + lift_even(m_exp, m).coeffs)
 
 
 def arc_deviation_upper(arcs: ArcSet, n: int) -> float:

@@ -250,6 +250,21 @@ def capacity_upper_estimate(e: IntervalUnion, n: int) -> float:
     return (0.5 * deviation) ** (1.0 / n)
 
 
+def capacity_lower_bound(e: IntervalUnion) -> tuple:
+    """(lower, params): the certified capacity lower bound of e.
+
+    A single interval has exact capacity, a quarter of its length, and no
+    params; otherwise the optimized Solynin bound of the hull-normalized set
+    is scaled back.
+    """
+    e_norm, fwd = normalize(e)
+    scale = 1.0 / abs(fwd.scale)
+    if e_norm.ell == 1:
+        return 0.5 * scale, None
+    lower, params = solynin_optimized_bound(to_angles(e_norm))
+    return lower * scale, params
+
+
 def capacity_bracket(e: IntervalUnion, n: int) -> CapacityBracket:
     """Bracket the capacity of e between the best closed-form lower bound
     and the degree-n deviation upper estimate.
@@ -259,22 +274,12 @@ def capacity_bracket(e: IntervalUnion, n: int) -> CapacityBracket:
     """
     e_norm, fwd = normalize(e)
     scale = 1.0 / abs(fwd.scale)
-    if e_norm.ell == 1:
-        # A single interval has exact capacity: a quarter of its length.
-        return CapacityBracket(
-            lower=0.5 * scale,
-            lower_params=None,
-            upper=0.5 * scale,
-            degree_used=n,
-            scale=scale,
-        )
-    angles = to_angles(e_norm)
-    lower, params = solynin_optimized_bound(angles)
-    upper = capacity_upper_estimate(e_norm, n)
+    lower, params = capacity_lower_bound(e)
+    upper = lower if e_norm.ell == 1 else capacity_upper_estimate(e_norm, n) * scale
     return CapacityBracket(
-        lower=lower * scale,
+        lower=lower,
         lower_params=params,
-        upper=upper * scale,
+        upper=upper,
         degree_used=n,
         scale=scale,
     )
@@ -290,15 +295,8 @@ def ratio_sequence(e: IntervalUnion, k_max: int) -> RatioReport:
     """
     if not 1 <= k_max <= RATIO_K_MAX:
         raise InvalidInputError(f"k_max must be in 1..{RATIO_K_MAX}, got {k_max}")
-    e_norm, fwd = normalize(e)
-    scale = 1.0 / abs(fwd.scale)
-    if e_norm.ell == 1:
-        lower = 0.5 * scale
-        upper = lower
-    else:
-        angles = to_angles(e_norm)
-        lower = solynin_optimized_bound(angles)[0] * scale
-        upper = capacity_upper_estimate(e_norm, min(k_max, 12)) * scale
+    bracket = capacity_bracket(e, min(k_max, 12))
+    lower, upper = bracket.lower, bracket.upper
     ratios = []
     upper_ratios = []
     for k in range(1, k_max + 1):

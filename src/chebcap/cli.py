@@ -7,7 +7,7 @@ reports carry {command, inputs, version, results} with keys sorted; CSV is a
 fixed-column table.  All floating-point output is formatted at 17 significant
 digits, and identical invocations produce byte-identical output.
 
-CHEBCAP_MAX_DEGREE in the environment overrides the library's degree cap.
+CHEBCAP_MAX_DEGREE in the environment sets the degree cap for one run.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ import numpy as np
 
 from . import __version__
 from . import chebpoly as _chebpoly
-from . import remez as _remez
 from .arcs import ArcSet, arc_deviation_upper, robinson_capacity
-from .capacity import capacity_bracket, ratio_sequence, solynin_optimized_bound
+from .capacity import capacity_bracket, capacity_lower_bound, ratio_sequence
 from .chebpoly import Polynomial
 from .errors import (
     ConvergenceError,
@@ -34,7 +33,7 @@ from .errors import (
     InvalidInputError,
     NonRealImageError,
 )
-from .intervals import IntervalUnion, normalize, parse_intervals, to_angles
+from .intervals import IntervalUnion, parse_intervals
 from .inverse_image import capacity_of_inverse_image, e_alpha, inverse_image
 from .remez import minimal_polynomial
 
@@ -261,14 +260,6 @@ def _cmd_arcs(config: RunConfig) -> dict:
     }
 
 
-def _certified_lower(e: IntervalUnion) -> float:
-    e_norm, fwd = normalize(e)
-    scale = 1.0 / abs(fwd.scale)
-    if e_norm.ell == 1:
-        return 0.5 * scale
-    return solynin_optimized_bound(to_angles(e_norm))[0] * scale
-
-
 def _random_union(rng) -> IntervalUnion:
     ell = int(rng.randint(2, 5))
     while True:
@@ -302,7 +293,7 @@ def _cmd_verify(config: RunConfig):
     violations = 0
     worst = math.inf
     for name, e in sets:
-        lower = _certified_lower(e)
+        lower = capacity_lower_bound(e)[0]
         for n in range(1, config.n_max + 1):
             dev = minimal_polynomial(e, n).deviation
             floor = 2.0 * lower**n
@@ -428,7 +419,6 @@ def _apply_degree_cap_env() -> None:
     if cap < 1:
         raise InvalidInputError("CHEBCAP_MAX_DEGREE must be positive")
     _chebpoly.DEGREE_CAP = cap
-    _remez.DEGREE_CAP = cap
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -442,6 +432,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     config = _config_from_args(args)
+    default_cap = _chebpoly.DEGREE_CAP
     try:
         _apply_degree_cap_env()
         text, code = run(config)
@@ -451,6 +442,8 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    finally:
+        _chebpoly.DEGREE_CAP = default_cap
     if config.out:
         with open(config.out, "w") as fh:
             fh.write(text)

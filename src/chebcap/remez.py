@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
-from .chebpoly import ChebExpansion, Polynomial, clenshaw, real_roots_in, to_monomial
+from . import chebpoly
+from .chebpoly import ChebExpansion, Polynomial, clenshaw, to_monomial
 from .errors import ConvergenceError, DegreeCapError, InvalidInputError
 from .intervals import AffineMap, IntervalUnion, is_subset, normalize
 
@@ -30,7 +31,6 @@ LEVEL_TOL = 1e-12
 # `residual`, as long as it reached this much.
 STALL_ACCEPT = 1e-6
 STALL_COUNT = 10
-DEGREE_CAP = 100
 
 
 @dataclass(frozen=True)
@@ -142,41 +142,51 @@ def _solve_on_reference(u: np.ndarray, n: int):
     return coeffs, float(sol[n]), s
 
 
-def _error_extrema(ct: np.ndarray, e: IntervalUnion, n: int) -> list:
-    """Interval endpoints plus interior critical points of M, with M values.
+def _grid_size(n: int, w: float, total: float) -> int:
+    """Grid points for a zero search on a piece of arccos length w."""
+    return max(24, int(16 * (n + 1) * w / total) + 8)
 
-    The bisection on M' runs on Python floats through chebpoly.clenshaw: the
-    same IEEE operations as chebval on numpy scalars, so the same points, but
-    without numpy's per-scalar dispatch, which dominated the solve.
-    """
+
+def _zeros(coeffs: list, a: float, b: float, k: int) -> list:
+    """Zeros of a Chebyshev series on [a, b], ascending: sign changes on a
+    k-point grid, bisected on Python floats through chebpoly.clenshaw (the
+    IEEE operations of chebval without its per-scalar dispatch, which
+    dominated the solve) until the bracket collapses to adjacent floats."""
+    grid = np.linspace(a, b, k)
+    dv = npcheb.chebval(grid, coeffs).tolist()
+    xs = grid.tolist()
+    out = []
+    for i in range(k - 1):
+        da, db = dv[i], dv[i + 1]
+        if da == 0.0:
+            out.append(xs[i])
+        elif da * db < 0.0:
+            ta, tb = xs[i], xs[i + 1]
+            for _ in range(60):
+                tm = 0.5 * (ta + tb)
+                if tm == ta or tm == tb:
+                    break
+                dm = clenshaw(tm, coeffs)
+                if dm == 0.0:
+                    break
+                if da * dm < 0.0:
+                    tb = tm
+                else:
+                    ta, da = tm, dm
+            out.append(0.5 * (ta + tb))
+    if dv[-1] == 0.0:
+        out.append(xs[-1])
+    return out
+
+
+def _error_extrema(ct: np.ndarray, e: IntervalUnion, n: int) -> list:
+    """Interval endpoints plus interior critical points of M, with M values."""
     der = npcheb.chebder(ct).tolist()
     mu = _angle_lengths(e)
     total = sum(mu)
     out = []
     for (a, b), w in zip(e.intervals, mu):
-        k = max(24, int(16 * (n + 1) * w / total) + 8)
-        grid = np.linspace(a, b, k)
-        dv = npcheb.chebval(grid, der).tolist()
-        xs = grid.tolist()
-        locs = [a, b]
-        for i in range(k - 1):
-            da, db = dv[i], dv[i + 1]
-            if da == 0.0:
-                locs.append(xs[i])
-            elif da * db < 0.0:
-                ta, tb = xs[i], xs[i + 1]
-                for _ in range(60):
-                    tm = 0.5 * (ta + tb)
-                    dm = clenshaw(tm, der)
-                    if dm == 0.0:
-                        break
-                    if da * dm < 0.0:
-                        tb = tm
-                    else:
-                        ta, da = tm, dm
-                locs.append(0.5 * (ta + tb))
-        if dv[-1] == 0.0:
-            locs.append(xs[-1])
+        locs = [a, b] + _zeros(der, a, b, _grid_size(n, w, total))
         pts = np.array(sorted(set(locs)))
         out.extend(zip(pts.tolist(), npcheb.chebval(pts, ct).tolist()))
     out.sort()
@@ -247,8 +257,8 @@ def minimal_polynomial(c: IntervalUnion, n: int, level_tol: float = LEVEL_TOL,
     """
     if n < 1:
         raise InvalidInputError("degree must be at least 1")
-    if n > DEGREE_CAP:
-        raise DegreeCapError(f"degree {n} exceeds cap {DEGREE_CAP}")
+    if n > chebpoly.DEGREE_CAP:
+        raise DegreeCapError(f"degree {n} exceeds cap {chebpoly.DEGREE_CAP}")
     cn, fwd = normalize(c)
     rad = 1.0 / fwd.scale
     hull_scale = rad**n
@@ -304,25 +314,31 @@ def _finalize(state, cn, fwd, rad, hull_scale, n) -> MinimalPolyResult:
 def blow_up_set(c: IntervalUnion, result: MinimalPolyResult) -> BlowUpResult:
     """C' = M_n^{-1}([-L, L]), the largest set on which M_n stays minimal.
 
-    Cut points come from the roots of M -+ L (isolated separately; the squared
-    form M^2 - L^2 is numerically hopeless), and cells are classified by a
-    level test at their midpoint.  The level test, not root multiplicity, is
-    what absorbs tangency roots that rounding splits or pushes complex.
+    Cut points are c's endpoints plus the crossings of M = +-L in its gaps;
+    outside the hull |M| exceeds L.  On `result.cheb` in the normalized
+    frame, the critical points of M split each gap into monotone pieces with
+    at most one crossing of each level; a gap may hold whole bands of C'.
+    Cells are classified by a level test at their midpoint.
     """
     n = result.degree
     level = result.deviation / result.hull_scale
-    mono = to_monomial(result.cheb)
-    lvl = Polynomial((level,))
-    # A monic minimal polynomial alternates at both hull endpoints and is
-    # strictly above the level outside the hull, so C' lives in [-1, 1] of the
-    # normalized frame.  Isolate over a barely padded hull: widening the
-    # window inflates the reparametrized coefficients by (width/2)^n and
-    # drowns the level-crossing signal for larger n.
-    delta = 1e-3
-    cuts = [-1.0 - delta, 1.0 + delta]
-    for q in (mono - lvl, mono + lvl):
-        cuts.extend(r for r, _ in real_roots_in(q, -1.0 - delta, 1.0 + delta))
-    cuts = sorted(cuts)
+    pts = [result.frame(x) for x in c.endpoints]
+    tol = 1e-12 * (1.0 + abs(result.frame.shift))  # the frame map's rounding
+    if abs(pts[0] + 1.0) > tol or abs(pts[-1] - 1.0) > tol:
+        raise InvalidInputError("the result was not solved on the hull of this set")
+    pts[0], pts[-1] = -1.0, 1.0
+    coeffs = list(result.cheb.cheb_coeffs)
+    der = npcheb.chebder(coeffs).tolist()
+    m_minus = [coeffs[0] - level] + coeffs[1:]
+    m_plus = [coeffs[0] + level] + coeffs[1:]
+    total = sum(_angle_lengths(IntervalUnion(tuple(pts))))
+    cuts = list(pts)
+    for a, b in zip(pts[1:-1:2], pts[2:-1:2]):
+        w = math.acos(a) - math.acos(b)
+        ends = [a] + _zeros(der, a, b, _grid_size(n, w, total)) + [b]
+        for p, q in zip(ends, ends[1:]):
+            cuts += _zeros(m_minus, p, q, 2) + _zeros(m_plus, p, q, 2)
+    cuts.sort()
     merged = []
     for r in cuts:
         if merged and r - merged[-1] <= 1e-12:
@@ -336,8 +352,6 @@ def blow_up_set(c: IntervalUnion, result: MinimalPolyResult) -> BlowUpResult:
                 pieces[-1] = (pieces[-1][0], b)
             else:
                 pieces.append((a, b))
-    pieces = [(max(a, -1.0), min(b, 1.0)) for a, b in pieces]
-    pieces = [(a, b) for a, b in pieces if b - a > 1e-12]
     if not pieces:
         raise InvalidInputError("empty blow-up set; level classification failed")
     inv = result.frame.inverse()

@@ -8,6 +8,7 @@ import pytest
 from chebcap.capacity import (
     SolyninParams,
     capacity_bracket,
+    capacity_lower_bound,
     capacity_upper_estimate,
     ratio_sequence,
     solynin_bound,
@@ -215,3 +216,18 @@ def test_ratio_sequence_validates_k_max():
         ratio_sequence(FULL, 0)
     with pytest.raises(InvalidInputError):
         ratio_sequence(FULL, 51)
+
+
+def test_one_lower_bound_behind_bracket_and_ratios():
+    for e in (IntervalUnion((0.0, 4.0)), e_alpha(0.6), ASYM, TRIPLE):
+        e_norm, fwd = normalize(e)
+        scale = 1.0 / abs(fwd.scale)
+        lower, params = capacity_lower_bound(e)
+        if e_norm.ell == 1:
+            assert (lower, params) == (0.5 * scale, None)
+        else:
+            best, best_params = solynin_optimized_bound(to_angles(e_norm))
+            assert (lower, params) == (best * scale, best_params)
+        b = capacity_bracket(e, 6)
+        assert (b.lower, b.lower_params) == (lower, params)
+        assert ratio_sequence(e, 6).cap_est == lower

@@ -197,3 +197,14 @@ def test_flat_csv_fallback(capsys):
     assert lines[0] == "key,value"
     keys = {ln.split(",")[0] for ln in lines[1:]}
     assert "lower" in keys and "upper" in keys and "scale" in keys
+
+
+def test_degree_cap_env_lasts_one_run(capsys, monkeypatch):
+    monkeypatch.setenv("CHEBCAP_MAX_DEGREE", "4")
+    code, _, err = run_cli(capsys, "minpoly", "--intervals", "-1 1", "--degree", "5")
+    assert code == 2 and "error:" in err
+    monkeypatch.delenv("CHEBCAP_MAX_DEGREE")
+    code, out, _ = run_cli(capsys, "minpoly", "--intervals", "-1 1", "--degree", "5")
+    assert code == 0
+    assert json.loads(out)["results"]["degree"] == 5
+    assert _chebpoly.DEGREE_CAP == 100

@@ -247,3 +247,49 @@ def test_error_extrema_bit_identical_to_numpy_scalar_loop(name):
             got = _error_extrema(ct, cn, n)
             assert got == _error_extrema_numpy_scalar(ct, cn, n), (name, n)
             u = _select_reference(got, n + 1, u, ct)
+
+
+TRIPLE = IntervalUnion((-1.0, -0.6, -0.2, 0.2, 0.6, 1.0))
+QUAD = IntervalUnion((-1.0, -0.65, -0.35, -0.05, 0.25, 0.55, 0.85, 1.0))
+
+
+@pytest.mark.parametrize("e", [TRIPLE, QUAD], ids=["triple", "quad"])
+def test_blow_up_and_witness_at_degree_32(e):
+    r = minimal_polynomial(e, 32)
+    b = blow_up_set(e, r)
+    assert is_subset(e, b.c_prime, tol=1e-8)
+    assert 1 <= b.ell_prime <= 32
+    assert minimality_witness(e, r).passed
+
+
+def test_blow_up_band_inside_a_gap():
+    # At degree 48 each outer gap of TRIPLE holds a whole band of C',
+    # detached from both neighbouring intervals of E.
+    r = minimal_polynomial(TRIPLE, 48)
+    b = blow_up_set(TRIPLE, r)
+    assert b.ell_prime == 5
+    assert any(-0.6 < lo and hi < -0.2 for lo, hi in b.c_prime.intervals)
+    new_ends = [x for x in b.c_prime.endpoints
+                if min(abs(x - y) for y in TRIPLE.endpoints) > 1e-12]
+    assert len(new_ends) == 4
+    vals = np.abs(r.evaluate(np.array(new_ends)))
+    assert np.max(np.abs(vals - r.deviation)) <= 1e-9 * r.deviation
+    again = minimal_polynomial(b.c_prime, 48)
+    assert again.deviation == pytest.approx(r.deviation, rel=1e-10)
+
+
+def test_blow_up_rejects_result_from_another_hull():
+    r = minimal_polynomial(e_alpha(0.5), 4)
+    with pytest.raises(InvalidInputError):
+        blow_up_set(IntervalUnion((-1.0, -0.5, 0.5, 0.9)), r)
+
+
+def test_blow_up_far_from_origin():
+    # The hull of this set maps onto [-1, 1] only to ~1.5e-11: the rounding
+    # of the frame map itself, which the hull check must tolerate.
+    e = IntervalUnion((31415.9, 31416.11, 31416.32, 31416.6))
+    for n in (3, 6):
+        r = minimal_polynomial(e, n)
+        b = blow_up_set(e, r)
+        assert is_subset(e, b.c_prime, tol=1e-8)
+        assert b.c_prime.ell <= n
