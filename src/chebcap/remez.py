@@ -1,12 +1,14 @@
 """Monic minimal polynomials on interval unions via a Remez exchange.
 
-The solve runs on the hull normalized to [-1, 1] and in the Chebyshev basis
-throughout; both are load-bearing.  Monomial coefficients of near-minimal
-polynomials grow exponentially with the degree while the function stays at the
-level of the deviation, so Horner evaluation (and any monomial-basis linear
-algebra) destroys the leveling signal long before degree 50.  Deviations are
-affinely covariant: L_n(s E + t) = |s|^n L_n(E), which is how results return
-to the original frame.
+The solve runs on the hull normalized to [-1, 1]; deviations are affinely
+covariant, L_n(s E + t) = |s|^n L_n(E), which is how results return to the
+original frame.  Each iterate is the leveled interpolant on the reference,
+in the barycentric form of `leveled`, whose evaluation error on the set does
+not grow with the size of M in the gaps; its extrema are refined together by
+one bracket-safeguarded Newton loop.  Monomial coefficients of near-minimal
+polynomials grow exponentially with the degree, so `poly` is for reporting
+only; the Chebyshev coefficients `cheb` of the final reference serve the
+blow-up crossings and the arc transfer.
 """
 
 from __future__ import annotations
@@ -17,18 +19,18 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
-from . import chebpoly
+from . import chebpoly, leveled
 from .chebpoly import ChebExpansion, Polynomial, clenshaw, to_monomial
 from .errors import ConvergenceError, DegreeCapError, InvalidInputError
 from .intervals import AffineMap, IntervalUnion, is_subset, normalize
 
 MAX_ITER = 200
 LEVEL_TOL = 1e-12
-# Leveling can stall above LEVEL_TOL on sets with deep gaps: between the
-# intervals |M| rises to a peak G with G/L up to ~exp(n * gap measure), and
-# Clenshaw evaluation noise of order n*eps*G then floors the relative leveling
-# gap near n*eps*G/L.  A stalled iteration is accepted, with the honest gap in
-# `residual`, as long as it reached this much.
+# A stalled iteration (no new best leveling gap for STALL_COUNT iterations)
+# is accepted at the best iterate, with the honest gap in `residual`, as long
+# as that gap reached STALL_ACCEPT.  The barycentric evaluation reaches
+# LEVEL_TOL on the fixtures up to the degree cap; what is left to stall on is
+# a reference whose Lebesgue function on the set amplifies rounding beyond it.
 STALL_ACCEPT = 1e-6
 STALL_COUNT = 10
 
@@ -37,12 +39,15 @@ STALL_COUNT = 10
 class MinimalPolyResult:
     """Monic minimizer of the sup norm on a union of intervals.
 
-    `poly` holds monomial coefficients in the original frame for reporting;
-    numerical work should use `evaluate`, which stays in the Chebyshev basis
-    of the normalized hull (`cheb`, `frame`, `hull_scale`).  `residual` is the
-    leveling gap sup|M| - min leveled |M| at acceptance, in original-frame
-    units; the reported deviation is the actual sup of M on the set, so the
-    true minimum deviation lies within residual below it.
+    `poly` holds monomial coefficients in the original frame for reporting.
+    Numerical work should use `evaluate`, which reads the leveled
+    interpolant of the final reference in the normalized frame: its `nodes`,
+    scaled barycentric `weights` and `level` h, with M(nodes[j]) = +-h.
+    `cheb` holds the same polynomial's Chebyshev coefficients on the
+    normalized hull (`frame`, `hull_scale`).  `residual` is the leveling gap
+    sup|M| - min leveled |M| at acceptance, in original-frame units; the
+    reported deviation is the actual sup of M on the set, so the true
+    minimum deviation lies within residual below it.
     """
 
     poly: Polynomial
@@ -53,14 +58,23 @@ class MinimalPolyResult:
     cheb: ChebExpansion
     frame: AffineMap
     hull_scale: float
+    nodes: tuple
+    weights: tuple
+    level: float
 
     @property
     def degree(self) -> int:
         return self.cheb.degree
 
     def evaluate(self, x):
-        """M_n(x) without monomial-basis cancellation."""
-        return self.hull_scale * self.cheb(self.frame(np.asarray(x, dtype=float)))
+        """M_n(x) from the barycentric form of the final reference.
+
+        Accurate on the set, where its error grows with the reference's
+        Lebesgue function; deep in the gaps and outside the hull it loses
+        digits as |M| grows past the deviation.
+        """
+        t = self.frame(np.asarray(x, dtype=float))
+        return (self.hull_scale * _leveled_values(self, t.ravel()).reshape(t.shape))[()]
 
 
 @dataclass(frozen=True)
@@ -94,13 +108,14 @@ def _angle_lengths(e: IntervalUnion) -> list:
 
 
 def _init_reference(e: IntervalUnion, n: int) -> np.ndarray:
-    """n+1 starting points, allocated per interval by arccos length.
-
-    Chebyshev-Lobatto spacing within each interval mimics the equilibrium
-    distribution; each interval gets at least one point whenever n+1 >= ell.
+    """n+1 starting points, allocated per interval by equilibrium mass and
+    placed within it at quantiles of the equilibrium measure (on a single
+    interval, the Chebyshev-Lobatto points); each interval gets at least one
+    point whenever n+1 >= ell.
     """
     m = n + 1
-    mu = _angle_lengths(e)
+    eq = leveled.equilibrium(e.endpoints)
+    mu = [mass for mass, _ in eq]
     total = sum(mu)
     raw = [m * w / total for w in mu]
     counts = [int(v) for v in raw]
@@ -112,15 +127,17 @@ def _init_reference(e: IntervalUnion, n: int) -> np.ndarray:
             i0 = counts.index(0)
             counts[max(range(len(counts)), key=lambda i: counts[i])] -= 1
             counts[i0] += 1
+    angles = np.linspace(0.0, math.pi, leveled.EQ_GRID + 1)
     pts = []
-    for (a, b), k in zip(e.intervals, counts):
+    for (a, b), k, (_, cdf) in zip(e.intervals, counts, eq):
         if k == 0:
             continue
         mid, rad = 0.5 * (a + b), 0.5 * (b - a)
         if k == 1:
             pts.append(mid)
         else:
-            pts.extend(mid - rad * math.cos(math.pi * j / (k - 1)) for j in range(k))
+            theta = np.interp(np.linspace(0.0, 1.0, k), cdf, angles)
+            pts.extend((mid - rad * np.cos(theta)).tolist())
     return np.array(sorted(pts))
 
 
@@ -180,7 +197,8 @@ def _zeros(coeffs: list, a: float, b: float, k: int) -> list:
 
 
 def _error_extrema(ct: np.ndarray, e: IntervalUnion, n: int) -> list:
-    """Interval endpoints plus interior critical points of M, with M values."""
+    """Interval endpoints plus interior critical points of the Chebyshev series
+    ct on the intervals of e, with its values."""
     der = npcheb.chebder(ct).tolist()
     mu = _angle_lengths(e)
     total = sum(mu)
@@ -189,6 +207,10 @@ def _error_extrema(ct: np.ndarray, e: IntervalUnion, n: int) -> list:
         locs = [a, b] + _zeros(der, a, b, _grid_size(n, w, total))
         pts = np.array(sorted(set(locs)))
         out.extend(zip(pts.tolist(), npcheb.chebval(pts, ct).tolist()))
+    return _sorted_unique(out)
+
+
+def _sorted_unique(out: list) -> list:
     out.sort()
     dedup = []
     for x, v in out:
@@ -196,6 +218,36 @@ def _error_extrema(ct: np.ndarray, e: IntervalUnion, n: int) -> list:
             continue
         dedup.append((x, v))
     return dedup
+
+
+def _extremum_grid(e: IntervalUnion, n: int):
+    """One grid over all intervals of e for the extremum search, the mask of
+    its interval endpoints and the mask of its cells inside an interval."""
+    mu = _angle_lengths(e)
+    total = sum(mu)
+    grids = [np.linspace(a, b, _grid_size(n, wt, total)) for (a, b), wt in zip(e.intervals, mu)]
+    last = np.cumsum([len(g) for g in grids]) - 1
+    ends = np.zeros(last[-1] + 1, dtype=bool)
+    ends[last] = ends[last[:-1] + 1] = ends[0] = True
+    inner = np.ones(last[-1], dtype=bool)
+    inner[last[:-1]] = False
+    return np.concatenate(grids), ends, inner
+
+
+def _leveled_extrema(u, w, h, grid) -> list:
+    """Interval endpoints plus interior critical points of the leveled
+    interpolant, with M values: the sign changes of M' on the grid of
+    `_extremum_grid`, refined together."""
+    xs, ends, inner = grid
+    vals, d1 = leveled.evaluate(xs, u, w, h, 1)
+    sd = np.sign(d1)
+    cells = np.flatnonzero(inner & (sd[:-1] * sd[1:] < 0.0))
+    keep = ends | (sd == 0.0)
+    out = list(zip(xs[keep].tolist(), vals[keep].tolist()))
+    if len(cells):
+        crit = leveled.refine(xs[cells], xs[cells + 1], d1[cells], d1[cells + 1], u, w, h)
+        out += zip(crit.tolist(), leveled.evaluate(crit, u, w, h, 0)[0].tolist())
+    return _sorted_unique(out)
 
 
 def _collapse_sign_runs(cands: list) -> list:
@@ -212,9 +264,8 @@ def _collapse_sign_runs(cands: list) -> list:
     return [(x, v) for _, x, v in runs]
 
 
-def _single_point_exchange(u: np.ndarray, ct: np.ndarray, cands: list) -> np.ndarray:
+def _single_point_exchange(u: np.ndarray, vals: np.ndarray, cands: list) -> np.ndarray:
     x_star, v_star = max(cands, key=lambda c: abs(c[1]))
-    vals = npcheb.chebval(u, ct)
     new = list(u)
     sign = 1 if v_star > 0 else -1
     if x_star < u[0]:
@@ -234,10 +285,11 @@ def _single_point_exchange(u: np.ndarray, ct: np.ndarray, cands: list) -> np.nda
     return np.array(sorted(new))
 
 
-def _select_reference(cands: list, m: int, u: np.ndarray, ct: np.ndarray) -> np.ndarray:
+def _select_reference(cands: list, m: int, u: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Next reference from the candidates; vals are M's values on u."""
     pts = _collapse_sign_runs(cands)
     if len(pts) < m:
-        return _single_point_exchange(u, ct, cands)
+        return _single_point_exchange(u, vals, cands)
     while len(pts) > m:
         if abs(pts[0][1]) <= abs(pts[-1][1]):
             pts.pop(0)
@@ -251,9 +303,8 @@ def minimal_polynomial(c: IntervalUnion, n: int, level_tol: float = LEVEL_TOL,
     """Monic polynomial of degree n minimizing the sup norm on c.
 
     Convergence is a relative leveling gap below level_tol; iterations that
-    stall above it (evaluation noise floor, see module docstring) are accepted
-    at the best iterate once the gap is below STALL_ACCEPT, and the achieved
-    gap is reported in `residual`.
+    stall above it are accepted at the best iterate once the gap is below
+    STALL_ACCEPT, and the achieved gap is reported in `residual`.
     """
     if n < 1:
         raise InvalidInputError("degree must be at least 1")
@@ -264,36 +315,37 @@ def minimal_polynomial(c: IntervalUnion, n: int, level_tol: float = LEVEL_TOL,
     hull_scale = rad**n
 
     u = _init_reference(cn, n)
+    grid = _extremum_grid(cn, n)
     best = None
     best_gap = math.inf
     stall = 0
     for it in range(1, max_iter + 1):
-        ct, h, _ = _solve_on_reference(u, n)
-        cands = _error_extrema(ct, cn, n)
+        w, h = leveled.weights_and_level(u)
+        cands = _leveled_extrema(u, w, h, grid)
         emax = max(abs(v) for _, v in cands)
-        gap = max(emax - abs(h), 0.0)
+        gap = max(emax - h, 0.0)
         gap_rel = gap / emax if emax > 0 else 0.0
         if gap_rel < best_gap:
-            best_gap, best, stall = gap_rel, (ct, h, u, emax, gap, it), 0
+            best_gap, best, stall = gap_rel, (u, w, h, emax, gap, it), 0
         else:
             stall += 1
         if gap_rel <= level_tol:
             break
         if stall >= STALL_COUNT and best_gap <= STALL_ACCEPT:
             break
-        u = _select_reference(cands, n + 1, u, ct)
+        u = _select_reference(cands, n + 1, u, np.sign(w) * h)
     else:
-        last = _finalize(best, cn, fwd, rad, hull_scale, n) if best else None
+        last = _finalize(best, fwd, hull_scale, n) if best else None
         raise ConvergenceError(
             f"leveling gap {best_gap:.3e} after {max_iter} iterations (degree {n})",
             last_iterate=last,
         )
-    return _finalize(best, cn, fwd, rad, hull_scale, n)
+    return _finalize(best, fwd, hull_scale, n)
 
 
-def _finalize(state, cn, fwd, rad, hull_scale, n) -> MinimalPolyResult:
-    ct, h, u, emax, gap, it = state
-    cheb = ChebExpansion(tuple(ct))
+def _finalize(state, fwd, hull_scale, n) -> MinimalPolyResult:
+    u, w, h, emax, gap, it = state
+    cheb = ChebExpansion(tuple(_solve_on_reference(u, n)[0]))
     mono_norm = to_monomial(cheb)
     inv = fwd.inverse()
     poly = (hull_scale * mono_norm.compose_affine(fwd)).coeffs
@@ -308,7 +360,27 @@ def _finalize(state, cn, fwd, rad, hull_scale, n) -> MinimalPolyResult:
         cheb=cheb,
         frame=fwd,
         hull_scale=hull_scale,
+        nodes=tuple(u.tolist()),
+        weights=tuple(w.tolist()),
+        level=h,
     )
+
+
+def _normalized_endpoints(c: IntervalUnion, result: MinimalPolyResult) -> list:
+    """c's endpoints in the result's normalized frame, the hull snapped to
+    [-1, 1]; refuses a c whose hull is not the one the result was solved on."""
+    pts = [result.frame(x) for x in c.endpoints]
+    tol = 1e-12 * (1.0 + abs(result.frame.shift))  # the frame map's rounding
+    if abs(pts[0] + 1.0) > tol or abs(pts[-1] - 1.0) > tol:
+        raise InvalidInputError("the result was not solved on the hull of this set")
+    pts[0], pts[-1] = -1.0, 1.0
+    return pts
+
+
+def _leveled_values(result: MinimalPolyResult, t: np.ndarray) -> np.ndarray:
+    """M at normalized-frame points t, from the result's leveled interpolant."""
+    nodes, weights = np.array(result.nodes), np.array(result.weights)
+    return leveled.evaluate(t, nodes, weights, result.level, 0)[0]
 
 
 def blow_up_set(c: IntervalUnion, result: MinimalPolyResult) -> BlowUpResult:
@@ -316,26 +388,24 @@ def blow_up_set(c: IntervalUnion, result: MinimalPolyResult) -> BlowUpResult:
 
     Cut points are c's endpoints plus the crossings of M = +-L in its gaps;
     outside the hull |M| exceeds L.  On `result.cheb` in the normalized
-    frame, the critical points of M split each gap into monotone pieces with
-    at most one crossing of each level; a gap may hold whole bands of C'.
-    Cells are classified by a level test at their midpoint.
+    frame, the critical points of M (`_error_extrema` on the gaps) split each
+    gap into monotone pieces with at most one crossing of each level; a gap
+    may hold whole bands of C'.  Cells are classified by a level test of the
+    leveled interpolant at their midpoint.
     """
     n = result.degree
-    level = result.deviation / result.hull_scale
-    pts = [result.frame(x) for x in c.endpoints]
-    tol = 1e-12 * (1.0 + abs(result.frame.shift))  # the frame map's rounding
-    if abs(pts[0] + 1.0) > tol or abs(pts[-1] - 1.0) > tol:
-        raise InvalidInputError("the result was not solved on the hull of this set")
-    pts[0], pts[-1] = -1.0, 1.0
+    dev = result.deviation / result.hull_scale
+    pts = _normalized_endpoints(c, result)
     coeffs = list(result.cheb.cheb_coeffs)
-    der = npcheb.chebder(coeffs).tolist()
-    m_minus = [coeffs[0] - level] + coeffs[1:]
-    m_plus = [coeffs[0] + level] + coeffs[1:]
-    total = sum(_angle_lengths(IntervalUnion(tuple(pts))))
+    m_minus = [coeffs[0] - dev] + coeffs[1:]
+    m_plus = [coeffs[0] + dev] + coeffs[1:]
+    gaps = pts[1:-1]
+    crit = []
+    if gaps:
+        crit = [x for x, _ in _error_extrema(np.array(coeffs), IntervalUnion(tuple(gaps)), n)]
     cuts = list(pts)
-    for a, b in zip(pts[1:-1:2], pts[2:-1:2]):
-        w = math.acos(a) - math.acos(b)
-        ends = [a] + _zeros(der, a, b, _grid_size(n, w, total)) + [b]
+    for a, b in zip(gaps[0::2], gaps[1::2]):
+        ends = [a] + [x for x in crit if a < x < b] + [b]
         for p, q in zip(ends, ends[1:]):
             cuts += _zeros(m_minus, p, q, 2) + _zeros(m_plus, p, q, 2)
     cuts.sort()
@@ -344,10 +414,11 @@ def blow_up_set(c: IntervalUnion, result: MinimalPolyResult) -> BlowUpResult:
         if merged and r - merged[-1] <= 1e-12:
             continue
         merged.append(r)
+    cells = list(zip(merged, merged[1:]))
+    inside = np.abs(_leveled_values(result, np.array([0.5 * (a + b) for a, b in cells])))
     pieces = []
-    for a, b in zip(merged, merged[1:]):
-        mid = 0.5 * (a + b)
-        if abs(result.cheb(mid)) <= level * (1.0 + 1e-9):
+    for (a, b), v in zip(cells, inside.tolist()):
+        if v <= dev * (1.0 + 1e-9):
             if pieces and pieces[-1][1] == a:
                 pieces[-1] = (pieces[-1][0], b)
             else:
@@ -369,6 +440,9 @@ def minimality_witness(c: IntervalUnion, result: MinimalPolyResult,
                        grid_density: int = 2000, c_double_prime=None) -> WitnessReport:
     """Check the two alternation facts and the sandwich invariance of L_n.
 
+    The sup is taken on a grid over c in the normalized frame, with the hull
+    snapped to [-1, 1]: mapped through the frame, the hull of a set far from
+    the origin lands just outside it, where |M| already exceeds L.
     The sandwich: any C'' with C subset C'' subset C' has the same minimal
     polynomial and deviation.  Passing a C'' that is not inside C' is reported
     as not applicable rather than a failure.
@@ -377,13 +451,12 @@ def minimality_witness(c: IntervalUnion, result: MinimalPolyResult,
     dev = result.deviation
     slack = result.residual + 1e-12 * dev
 
+    pts = _normalized_endpoints(c, result)
     lengths = [b - a for a, b in c.intervals]
     total = sum(lengths)
-    sup = 0.0
-    for (a, b), w in zip(c.intervals, lengths):
-        k = max(16, int(grid_density * w / total))
-        xs = np.linspace(a, b, k)
-        sup = max(sup, float(np.max(np.abs(result.evaluate(xs)))))
+    grid = np.concatenate([np.linspace(a, b, max(16, int(grid_density * w / total)))
+                           for a, b, w in zip(pts[0::2], pts[1::2], lengths)])
+    sup = result.hull_scale * float(np.max(np.abs(_leveled_values(result, grid))))
     sup_excess = max(0.0, sup - dev)
     sup_ok = sup_excess <= slack
 

@@ -208,3 +208,14 @@ def test_degree_cap_env_lasts_one_run(capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["results"]["degree"] == 5
     assert _chebpoly.DEGREE_CAP == 100
+
+
+def test_ratio_readme_pair_to_degree_40(capsys):
+    code, out, _ = run_cli(capsys, "ratio", "--intervals", "-1 -0.6; 0.6 1", "--kmax", "40")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 41
+    for line in lines[2::2]:
+        k, ratio, _ = line.split(",")
+        assert int(k) % 2 == 0
+        assert float(ratio) == pytest.approx(2.0, rel=1e-9)

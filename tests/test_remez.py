@@ -8,9 +8,11 @@ from numpy.polynomial import chebyshev as npcheb
 
 from oracles import grid_sup_norm, minimax_deviation_oracle
 
+from chebcap.chebpoly import Polynomial
 from chebcap.errors import DegreeCapError, InvalidInputError
 from chebcap.intervals import IntervalUnion, is_subset, normalize
-from chebcap.inverse_image import e_alpha, symmetric_two_interval_minpoly
+from chebcap.inverse_image import e_alpha, inverse_image, symmetric_two_interval_minpoly
+from chebcap.leveled import equilibrium, evaluate, weights_and_level
 from chebcap.remez import (
     _angle_lengths,
     _error_extrema,
@@ -246,7 +248,7 @@ def test_error_extrema_bit_identical_to_numpy_scalar_loop(name):
             ct, _, _ = _solve_on_reference(u, n)
             got = _error_extrema(ct, cn, n)
             assert got == _error_extrema_numpy_scalar(ct, cn, n), (name, n)
-            u = _select_reference(got, n + 1, u, ct)
+            u = _select_reference(got, n + 1, u, npcheb.chebval(u, ct))
 
 
 TRIPLE = IntervalUnion((-1.0, -0.6, -0.2, 0.2, 0.6, 1.0))
@@ -293,3 +295,78 @@ def test_blow_up_far_from_origin():
         b = blow_up_set(e, r)
         assert is_subset(e, b.c_prime, tol=1e-8)
         assert b.c_prime.ell <= n
+
+
+@pytest.mark.parametrize("name", sorted(EXTREMA_SETS))
+def test_leveled_interpolant_matches_chebyshev_solve(name):
+    # At low degree both forms are accurate: the barycentric level, values and
+    # first two derivatives agree with the Chebyshev-basis solve, on a grid
+    # over the set and exactly on the nodes.  (M'' is checked away from the
+    # nodes' float neighbours, where its divided difference cancels.)
+    cn, _ = normalize(EXTREMA_SETS[name])
+    for n in (1, 2, 5, 10):
+        u = _init_reference(cn, n)
+        w, h = weights_and_level(u)
+        ct, hc, _ = _solve_on_reference(u, n)
+        assert h == pytest.approx(hc, rel=1e-12)
+        x = np.concatenate([np.linspace(a, b, 13) for a, b in cn.intervals] + [u])
+        far = np.min(np.abs(x[:, None] - u[None, :]), axis=1)
+        checked = (far == 0.0) | (far > 1e-9)
+        got = evaluate(x, u, w, h, 2)
+        for k, v in enumerate(got):
+            want = npcheb.chebval(x, npcheb.chebder(ct, k))
+            on = checked if k == 2 else slice(None)
+            err = np.max(np.abs(v - want)[on])
+            assert err <= 1e-10 * max(np.max(np.abs(want)), h), (n, k, err)
+        assert np.array_equal(got[0][-len(u):], np.sign(w) * h)
+
+
+@pytest.mark.parametrize("n", [32, 40, 48])
+def test_large_alpha_pair_matches_closed_form(n):
+    alpha = 0.6
+    r = minimal_polynomial(e_alpha(alpha), n)
+    expect = 2.0 ** (1 - n) * (1 - alpha * alpha) ** (n / 2)
+    assert r.deviation == pytest.approx(expect, rel=1e-10)
+    assert r.residual <= 1e-12 * r.deviation
+
+
+def test_witness_passes_on_large_alpha_pair_at_degree_32():
+    e = e_alpha(0.6)
+    assert minimality_witness(e, minimal_polynomial(e, 32)).passed
+
+
+def test_witness_far_from_origin():
+    # The frame maps this hull onto [-1, 1] only to ~1.5e-11, and |M| exceeds
+    # L just outside it; the witness's sup grid must not step out there.
+    e = IntervalUnion((31415.9, 31416.11, 31416.32, 31416.6))
+    for n in (3, 6):
+        assert minimality_witness(e, minimal_polynomial(e, n)).passed
+
+
+def test_barycentric_sum_cancelled_to_zero():
+    # Far outside the hull the terms of sum_j w_j/(x - u_j) cancel to exactly
+    # zero in floating point; the value then comes from 1/l(x).
+    u = np.array([-1.0, 0.0, 1.0])
+    w, h = weights_and_level(u)
+    m = evaluate(np.array([1e20]), u, w, h, 0)[0]
+    assert m[0] == pytest.approx(1e40, rel=1e-12)  # M = x^2 - 1/2
+
+
+def test_equilibrium_masses():
+    assert [m for m, _ in equilibrium((-1.0, 1.0))] == [1.0]
+    for alpha in (0.3, 0.6):
+        cn, _ = normalize(e_alpha(alpha))
+        assert [m for m, _ in equilibrium(cn.endpoints)] == pytest.approx([0.5, 0.5], abs=1e-12)
+    # On P^{-1}([-1, 1]) with ell = deg P intervals, each interval carries 1/ell.
+    image = inverse_image(Polynomial((0.0, -3.75, 0.0, 5.0))).image  # 1.25 * T_3
+    cn, _ = normalize(image)
+    assert [m for m, _ in equilibrium(cn.endpoints)] == pytest.approx([1 / 3] * 3, abs=1e-9)
+
+
+def test_degree_cap_envelope():
+    alpha = 0.6
+    r = minimal_polynomial(e_alpha(alpha), 100)
+    assert r.deviation == pytest.approx(2.0 ** -99 * (1 - alpha * alpha) ** 50, rel=1e-10)
+    for e in (TRIPLE, QUAD):
+        r = minimal_polynomial(e, 100)
+        assert r.residual <= 1e-12 * r.deviation
