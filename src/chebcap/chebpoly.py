@@ -229,6 +229,14 @@ def to_monomial(b: ChebExpansion) -> Polynomial:
 # Sign-variation counts alone are NOT trusted for multiplicities: near an
 # even-order root the subdivision transforms work at rounding level and the
 # counts come out wrong in window-dependent ways.
+#
+# One chain per call.  A degree-n search visits n levels (c, c', ..., down to
+# degree 1), and inverse_image searches P - 1, P + 1 and P' on one window: all
+# three walk P', P'', ....  A RootChain memoizes each level's grid crossings
+# and roots for one such call, so every level is solved once.  The dense-scan
+# crossings of all levels not yet in the memo are bisected in one batched
+# loop, each bracket on its own level's coefficients in numpy polyval's
+# Horner order, so every value is the one a per-level polyval gives.
 # ---------------------------------------------------------------------------
 
 _WIDTH_FLOOR = 2.0**-44
@@ -376,32 +384,67 @@ def _descartes_crossings(q, lo: float, hi: float) -> list:
     return xs
 
 
-def _grid_crossings(c, lo: float, hi: float) -> list:
-    """Sign-change locations of c on [lo, hi] from a dense scan.
+def _horner_rows(cols: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # numpy polyval's operations in its order, column j of cols holding the
+    # ascending coefficients of the polynomial evaluated at x[j].  Rows above
+    # a column's degree are zero and leave the sum +0.0 until its leading
+    # coefficient, so every value is the one polyval returns.
+    c0 = cols[-1] + x * 0
+    for i in range(2, len(cols) + 1):
+        c0 = cols[-i] + c0 * x
+    return c0
+
+
+def _grid_crossings(levels: list, lo: float, hi: float) -> list:
+    """Sign-change locations on [lo, hi] of each coefficient list in levels,
+    from a dense scan.
 
     Catches crossings that variation counts lose to coefficient noise; pairs
-    tighter than the grid spacing are the Descartes pass's job.
+    tighter than the grid spacing are the Descartes pass's job.  Each level is
+    scanned on its own 32 * len + 1 grid; then the brackets of all levels are
+    bisected together, for at most 60 steps.  A bracket leaves the loop once a
+    step no longer changes it (it has collapsed to adjacent floats): the step
+    depends on the bracket alone, so the other steps would not change it
+    either.
     """
-    n_nodes = 32 * len(c) + 1
-    xs = np.linspace(lo, hi, n_nodes)
-    vals = nppoly.polyval(xs, c)
-    out = [float(xs[i]) for i in np.nonzero(vals == 0.0)[0]]
-    flips = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
-    if len(flips) == 0:
-        return out
-    a = xs[flips].copy()
-    b = xs[flips + 1].copy()
-    fa = vals[flips].copy()
+    width = max(len(c) for c in levels)
+    found, a, b, fa, cols = [], [], [], [], []
+    for c in levels:
+        xs = np.linspace(lo, hi, 32 * len(c) + 1)
+        vals = nppoly.polyval(xs, c)
+        found.append([float(xs[i]) for i in np.nonzero(vals == 0.0)[0]])
+        flips = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
+        a.append(xs[flips])
+        b.append(xs[flips + 1])
+        fa.append(vals[flips])
+        pad = np.zeros((width, len(flips)))
+        pad[: len(c)] = np.asarray(c, dtype=float)[:, None]
+        cols.append(pad)
+    counts = [len(v) for v in a]
+    a, b, fa, cols = (np.concatenate(v, axis=-1) for v in (a, b, fa, cols))
+    mids = np.empty(len(a))
+    live = np.arange(len(a))
     for _ in range(60):
+        if not len(live):
+            break
         m = 0.5 * (a + b)
-        fm = nppoly.polyval(m, c)
+        fm = _horner_rows(cols, m)
         exact = fm == 0.0
         left = fa * fm < 0.0
-        b = np.where(left | exact, m, b)
-        a = np.where(~left | exact, m, a)
-        fa = np.where(left, fa, fm)
-    out.extend(float(x) for x in 0.5 * (a + b))
-    return out
+        b2 = np.where(left | exact, m, b)
+        a2 = np.where(~left | exact, m, a)
+        fa2 = np.where(left, fa, fm)
+        moved = ((a2.view(np.int64) != a.view(np.int64))
+                 | (b2.view(np.int64) != b.view(np.int64))
+                 | (fa2.view(np.int64) != fa.view(np.int64)))
+        a, b, fa = a2, b2, fa2
+        if not moved.all():
+            mids[live[~moved]] = 0.5 * (a[~moved] + b[~moved])
+            live, a, b, fa, cols = live[moved], a[moved], b[moved], fa[moved], cols[:, moved]
+    mids[live] = 0.5 * (a + b)
+    for out, part in zip(found, np.split(mids, np.cumsum(counts)[:-1])):
+        out.extend(part.tolist())
+    return found
 
 
 _EPS = float(np.finfo(float).eps)
@@ -427,14 +470,29 @@ def _confirmed_crossing(c, x: float, span: float) -> bool:
     return False  # flat at noise scale across 2% of the window: no root claim
 
 
-def _roots_with_mult(c, lo: float, hi: float, top: bool) -> list:
+def _chain_crossings(c, lo: float, hi: float, memo: dict) -> list:
+    """Grid crossings of c on [lo, hi], computed together with those of each
+    derivative of degree >= 2 that memo does not hold yet."""
+    levels = []
+    d = list(c)
+    while len(d) >= 3 and (tuple(d), lo, hi) not in memo:
+        levels.append(d)
+        d = _deriv(d)
+    if levels:
+        for d, xs in zip(levels, _grid_crossings(levels, lo, hi)):
+            memo[tuple(d), lo, hi] = xs
+    return memo[tuple(c), lo, hi]
+
+
+def _roots_with_mult(c, lo: float, hi: float, top: bool, memo: dict) -> list:
     """Roots of the coefficient list c on [lo, hi] with multiplicities.
 
     Sign crossings supply the odd-multiplicity locations.  Higher counts come
     from the derivative chain: each root of the derivative where c itself
     evaluates to rounding noise is a root of multiplicity one more.  Crossings
     inside such a root's noise basin are stray resolutions of the same root
-    and are absorbed.
+    and are absorbed.  memo holds the grid crossings, keyed by (c, lo, hi),
+    and the results, keyed by (c, lo, hi, top), of every level solved so far.
     """
     deg = len(c) - 1
     if deg <= 0:
@@ -442,11 +500,14 @@ def _roots_with_mult(c, lo: float, hi: float, top: bool) -> list:
     if deg == 1:
         r = -c[0] / c[1]
         return [(r, 1)] if lo <= r <= hi else []
+    key = (tuple(c), lo, hi, top)
+    if key in memo:
+        return memo[key]
     span = hi - lo
     d1 = _deriv(c)
     d2 = _deriv(d1)
 
-    xs = _grid_crossings(c, lo, hi)
+    xs = list(_chain_crossings(c, lo, hi, memo))
     if top:
         # The subdivision pass resolves crossing pairs tighter than the grid;
         # one level of it is enough, since multiple roots of the derivatives
@@ -475,7 +536,7 @@ def _roots_with_mult(c, lo: float, hi: float, top: bool) -> list:
     emitted = []  # (root, multiplicity, basin radius)
     removed = set()  # crossing indices explained by an emitted multiple root
     delta = 1e-12 * span  # allowance for the root coordinate's own error
-    for y, k in sorted(_roots_with_mult(d1, lo, hi, False), key=lambda t: -t[1]):
+    for y, k in sorted(_roots_with_mult(d1, lo, hi, False, memo), key=lambda t: -t[1]):
         if any(abs(y - e[0]) <= e[2] for e in emitted):
             continue
         m = k + 1
@@ -511,6 +572,7 @@ def _roots_with_mult(c, lo: float, hi: float, top: bool) -> list:
     out = [(x, 1) for i, x in enumerate(crossings) if i not in removed]
     out.extend((y, m) for y, m, _ in emitted)
     out.sort()
+    memo[key] = out
     return out
 
 
@@ -521,18 +583,80 @@ def _newton_polish(c, x0: float, lo: float, hi: float, order: int = 1) -> float:
         f = _deriv(f)
     df = _deriv(f)
     x = x0
-    for _ in range(40):
+    xs = [x]  # xs[i] is the iterate after step i
+    seen = {x: 0}
+    for i in range(1, 41):
         d = _eval(df, x)
         if d == 0.0:
             break
         step = _eval(f, x) / d
         if not math.isfinite(step):
             break
-        x_new = min(max(x - step, lo), hi)
-        if abs(x_new - x) <= 1e-16 * max(1.0, abs(x)):
-            return x_new
-        x = x_new
+        x = min(max(x - step, lo), hi)
+        if abs(x - xs[-1]) <= 1e-16 * max(1.0, abs(xs[-1])):
+            return x
+        # A step depends on x alone, so once an iterate repeats the rest
+        # cycle (for |x| >= 0.5 the stop test above is below one ulp, and
+        # polishes end in 2-cycles between adjacent floats): return the
+        # iterate that step 40 would leave.
+        j = seen.setdefault(x, i)
+        if j < i:
+            return xs[j + (40 - j) % (i - j)]
+        xs.append(x)
     return x
+
+
+class RootChain:
+    """Memo of the derivative chain for a run of real_roots_in calls.
+
+    Polynomials that differ only in the constant term (P - 1 and P + 1) and
+    the derivative P' share the levels P', P'', ... of their chains; isolated
+    through one RootChain on one window, each level is solved once.  The memo
+    keeps every level's roots, so a RootChain should live for one such run.
+    """
+
+    def __init__(self):
+        self._memo = {}
+
+    def real_roots_in(self, p: Polynomial, lo: float, hi: float,
+                      cluster_tol: float = CLUSTER_TOL) -> list:
+        """The module-level real_roots_in, solving through this chain's memo."""
+        if p.is_zero:
+            raise InvalidInputError("cannot isolate roots of the zero polynomial")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise InvalidInputError("need finite lo < hi")
+        if p.degree == 0:
+            return []
+        span = hi - lo
+        # Pad the window so roots sitting exactly on lo or hi are interior; the
+        # pad-zone surplus is filtered out at the end.
+        pad = 1e-6 * span
+        roots = _roots_with_mult(list(p.coeffs), lo - pad, hi + pad, True, self._memo)
+
+        clustered = []
+        for x, m in roots:
+            if clustered and x - clustered[-1][0] <= cluster_tol:
+                px, pm = clustered[-1]
+                clustered[-1] = ((px * pm + x * m) / (pm + m), pm + m)
+            else:
+                clustered.append((x, m))
+        # Polished roots are machine accurate, so anything beyond this window
+        # is a pad-zone root that genuinely lies outside [lo, hi].
+        keep = 1e-11 * max(1.0, abs(lo), abs(hi))
+        out = []
+        for x, m in clustered:
+            if m > 1:
+                # Re-polish at the merged multiplicity; keep the cluster mean
+                # if the polish wanders off (the cluster may be a contrived
+                # merge).
+                y = _newton_polish(p.coeffs, x, lo - pad, hi + pad, order=m)
+                if abs(y - x) <= cluster_tol:
+                    x = y
+            if x < lo - keep or x > hi + keep:
+                continue
+            x = min(max(x, lo), hi) + 0.0  # +0.0 normalizes -0.0
+            out.append((float(x), m))
+        return out
 
 
 def real_roots_in(p: Polynomial, lo: float, hi: float, cluster_tol: float = CLUSTER_TOL) -> list:
@@ -542,38 +666,4 @@ def real_roots_in(p: Polynomial, lo: float, hi: float, cluster_tol: float = CLUS
     is the summed count; a cluster of size m is polished by Newton on the
     (m-1)st derivative, where the root is simple again.
     """
-    if p.is_zero:
-        raise InvalidInputError("cannot isolate roots of the zero polynomial")
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise InvalidInputError("need finite lo < hi")
-    if p.degree == 0:
-        return []
-    span = hi - lo
-    # Pad the window so roots sitting exactly on lo or hi are interior; the
-    # pad-zone surplus is filtered out at the end.
-    pad = 1e-6 * span
-    roots = _roots_with_mult(list(p.coeffs), lo - pad, hi + pad, True)
-
-    clustered = []
-    for x, m in roots:
-        if clustered and x - clustered[-1][0] <= cluster_tol:
-            px, pm = clustered[-1]
-            clustered[-1] = ((px * pm + x * m) / (pm + m), pm + m)
-        else:
-            clustered.append((x, m))
-    # Polished roots are machine accurate, so anything beyond this window is a
-    # pad-zone root that genuinely lies outside [lo, hi].
-    keep = 1e-11 * max(1.0, abs(lo), abs(hi))
-    out = []
-    for x, m in clustered:
-        if m > 1:
-            # Re-polish at the merged multiplicity; keep the cluster mean if
-            # the polish wanders off (the cluster may be a contrived merge).
-            y = _newton_polish(p.coeffs, x, lo - pad, hi + pad, order=m)
-            if abs(y - x) <= cluster_tol:
-                x = y
-        if x < lo - keep or x > hi + keep:
-            continue
-        x = min(max(x, lo), hi) + 0.0  # +0.0 normalizes -0.0
-        out.append((float(x), m))
-    return out
+    return RootChain().real_roots_in(p, lo, hi, cluster_tol)

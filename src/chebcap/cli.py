@@ -34,7 +34,7 @@ from .errors import (
     NonRealImageError,
 )
 from .intervals import IntervalUnion, parse_intervals
-from .inverse_image import capacity_of_inverse_image, e_alpha, inverse_image
+from .inverse_image import _capacity, e_alpha, inverse_image
 from .remez import minimal_polynomial
 
 EXIT_OK = 0
@@ -213,7 +213,7 @@ def _cmd_inverse_image(config: RunConfig) -> dict:
     p = _parse_coeffs(config.coeffs)
     res = inverse_image(p)
     try:
-        cap = capacity_of_inverse_image(p)
+        cap = _capacity(p, res)
     except NonRealImageError:
         cap = None
     return {

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebpoly import Polynomial, compose_T, real_roots_in
+from .chebpoly import Polynomial, RootChain, compose_T
 from .errors import EmptyImageError, InvalidInputError, NonRealImageError
 from .intervals import IntervalUnion
 
@@ -73,8 +73,10 @@ def inverse_image(p: Polynomial) -> InverseImageResult:
     n = p.degree
     bound = _cauchy_bound(p) + 1.0
     one = Polynomial((1.0,))
-    roots_hi = real_roots_in(p - one, -bound, bound, cluster_tol=BOUNDARY_CLUSTER)
-    roots_lo = real_roots_in(p + one, -bound, bound, cluster_tol=BOUNDARY_CLUSTER)
+    # P - 1, P + 1 and P' below share the derivative chain P', P'', ...
+    chain = RootChain()
+    roots_hi = chain.real_roots_in(p - one, -bound, bound, cluster_tol=BOUNDARY_CLUSTER)
+    roots_lo = chain.real_roots_in(p + one, -bound, bound, cluster_tol=BOUNDARY_CLUSTER)
     cuts = sorted([r for r, _ in roots_hi] + [r for r, _ in roots_lo])
     boundary = tuple(cuts)
 
@@ -104,7 +106,7 @@ def inverse_image(p: Polynomial) -> InverseImageResult:
     # plus one, replacing whatever the isolation found nearby.
     tangent = []
     if n >= 2:
-        for y, m in real_roots_in(p.derivative(), -bound, bound):
+        for y, m in chain.real_roots_in(p.derivative(), -bound, bound):
             if abs(abs(float(p(y))) - 1.0) <= TANGENCY_TOL * max(1.0, abs(float(p(y)))):
                 tangent.append((y, m))
     count = 0
@@ -119,7 +121,11 @@ def inverse_image(p: Polynomial) -> InverseImageResult:
 
 def capacity_of_inverse_image(p: Polynomial) -> float:
     """cap P^{-1}([-1,1]) = (2 |c_n|)^{-1/n}, valid when the image is real."""
-    res = inverse_image(p)
+    return _capacity(p, inverse_image(p))
+
+
+def _capacity(p: Polynomial, res: InverseImageResult) -> float:
+    # capacity_of_inverse_image for an image already computed
     if not res.is_real:
         raise NonRealImageError(
             "capacity formula requires the full inverse image to be real"
@@ -136,7 +142,11 @@ def composed_minimal_sequence(p: Polynomial, k: int):
     """
     if k < 1:
         raise InvalidInputError("need k >= 1")
-    res = inverse_image(p)
+    return _composed(p, k, inverse_image(p))
+
+
+def _composed(p: Polynomial, k: int, res: InverseImageResult):
+    # composed_minimal_sequence for an image already computed
     if not res.is_real:
         raise NonRealImageError("composed sequence requires a real inverse image")
     c_n = p.leading
@@ -161,11 +171,11 @@ def verify_sharpness(p: Polynomial, rel_tol: float = 1e-7,
     if not res.is_real:
         raise NonRealImageError("sharpness holds for real inverse images")
     n = p.degree
-    cap = capacity_of_inverse_image(p)
+    cap = _capacity(p, res)
     theory = 2.0 * cap**n
     solve = minimal_polynomial(res.image, n)
     rel = abs(solve.deviation - theory) / theory
-    monic, _ = composed_minimal_sequence(p, 1)
+    monic, _ = _composed(p, 1, res)
     a = np.zeros(n + 1)
     a[: len(monic.coeffs)] = monic.coeffs
     b = np.zeros(n + 1)

@@ -444,8 +444,10 @@ def minimality_witness(c: IntervalUnion, result: MinimalPolyResult,
     snapped to [-1, 1]: mapped through the frame, the hull of a set far from
     the origin lands just outside it, where |M| already exceeds L.
     The sandwich: any C'' with C subset C'' subset C' has the same minimal
-    polynomial and deviation.  Passing a C'' that is not inside C' is reported
-    as not applicable rather than a failure.
+    polynomial and deviation, up to 1e-8 relative plus the residual of each
+    solve (a stall-accepted deviation may sit that far above L_n).  Passing a
+    C'' that is not inside C' is reported as not applicable rather than a
+    failure.
     """
     n = result.degree
     dev = result.deviation
@@ -475,7 +477,8 @@ def minimality_witness(c: IntervalUnion, result: MinimalPolyResult,
     if applicable:
         again = minimal_polynomial(cpp, n)
         diff = abs(again.deviation - dev)
-        sandwich_ok = diff <= 1e-8 * max(dev, again.deviation)
+        sandwich_ok = diff <= (1e-8 * max(dev, again.deviation)
+                               + result.residual + again.residual)
     return WitnessReport(
         sup_ok=sup_ok,
         alternation_ok=alternation_ok,

@@ -1,5 +1,6 @@
 """Exchange solver: closed forms, alternation, covariance, blow-up, witness."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -370,3 +371,20 @@ def test_degree_cap_envelope():
     for e in (TRIPLE, QUAD):
         r = minimal_polynomial(e, 100)
         assert r.residual <= 1e-12 * r.deviation
+
+
+def test_witness_sandwich_allows_the_residuals_of_a_stall_accepted_solve():
+    # A stall-accepted deviation may sit up to its residual above L_n; the
+    # re-solve on C' finds L_n itself.  A deviation 5e-8 high is consistent
+    # with a residual of 1e-7 and not with a residual of 0.
+    r = minimal_polynomial(TRIPLE, 12)
+    high = r.deviation * (1.0 + 5e-8)
+    stalled = dataclasses.replace(r, deviation=high, residual=1e-7 * r.deviation)
+    w = minimality_witness(TRIPLE, stalled)
+    assert w.sandwich_applicable
+    assert w.sandwich_ok
+    assert w.passed
+    exact = dataclasses.replace(r, deviation=high, residual=0.0)
+    w = minimality_witness(TRIPLE, exact)
+    assert w.sandwich_applicable
+    assert not w.sandwich_ok
