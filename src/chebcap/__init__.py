@@ -37,7 +37,6 @@ from .chebpoly import (
     autocorrelate,
     cheb_T,
     compose_T,
-    real_roots_in,
     to_cheb,
     to_monomial,
 )
@@ -46,6 +45,7 @@ from .errors import (
     ConvergenceError,
     DegreeCapError,
     EmptyImageError,
+    IllConditionedError,
     InvalidInputError,
     NonRealImageError,
 )
@@ -92,6 +92,7 @@ __all__ = [
     "ConvergenceError",
     "DegreeCapError",
     "EmptyImageError",
+    "IllConditionedError",
     "IntervalUnion",
     "InvalidInputError",
     "InverseImageResult",
@@ -126,7 +127,6 @@ __all__ = [
     "normalize",
     "parse_intervals",
     "ratio_sequence",
-    "real_roots_in",
     "robinson_capacity",
     "solynin_bound",
     "solynin_midpoint_bound",

@@ -2,7 +2,10 @@
 
 Each subcommand prints one machine-readable report to standard output and
 exits 0 on success, 2 on invalid input, 3 on numerical non-convergence; the
-verify subcommand exits 1 when the central inequality fails somewhere.  JSON
+verify subcommand exits 1 when the central inequality fails somewhere.  Input
+too ill-conditioned to answer, such as monomial coefficients whose rounding
+exceeds what an inverse image can resolve, is invalid input: exit 2, with
+the rounding estimate in the message on standard error.  JSON
 reports carry {command, inputs, version, results} with keys sorted; CSV is a
 fixed-column table.  All floating-point output is formatted at 17 significant
 digits, and identical invocations produce byte-identical output.

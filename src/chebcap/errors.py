@@ -27,3 +27,7 @@ class EmptyImageError(ChebcapError):
 
 class NonRealImageError(ChebcapError):
     """Operation requires the full complex inverse image to be real."""
+
+
+class IllConditionedError(InvalidInputError):
+    """The input's own rounding is too large for the answer to be trusted."""

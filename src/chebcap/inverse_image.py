@@ -4,6 +4,15 @@ For a degree-n real polynomial whose full complex inverse image of [-1, 1] is
 real, the image A satisfies cap A = (2|c_n|)^{-1/n} and the composed sequence
 2/(2 c_n)^k T_k(P) realizes L_{kn}(A) = 2 (cap A)^{kn} exactly; these are the
 equality cases of the lower bound L_n >= 2 cap^n.
+
+`inverse_image` works from the critical values (Peherstorfer, J. Comput.
+Appl. Math. 153, 2003): the real zeros of P' split the line into monotone
+pieces, and the image is real iff there are n - 1 of them and P runs over all
+of [-1, 1] on every piece, that is, every local maximum is >= 1 and every
+local minimum <= -1.  Each piece meets the image in at most one interval,
+bounded by its crossings of P = -1 and P = +1.  Every decision is made up to
+the rounding estimate of the monomial coefficients, eps * sum |c_i| |x|^i,
+and input whose estimate is too large for that is refused.
 """
 
 from __future__ import annotations
@@ -12,24 +21,33 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as nppoly
 
-from .chebpoly import Polynomial, RootChain, compose_T
-from .errors import EmptyImageError, InvalidInputError, NonRealImageError
+from .chebpoly import Polynomial, compose_T
+from .errors import EmptyImageError, IllConditionedError, InvalidInputError, NonRealImageError
 from .intervals import IntervalUnion
 
-# Roots of P -+ 1 closer than this are one boundary point (cluster threshold).
-BOUNDARY_CLUSTER = 1e-8
-# A critical value this close to +-1 counts as a boundary tangency.
-TANGENCY_TOL = 1e-9
+# Largest rounding estimate eps * sum |c_i| r^i, on the window [-r, r] that
+# holds every critical point and crossing, for which inverse_image answers.
+# Snapping moves a critical value by at most the estimate, so below the limit
+# no band gap whose critical value clears +-1 by more than 1e-6 is closed.
+# Monomial T_k stays below it up to k = 26.
+ROUNDING_LIMIT = 1e-6
+# Scan points per monotone piece that bracket its crossings for Newton.
+_SCAN = 9
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
 class InverseImageResult:
     """Real section of P^{-1}([-1,1]) with the realness certificate.
 
-    is_real records whether the 2n solutions of P^2 = 1, counted with
-    multiplicity (tangencies twice), are all real; exactly then the real
-    section is the entire complex inverse image.
+    is_real records whether the full complex inverse image is real, decided
+    from the critical values of P; exactly then the real section is the
+    entire image.  boundary_points are the real solutions of P = +-1,
+    ascending: the crossings of the levels on the monotone pieces and the
+    critical points whose value is +-1 within rounding (tangencies, each
+    listed once).
     """
 
     image: IntervalUnion
@@ -54,69 +72,183 @@ class SharpnessReport:
         return self.deviation_ok and self.poly_ok
 
 
-def _cauchy_bound(p: Polynomial) -> float:
-    lead = abs(p.leading)
-    return 1.0 + max(abs(c) for c in p.coeffs[:-1]) / lead if p.degree > 0 else 1.0
+def _values(x, cols, absc):
+    """Columns of cols summed as monomial series at the points x, and the
+    rounding scale sum |c_i| |x|^i there."""
+    v = x[..., None] ** np.arange(len(absc))
+    return v @ cols, np.abs(v) @ absc
+
+
+def _critical_points(cols, absc):
+    """Real zeros of P', ascending, with [P, P', P''] and the rounding scale
+    there.  The zeros are the companion-matrix eigenvalues of P' (LAPACK
+    returns a real eigenvalue with zero imaginary part), polished by one
+    Newton step each where the step lowers |P'|."""
+    lam = nppoly.polyroots(cols[:-1, 1])
+    y = lam.real[lam.imag == 0.0]
+    f, scale = _values(y, cols, absc)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        y1 = y - f[:, 1] / f[:, 2]
+        f1, scale1 = _values(y1, cols, absc)
+    better = np.abs(f1[:, 1]) < np.abs(f[:, 1])
+    y = np.where(better, y1, y)
+    f = np.where(better[:, None], f1, f)
+    scale = np.where(better, scale1, scale)
+    order = np.argsort(y)
+    return y[order], f[order], scale[order]
+
+
+def _split(a):
+    # Dekker's split of a into two halves of 26 bits each, hi + lo = a exactly.
+    t = 134217729.0 * a  # 2^27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _compensated_residual(c, x, level):
+    """P(x) - level by compensated Horner (Graillat, Langlois and Louvet,
+    2005): the rounding error of each product and sum is carried exactly
+    (Dekker's product and Knuth's sum), so the value is as accurate as
+    Horner's in twice the working precision."""
+    s = np.full_like(x, c[-1])
+    r = np.zeros_like(x)
+    xh, xl = _split(x)
+    for ci in c[-2::-1]:
+        p = s * x
+        sh, sl = _split(s)
+        pe = sl * xl - (((p - sh * xh) - sl * xh) - sh * xl)
+        s = p + ci
+        z = s - p
+        se = (p - (s - z)) + (ci - z)
+        r = r * x + (pe + se)
+    t = s - level
+    z = t - s
+    return t + (r + ((s - (t - z)) + (-level - z)))
+
+
+def _crossings(cols, absc, a, b, ga, gb, level):
+    """The x in [a, b] with P(x) = level, for every row at once.
+
+    P is monotone on each [a, b], and P - level has the nonzero values ga, gb
+    of opposite sign at its ends.  A scan of each piece gives a tight
+    bracket; Newton runs inside it, and a step that leaves the bracket is
+    replaced by bisection.  A row stops once P - level is below its rounding
+    estimate or the step is a few ulps.  A last Newton step on the
+    compensated residual then lands each crossing within about an ulp of
+    the crossing of the polynomial the coefficients define exactly.
+    """
+    xs = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, _SCAN)
+    xs[:, -1] = b
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _values(xs, cols[:, :1], absc)[0][..., 0] - level[:, None]
+    g[:, 0], g[:, -1] = ga, gb
+    s = np.sign(ga)
+    i = np.argmax(s[:, None] * g <= 0.0, axis=1)
+    rows = np.arange(len(a))
+    lo, hi = xs[rows, i - 1], xs[rows, i]
+    x = 0.5 * (lo + hi)
+    done = np.zeros(len(a), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(100):  # bisection alone reaches adjacent floats in < 100
+            f, scale = _values(x, cols[:, :2], absc)
+            g = f[:, 0] - level
+            done |= np.abs(g) <= _EPS * (4.0 * np.abs(x * f[:, 1]) + scale)
+            if done.all():
+                break
+            a_side = s * g > 0.0
+            lo = np.where(a_side, x, lo)
+            hi = np.where(a_side, hi, x)
+            xn = x - g / f[:, 1]
+            xn = np.where((lo < xn) & (xn < hi), xn, 0.5 * (lo + hi))
+            x = np.where(done, x, xn)
+        slope = _values(x, cols[:, 1:2], absc)[0][:, 0]
+        step = _compensated_residual(cols[:, 0], x, level) / slope
+    return np.where(np.isfinite(step), x - step, x)
 
 
 def inverse_image(p: Polynomial) -> InverseImageResult:
     """The set {x real : -1 <= P(x) <= 1} plus the realness certificate.
 
-    Boundary points are the real solutions of P = +-1, isolated separately for
-    the two levels (the squared form P^2 - 1 doubles the coefficient growth
-    and loses roots to rounding).  Membership of the cells between consecutive
-    boundary points is decided by the sign of (1 - P)(1 + P) at midpoints,
-    which absorbs tangency roots that rounding splits or hides.
+    The critical points y_1 < ... < y_m of P cut the line into monotone
+    pieces.  A critical value within its rounding estimate of +-1 is a
+    tangency and is snapped to +-1, so it neither splits a band nor leaves a
+    sliver.  On each piece P - 1 and P + 1 change sign at most once; all
+    these crossings are found together (`_crossings`), and the piece meets
+    the image between them.  The image is real iff m = n - 1 and P covers
+    [-1, 1] on every piece.
+
+    Raises IllConditionedError when the rounding estimate eps * sum |c_i| r^i
+    on the window [-r, r] of the critical points and crossings exceeds
+    ROUNDING_LIMIT, and EmptyImageError when the real section is empty.
     """
     if p.degree < 1:
         raise InvalidInputError("inverse image needs degree >= 1")
     n = p.degree
-    bound = _cauchy_bound(p) + 1.0
-    one = Polynomial((1.0,))
-    # P - 1, P + 1 and P' below share the derivative chain P', P'', ...
-    chain = RootChain()
-    roots_hi = chain.real_roots_in(p - one, -bound, bound, cluster_tol=BOUNDARY_CLUSTER)
-    roots_lo = chain.real_roots_in(p + one, -bound, bound, cluster_tol=BOUNDARY_CLUSTER)
-    cuts = sorted([r for r, _ in roots_hi] + [r for r, _ in roots_lo])
-    boundary = tuple(cuts)
+    c = np.asarray(p.coeffs)
+    absc = np.abs(c)
+    dc = np.append(c[1:] * np.arange(1, n + 1), 0.0)
+    cols = np.stack([c, dc, np.append(dc[1:] * np.arange(1, n + 1), 0.0)], axis=1)
+    y, f, scale = _critical_points(cols, absc)
+    v = f[:, 0]
+    tol = _EPS * scale
+    v = np.where(np.abs(v - 1.0) <= tol, 1.0, np.where(np.abs(v + 1.0) <= tol, -1.0, v))
 
-    merged = []
-    for r in cuts:
-        if merged and r - merged[-1] <= 1e-12:
-            continue
-        merged.append(r)
+    # Outer pieces run to +-infinity, where P has the sign of its growth.
+    # Every root of P - l, |l| <= 1, lies inside the Cauchy bound.  Beyond
+    # the outermost critical point, when all zeros of P' are real, every
+    # higher derivative keeps one sign (Gauss-Lucas), so P - l exceeds its
+    # quadratic Taylor term there, and twice the quadratic model's reach is
+    # a tight outer bracket; it is kept where P has left [-1, 1] there.
+    grow = math.copysign(math.inf, c[-1])
+    ends = np.array([(-1.0) ** n * grow, grow])
+    cauchy = 1.0 + max([absc[0] + 1.0, *absc[1:-1]]) / absc[-1]
+    outer = np.array([-cauchy, cauchy])
+    if len(y):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            reach = 2.0 * np.sqrt(2.0 * (np.abs(v[[0, -1]]) + 1.0) / np.abs(f[[0, -1], 2]))
+            near = np.array([y[0] - reach[0], y[-1] + reach[1]])
+            pv = _values(near, cols[:, :1], absc)[0][:, 0]
+        tight = (np.sign(ends) * pv > 1.0) & (np.abs(near) < cauchy)
+        outer = np.where(tight, near, outer)
+        ends = np.where(tight, pv, ends)
+    a = np.concatenate(([outer[0]], y))
+    b = np.concatenate((y, [outer[1]]))
+    va = np.concatenate(([ends[0]], v))
+    vb = np.concatenate((v, [ends[1]]))
+    lo_v, hi_v = np.minimum(va, vb), np.maximum(va, vb)
+
+    levels = np.array([-1.0, 1.0])
+    li, pj = np.nonzero((lo_v < levels[:, None]) & (levels[:, None] < hi_v))
+    cross = np.full((2, len(a)), np.nan)
+    xs = _crossings(cols, absc, a[pj], b[pj], va[pj] - levels[li], vb[pj] - levels[li], levels[li])
+    cross[li, pj] = xs
+
+    r = float(np.max(np.abs(np.concatenate((xs, y))), initial=0.0))
+    rounding = _EPS * float(nppoly.polyval(r, absc))
+    if not rounding <= ROUNDING_LIMIT:
+        raise IllConditionedError(
+            f"monomial coefficients too ill-conditioned for the inverse image: rounding "
+            f"estimate eps * sum |c_i| r^i = {rounding:.3g} on [-{r:.6g}, {r:.6g}] exceeds "
+            f"{ROUNDING_LIMIT:g}"
+        )
+
+    up = vb > va
+    left = np.where(up, np.where(va >= -1.0, a, cross[0]), np.where(va <= 1.0, a, cross[1]))
+    right = np.where(up, np.where(vb <= 1.0, b, cross[1]), np.where(vb >= -1.0, b, cross[0]))
     pieces = []
-    for a, b in zip(merged, merged[1:]):
-        v = p(0.5 * (a + b))
-        if (1.0 - v) * (1.0 + v) >= -TANGENCY_TOL:
-            if pieces and pieces[-1][1] == a:
-                pieces[-1] = (pieces[-1][0], b)
-            else:
-                pieces.append((a, b))
+    for lo, hi in zip(left.tolist(), right.tolist()):
+        if not lo < hi:  # no image on this piece, or only a tangency point
+            continue
+        if pieces and lo <= pieces[-1][1]:
+            pieces[-1][1] = hi
+        else:
+            pieces.append([lo, hi])
     if not pieces:
         raise EmptyImageError("P^{-1}([-1,1]) has empty real section")
     image = IntervalUnion(tuple(x for piece in pieces for x in piece))
-    if image.ell > n:
-        raise InvalidInputError(f"classification produced {image.ell} components for degree {n}")
-
-    # Realness: 2n solutions of P^2 = 1 with multiplicity.  Tangencies (double
-    # roots) can drift complex under coefficient rounding and vanish from the
-    # isolation, so they are counted from the critical points instead: each
-    # critical point y with |P(y)| rounding-close to 1 contributes its order
-    # plus one, replacing whatever the isolation found nearby.
-    tangent = []
-    if n >= 2:
-        for y, m in chain.real_roots_in(p.derivative(), -bound, bound):
-            if abs(abs(float(p(y))) - 1.0) <= TANGENCY_TOL * max(1.0, abs(float(p(y)))):
-                tangent.append((y, m))
-    count = 0
-    for roots in (roots_hi, roots_lo):
-        for r, m in roots:
-            if any(abs(r - y) <= BOUNDARY_CLUSTER for y, _ in tangent):
-                continue
-            count += m
-    count += sum(m + 1 for _, m in tangent)
-    return InverseImageResult(image=image, is_real=(count == 2 * n), boundary_points=boundary)
+    boundary = tuple(sorted(xs.tolist() + y[np.abs(v) == 1.0].tolist()))
+    is_real = len(y) == n - 1 and bool(np.all((lo_v <= -1.0) & (hi_v >= 1.0)))
+    return InverseImageResult(image=image, is_real=is_real, boundary_points=boundary)
 
 
 def capacity_of_inverse_image(p: Polynomial) -> float:

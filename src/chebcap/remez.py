@@ -13,6 +13,7 @@ blow-up crossings and the arc transfer.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,23 +40,22 @@ STALL_COUNT = 10
 class MinimalPolyResult:
     """Monic minimizer of the sup norm on a union of intervals.
 
-    `poly` holds monomial coefficients in the original frame for reporting.
     Numerical work should use `evaluate`, which reads the leveled
     interpolant of the final reference in the normalized frame: its `nodes`,
     scaled barycentric `weights` and `level` h, with M(nodes[j]) = +-h.
-    `cheb` holds the same polynomial's Chebyshev coefficients on the
-    normalized hull (`frame`, `hull_scale`).  `residual` is the leveling gap
-    sup|M| - min leveled |M| at acceptance, in original-frame units; the
-    reported deviation is the actual sup of M on the set, so the true
-    minimum deviation lies within residual below it.
+    `residual` is the leveling gap sup|M| - min leveled |M| at acceptance, in
+    original-frame units; the reported deviation is the actual sup of M on
+    the set, so the true minimum deviation lies within residual below it.
+    The coefficient forms are computed from the reference on first read:
+    `cheb`, the Chebyshev coefficients on the normalized hull (`frame`,
+    `hull_scale`), and `poly`, the monomial coefficients in the original
+    frame, for reporting.
     """
 
-    poly: Polynomial
     deviation: float
     alternation_points: tuple
     iterations: int
     residual: float
-    cheb: ChebExpansion
     frame: AffineMap
     hull_scale: float
     nodes: tuple
@@ -64,7 +64,16 @@ class MinimalPolyResult:
 
     @property
     def degree(self) -> int:
-        return self.cheb.degree
+        return len(self.nodes) - 1
+
+    @functools.cached_property
+    def cheb(self) -> ChebExpansion:
+        return ChebExpansion(tuple(_solve_on_reference(np.array(self.nodes), self.degree)[0]))
+
+    @functools.cached_property
+    def poly(self) -> Polynomial:
+        mono = (self.hull_scale * to_monomial(self.cheb).compose_affine(self.frame)).coeffs
+        return Polynomial(tuple(mono[:-1]) + (1.0,))  # snap the monic lead exactly
 
     def evaluate(self, x):
         """M_n(x) from the barycentric form of the final reference.
@@ -335,29 +344,23 @@ def minimal_polynomial(c: IntervalUnion, n: int, level_tol: float = LEVEL_TOL,
             break
         u = _select_reference(cands, n + 1, u, np.sign(w) * h)
     else:
-        last = _finalize(best, fwd, hull_scale, n) if best else None
+        last = _finalize(best, fwd, hull_scale) if best else None
         raise ConvergenceError(
             f"leveling gap {best_gap:.3e} after {max_iter} iterations (degree {n})",
             last_iterate=last,
         )
-    return _finalize(best, fwd, hull_scale, n)
+    return _finalize(best, fwd, hull_scale)
 
 
-def _finalize(state, fwd, hull_scale, n) -> MinimalPolyResult:
+def _finalize(state, fwd, hull_scale) -> MinimalPolyResult:
     u, w, h, emax, gap, it = state
-    cheb = ChebExpansion(tuple(_solve_on_reference(u, n)[0]))
-    mono_norm = to_monomial(cheb)
     inv = fwd.inverse()
-    poly = (hull_scale * mono_norm.compose_affine(fwd)).coeffs
-    poly = Polynomial(tuple(poly[:-1]) + (1.0,))  # snap the monic lead exactly
     alts = tuple(float(inv(x)) for x in u)
     return MinimalPolyResult(
-        poly=poly,
         deviation=hull_scale * emax,
         alternation_points=alts,
         iterations=it,
         residual=hull_scale * gap,
-        cheb=cheb,
         frame=fwd,
         hull_scale=hull_scale,
         nodes=tuple(u.tolist()),

@@ -1,4 +1,4 @@
-"""Polynomial arithmetic, Chebyshev conversions, and real-root isolation."""
+"""Polynomial arithmetic, Chebyshev conversions, and the roots of P -+ 1."""
 
 import math
 
@@ -14,15 +14,11 @@ from chebcap.chebpoly import (
     cheb_T,
     clenshaw,
     compose_T,
-    real_roots_in,
     to_cheb,
     to_monomial,
 )
 from chebcap.errors import DegreeCapError, InvalidInputError
-
-
-def from_roots(roots) -> Polynomial:
-    return Polynomial(tuple(nppoly.polyfromroots(roots)))
+from chebcap.inverse_image import inverse_image
 
 
 def test_clenshaw_bit_identical_to_chebval():
@@ -149,95 +145,31 @@ def test_autocorrelate_gives_square_modulus_on_circle():
         autocorrelate([])
 
 
-# ---------------------------------------------------------------------------
-# Root isolation.
-
-
-def test_roots_linear_and_constant():
-    assert real_roots_in(Polynomial((-1.0, 2.0)), 0.0, 1.0) == [(0.5, 1)]
-    assert real_roots_in(Polynomial((-1.0, 2.0)), 0.6, 1.0) == []
-    assert real_roots_in(Polynomial((3.0,)), -1.0, 1.0) == []
-    with pytest.raises(InvalidInputError):
-        real_roots_in(Polynomial((0.0,)), -1.0, 1.0)
-    with pytest.raises(InvalidInputError):
-        real_roots_in(Polynomial((1.0, 1.0)), 1.0, -1.0)
-
-
-def test_roots_simple_match_companion_eigenvalues():
-    rng = np.random.RandomState(9)
-    for _ in range(60):
-        deg = rng.randint(2, 9)
-        roots = np.sort(rng.uniform(-0.95, 0.95, deg))
-        while deg > 1 and np.min(np.diff(roots)) < 0.02:
-            roots = np.sort(rng.uniform(-0.95, 0.95, deg))
-        p = from_roots(roots)
-        got = real_roots_in(p, -1.0, 1.0)
-        assert [m for _, m in got] == [1] * deg
-        ref = np.sort(np.roots(p.coeffs[::-1]).real)
-        assert np.max(np.abs(np.array([x for x, _ in got]) - roots)) < 1e-7
-        assert np.max(np.abs(np.array([x for x, _ in got]) - ref)) < 1e-6
-
-
-def test_roots_report_multiplicities():
-    p = from_roots([-0.5, 0.3, 0.3])
-    got = real_roots_in(p, -1.0, 1.0)
-    assert [(round(x, 9), m) for x, m in got] == [(-0.5, 1), (0.3, 2)]
-    q = from_roots([0.3, 0.3, 0.3])
-    assert real_roots_in(q, -1.0, 1.0) == [(pytest.approx(0.3, abs=1e-7), 3)]
-    r = from_roots([-0.2, -0.2, 0.6, 0.6])
-    got = real_roots_in(r, -1.0, 1.0)
-    assert [m for _, m in got] == [2, 2]
-
-
-def test_roots_window_independent():
-    # the same polynomial isolated over nested windows reports the same roots
-    p = from_roots([-0.8, -0.1, -0.1, 0.7])
-    expect = [(-0.8, 1), (-0.1, 2), (0.7, 1)]
-    for lo, hi in [(-1, 1), (-2, 2), (-3, 3), (-5, 4), (-1.5, 0.9)]:
-        got = real_roots_in(p, float(lo), float(hi))
-        inside = [(x, m) for x, m in expect if lo <= x <= hi]
-        assert len(got) == len(inside)
-        for (gx, gm), (ex, em) in zip(got, inside):
-            assert gm == em
-            assert abs(gx - ex) < 1e-7
+# The roots of P -+ 1 on the real line are the boundary points of the inverse
+# image P^{-1}([-1, 1]); inverse_image finds them from the critical values.
 
 
 def test_roots_tangency_structure_of_shifted_chebyshev():
     # T_8 - 1 vanishes doubly at interior extrema and simply at +-1
     t8 = Polynomial(tuple(np.polynomial.chebyshev.cheb2poly([0] * 8 + [1])))
-    minus = t8 - Polynomial((1.0,))
-    got = real_roots_in(minus, -1.0, 1.0)
-    assert [m for _, m in got] == [1, 2, 2, 2, 1]
-    assert sum(m for _, m in got) == 8
-    plus = t8 + Polynomial((1.0,))
-    got = real_roots_in(plus, -1.0, 1.0)
-    assert [m for _, m in got] == [2, 2, 2, 2]
-    for x, _ in got:
-        assert abs(t8(x) + 1.0) < 1e-9
+    dt8 = Polynomial(tuple(nppoly.polyder(t8.coeffs)))
+    got = inverse_image(t8).boundary_points
+    minus = [x for x in got if abs(t8(x) - 1.0) < 1e-9]
+    plus = [x for x in got if abs(t8(x) + 1.0) < 1e-9]
+    assert len(minus) + len(plus) == len(got)
+    assert [2 if abs(dt8(x)) < 1e-6 else 1 for x in minus] == [1, 2, 2, 2, 1]
+    assert [2 if abs(dt8(x)) < 1e-6 else 1 for x in plus] == [2, 2, 2, 2]
 
 
 def test_roots_scaled_chebyshev_all_simple():
     t12 = Polynomial(tuple(np.polynomial.chebyshev.cheb2poly([0] * 12 + [1.05])))
+    dt12 = Polynomial(tuple(nppoly.polyder(t12.coeffs)))
+    got = inverse_image(t12).boundary_points
     up = t12 - Polynomial((1.0,))
     down = t12 + Polynomial((1.0,))
     for q in (up, down):
-        got = real_roots_in(q, -1.0, 1.0)
-        assert [m for _, m in got] == [1] * 12
-        for x, _ in got:
-            assert abs(q(x)) < 1e-8
-
-
-def test_roots_outside_window_are_excluded():
-    p = from_roots([-2.0, 0.5, 3.0])
-    got = real_roots_in(p, -1.0, 1.0)
-    assert len(got) == 1
-    assert got[0][1] == 1
-    assert abs(got[0][0] - 0.5) < 1e-10
-
-
-def test_cluster_tolerance_merges_near_pairs():
-    p = from_roots([0.2, 0.2 + 1e-10])
-    got = real_roots_in(p, -1.0, 1.0, cluster_tol=1e-8)
-    assert len(got) == 1
-    assert got[0][1] == 2
-    assert abs(got[0][0] - 0.2) < 1e-6
+        roots = [x for x in got if abs(q(x)) < 1e-8]
+        assert len(roots) == 12
+        assert all(abs(dt12(x)) > 1e-2 for x in roots)
+    assert len(got) == 24
+    assert np.all(np.diff(got) > 0.0)

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from chebcap import arcs as _arcs
@@ -146,6 +147,16 @@ def test_empty_image_exit_code(capsys):
     code, _, err = run_cli(capsys, "inverse-image", "--coeffs", "5 0 1")
     assert code == 2
     assert "error:" in err
+
+
+def test_ill_conditioned_image_exit_code(capsys):
+    # T_40 in monomial form: its coefficients round to 0.2 of the levels +-1
+    t40 = " ".join(format(c, ".17g") for c in np.polynomial.chebyshev.cheb2poly([0] * 40 + [1]))
+    code, out, err = run_cli(capsys, "inverse-image", "--coeffs", t40)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "rounding estimate" in err
+    assert "exceeds 1e-06" in err
 
 
 def test_degree_cap_env(capsys, monkeypatch):

@@ -9,7 +9,12 @@ import pytest
 from oracles import grid_sup_norm
 
 from chebcap.chebpoly import Polynomial
-from chebcap.errors import EmptyImageError, InvalidInputError, NonRealImageError
+from chebcap.errors import (
+    EmptyImageError,
+    IllConditionedError,
+    InvalidInputError,
+    NonRealImageError,
+)
 from chebcap.inverse_image import (
     capacity_of_inverse_image,
     composed_minimal_sequence,
@@ -41,6 +46,81 @@ def test_scaled_chebyshev_splits_into_components():
     p = cheb(3, 1.2)
     for x in res.image.endpoints:
         assert abs(abs(p(x)) - 1.0) < 1e-9
+
+
+def closed_form_endpoints(k: int, c: float) -> np.ndarray:
+    # c T_k = +-1 where cos(k theta) = +-1/c: k theta = (m + 1/2) pi +- arcsin(1/c)
+    d = math.asin(1.0 / c)
+    return np.sort([math.cos(((m + 0.5) * math.pi + s * d) / k)
+                    for m in range(k) for s in (1.0, -1.0)])
+
+
+def test_scaled_chebyshev_images_match_closed_form():
+    for k in range(2, 21):
+        tol = 1e-12 if k <= 10 else 1e-10
+        for c in (1.05, 1.1, 1.2, 1.25, 1.3, 1.5, 1.6, 2.0):
+            res = inverse_image(cheb(k, c))
+            assert res.is_real, (k, c)
+            assert res.image.ell == k, (k, c)
+            err = np.max(np.abs(np.array(res.image.endpoints) - closed_form_endpoints(k, c)))
+            assert err <= tol, (k, c, err)
+
+
+def test_chebyshev_boundary_points_are_the_extrema():
+    # T_k = +-1 exactly at cos(j pi / k): the interior ones are tangencies,
+    # which must neither split [-1, 1] nor go missing
+    for k in range(2, 21):
+        res = inverse_image(cheb(k))
+        assert res.is_real, k
+        assert res.image.ell == 1, k
+        assert np.allclose(res.image.endpoints, (-1.0, 1.0), rtol=0.0, atol=1e-11), k
+        extrema = np.sort(np.cos(np.arange(k + 1) * math.pi / k))
+        assert np.allclose(res.boundary_points, extrema, rtol=0.0, atol=1e-9), k
+
+
+def test_contracted_chebyshev_never_real():
+    # |0.8 T_k| <= 1 on the one interval where |T_k| <= 1.25
+    for k in range(2, 21):
+        res = inverse_image(cheb(k, 0.8))
+        assert not res.is_real, k
+        edge = math.cosh(math.acosh(1.25) / k)
+        assert np.allclose(res.image.endpoints, (-edge, edge), rtol=0.0, atol=1e-10), k
+
+
+def test_critical_values_on_one_side_are_not_real():
+    # x^3 - 0.03 x + 10: |P| >= 1 at both critical points (10.002, 9.998), but
+    # the minimum is not <= -1, so P = 0 has only one real solution
+    res = inverse_image(Polynomial((10.0, -0.03, 0.0, 1.0)))
+    assert not res.is_real
+    assert res.image.ell == 1
+
+
+def test_high_degree_monomial_chebyshev_is_right_or_refused():
+    answered = 0
+    for k in range(21, 41):
+        try:
+            res = inverse_image(cheb(k))
+        except IllConditionedError as exc:
+            assert "rounding estimate" in str(exc)
+            continue
+        answered += 1
+        assert res.is_real, k
+        assert res.image.ell == 1, k
+        assert np.allclose(res.image.endpoints, (-1.0, 1.0), rtol=0.0, atol=1e-9), k
+    assert answered >= 4  # T_21..T_24 lie far below the rounding limit
+    with pytest.raises(IllConditionedError, match=r"rounding estimate .* = 0\.2"):
+        inverse_image(cheb(40))
+
+
+def test_linear_and_constant_inputs():
+    res = inverse_image(Polynomial((-1.0, 2.0)))
+    assert res.is_real
+    assert res.image.endpoints == (0.0, 1.0)
+    assert res.boundary_points == (0.0, 1.0)
+    res = inverse_image(Polynomial((0.0, 0.1)))  # crossings beyond 1 + |c_0|/|c_1|
+    assert res.image.endpoints == pytest.approx((-10.0, 10.0), abs=1e-12)
+    with pytest.raises(InvalidInputError):
+        inverse_image(Polynomial((3.0,)))
 
 
 def test_contracted_chebyshev_is_not_real():
