@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.polynomial.chebyshev as npcheb
 
+from .capacity import golden_max
 from .chebpoly import ChebExpansion, Polynomial, autocorrelate, clenshaw, to_cheb
 from .errors import ConvergenceError, InvalidInputError
 from .intervals import IntervalUnion
@@ -69,24 +70,9 @@ def _series_max(c, a: float, b: float, n_grid: int) -> float:
     xs = np.linspace(a, b, n_grid)
     vals = npcheb.chebval(xs, c)
     i = int(np.argmax(vals))
-    best = float(vals[i])
     lo = float(xs[max(i - 1, 0)])
     hi = float(xs[min(i + 1, n_grid - 1)])
-    inv = 0.5 * (math.sqrt(5.0) - 1.0)
-    x1 = hi - inv * (hi - lo)
-    x2 = lo + inv * (hi - lo)
-    f1 = clenshaw(x1, c)
-    f2 = clenshaw(x2, c)
-    while hi - lo > 1e-13:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv * (hi - lo)
-            f2 = clenshaw(x2, c)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv * (hi - lo)
-            f1 = clenshaw(x1, c)
-    return max(best, f1, f2)
+    return max(float(vals[i]), golden_max(lambda x: clenshaw(x, c), lo, hi, 1e-13)[1])
 
 
 def arc_sup_norm(p: Polynomial, arcs: ArcSet) -> float:

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidInputError
+from .errors import ConvergenceError, InvalidInputError
 from .intervals import AngleCoordinates, IntervalUnion, normalize, to_angles
 from .remez import minimal_polynomial
 
@@ -159,20 +159,22 @@ def solynin_midpoint_bound(angles: AngleCoordinates) -> float:
             )
     generic = solynin_bound(angles, _midpoint_params(angles))
     if abs(value - generic) > 1e-12:
-        raise InvalidInputError(
+        raise ConvergenceError(
             f"midpoint bound evaluation paths disagree: {value!r} vs {generic!r}"
         )
     return value
 
 
-def _golden_max(f, lo: float, hi: float) -> float:
-    """Abscissa maximizing f on [lo, hi], to absolute tolerance 1e-12."""
+def golden_max(f, lo: float, hi: float, tol: float) -> tuple:
+    """Golden-section search for the maximum of a unimodal f on [lo, hi]:
+    (abscissa, value), the midpoint of the final bracket, narrower than tol,
+    and the larger of the two values probed inside it."""
     inv = 0.5 * (math.sqrt(5.0) - 1.0)
     a, b = lo, hi
     x1 = b - inv * (b - a)
     x2 = a + inv * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > 1e-12:
+    while b - a > tol:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + inv * (b - a)
@@ -181,7 +183,7 @@ def _golden_max(f, lo: float, hi: float) -> float:
             b, x2, f2 = x2, x1, f1
             x1 = b - inv * (b - a)
             f1 = f(x1)
-    return 0.5 * (a + b)
+    return 0.5 * (a + b), max(f1, f2)
 
 
 def solynin_optimized_bound(
@@ -193,8 +195,12 @@ def solynin_optimized_bound(
 
     Starts from the midpoint parameters and line-searches each free angle in
     turn (gamma[1..ell-2] and every delta) inside its constraint box, kept a
-    margin away from the boundary where factors degenerate.  Returns
-    (value, params); the value never falls below the midpoint bound.
+    margin away from the boundary where factors degenerate.  An angle enters
+    two sine factors only, gamma[j] the gap-side factor of gap j-1 and the
+    arc-side factor of gap j, delta[j] both factors of gap j, so each line
+    search maximizes the product of those two; the full bound, with its
+    parameter checks, is evaluated once per sweep.  Returns (value, params);
+    the value never falls below the midpoint bound.
     """
     phi, psi = angles.phi, angles.psi
     ell = len(phi)
@@ -215,21 +221,17 @@ def solynin_optimized_bound(
     for _ in range(max_sweeps):
         previous = best
         for j in range(1, ell - 1):
-            lo, hi = box(phi[j], psi[j])
-
             def f(x, j=j):
-                gamma[j] = x
-                return value()
+                return (_sine_factor(x - phi[j], x - delta[j - 1])
+                        * _sine_factor(psi[j] - x, delta[j] - x))
 
-            gamma[j] = _golden_max(f, lo, hi)
+            gamma[j] = golden_max(f, *box(phi[j], psi[j]), 1e-12)[0]
         for j in range(ell - 1):
-            lo, hi = box(psi[j], phi[j + 1])
-
             def f(x, j=j):
-                delta[j] = x
-                return value()
+                return (_sine_factor(psi[j] - gamma[j], x - gamma[j])
+                        * _sine_factor(gamma[j + 1] - phi[j + 1], gamma[j + 1] - x))
 
-            delta[j] = _golden_max(f, lo, hi)
+            delta[j] = golden_max(f, *box(psi[j], phi[j + 1]), 1e-12)[0]
         best = value()
         if best - previous < sweep_tol:
             break

@@ -34,6 +34,9 @@ LEVEL_TOL = 1e-12
 # a reference whose Lebesgue function on the set amplifies rounding beyond it.
 STALL_ACCEPT = 1e-6
 STALL_COUNT = 10
+# Cells of the extremum grid per expected reference point.
+GRID_PER_POINT = 4
+_EQ_ANGLES = np.linspace(0.0, math.pi, leveled.EQ_GRID + 1)
 
 
 @dataclass(frozen=True)
@@ -116,6 +119,17 @@ def _angle_lengths(e: IntervalUnion) -> list:
             for a, b in e.intervals]
 
 
+def _quantile_points(a: float, b: float, cdf: tuple, k: int) -> np.ndarray:
+    """k points of [a, b] at the quantiles j/(k-1) of the equilibrium
+    measure's distribution function cdf on it (from `leveled.equilibrium`);
+    the midpoint when k = 1."""
+    mid, rad = 0.5 * (a + b), 0.5 * (b - a)
+    if k == 1:
+        return np.array([mid])
+    theta = np.interp(np.linspace(0.0, 1.0, k), cdf, _EQ_ANGLES)
+    return mid - rad * np.cos(theta)
+
+
 def _init_reference(e: IntervalUnion, n: int) -> np.ndarray:
     """n+1 starting points, allocated per interval by equilibrium mass and
     placed within it at quantiles of the equilibrium measure (on a single
@@ -136,18 +150,9 @@ def _init_reference(e: IntervalUnion, n: int) -> np.ndarray:
             i0 = counts.index(0)
             counts[max(range(len(counts)), key=lambda i: counts[i])] -= 1
             counts[i0] += 1
-    angles = np.linspace(0.0, math.pi, leveled.EQ_GRID + 1)
-    pts = []
-    for (a, b), k, (_, cdf) in zip(e.intervals, counts, eq):
-        if k == 0:
-            continue
-        mid, rad = 0.5 * (a + b), 0.5 * (b - a)
-        if k == 1:
-            pts.append(mid)
-        else:
-            theta = np.interp(np.linspace(0.0, 1.0, k), cdf, angles)
-            pts.extend((mid - rad * np.cos(theta)).tolist())
-    return np.array(sorted(pts))
+    pts = [_quantile_points(a, b, cdf, k)
+           for (a, b), k, (_, cdf) in zip(e.intervals, counts, eq) if k]
+    return np.sort(np.concatenate(pts))
 
 
 def _solve_on_reference(u: np.ndarray, n: int):
@@ -169,7 +174,8 @@ def _solve_on_reference(u: np.ndarray, n: int):
 
 
 def _grid_size(n: int, w: float, total: float) -> int:
-    """Grid points for a zero search on a piece of arccos length w."""
+    """Uniform grid points for the Clenshaw zero search of `_error_extrema`
+    on a piece of arccos length w."""
     return max(24, int(16 * (n + 1) * w / total) + 8)
 
 
@@ -231,10 +237,22 @@ def _sorted_unique(out: list) -> list:
 
 def _extremum_grid(e: IntervalUnion, n: int):
     """One grid over all intervals of e for the extremum search, the mask of
-    its interval endpoints and the mask of its cells inside an interval."""
-    mu = _angle_lengths(e)
-    total = sum(mu)
-    grids = [np.linspace(a, b, _grid_size(n, wt, total)) for (a, b), wt in zip(e.intervals, mu)]
+    its interval endpoints and the mask of its cells inside an interval.
+
+    Like the first reference, the grid follows the equilibrium measure, which
+    the extrema of the iterates approach: each interval gets GRID_PER_POINT
+    cells per reference point its mass carries (at least 24 points), at
+    quantiles of the measure, so adjacent critical points stay a few cells
+    apart at every degree, at the ends of the intervals too, where a grid
+    uniform in x loses them like 1/n.  The endpoints are exact.
+    """
+    eq = leveled.equilibrium(e.endpoints)
+    total = sum(mass for mass, _ in eq)
+    grids = []
+    for (a, b), (mass, cdf) in zip(e.intervals, eq):
+        g = _quantile_points(a, b, cdf, max(24, int(GRID_PER_POINT * (n + 1) * mass / total) + 8))
+        g[0], g[-1] = a, b
+        grids.append(g)
     last = np.cumsum([len(g) for g in grids]) - 1
     ends = np.zeros(last[-1] + 1, dtype=bool)
     ends[last] = ends[last[:-1] + 1] = ends[0] = True
@@ -427,7 +445,7 @@ def blow_up_set(c: IntervalUnion, result: MinimalPolyResult) -> BlowUpResult:
             else:
                 pieces.append((a, b))
     if not pieces:
-        raise InvalidInputError("empty blow-up set; level classification failed")
+        raise ConvergenceError("empty blow-up set; level classification failed")
     inv = result.frame.inverse()
     flat = [inv(x) for piece in pieces for x in piece]
     c_prime = IntervalUnion(tuple(flat))

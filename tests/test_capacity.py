@@ -5,7 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from chebcap import capacity as _capacity
 from chebcap.capacity import (
+    BOUNDARY_MARGIN,
+    MAX_SWEEPS,
+    SWEEP_TOL,
     SolyninParams,
     capacity_bracket,
     capacity_lower_bound,
@@ -15,7 +19,8 @@ from chebcap.capacity import (
     solynin_midpoint_bound,
     solynin_optimized_bound,
 )
-from chebcap.errors import InvalidInputError
+from chebcap.cli import _verify_fixtures
+from chebcap.errors import ConvergenceError, InvalidInputError
 from chebcap.intervals import IntervalUnion, normalize, to_angles
 from chebcap.inverse_image import e_alpha
 from chebcap.remez import minimal_polynomial
@@ -231,3 +236,69 @@ def test_one_lower_bound_behind_bracket_and_ratios():
         b = capacity_bracket(e, 6)
         assert (b.lower, b.lower_params) == (lower, params)
         assert ratio_sequence(e, 6).cap_est == lower
+
+
+def _full_product_ascent(ang):
+    """Reference: the coordinate ascent that evaluates the whole bound, with
+    its parameter checks, at every probe of every line search."""
+    ell = ang.ell
+    gamma = [0.0] + [0.5 * (ang.phi[j] + ang.psi[j]) for j in range(1, ell - 1)] + [math.pi]
+    delta = [0.5 * (ang.psi[j] + ang.phi[j + 1]) for j in range(ell - 1)]
+
+    def value():
+        return solynin_bound(ang, SolyninParams(gamma=tuple(gamma), delta=tuple(delta)))
+
+    def line_max(coords, j, lo, hi):
+        m = min(BOUNDARY_MARGIN, 0.25 * (hi - lo))
+        a, b = lo + m, hi - m
+        inv = 0.5 * (math.sqrt(5.0) - 1.0)
+
+        def f(x):
+            coords[j] = x
+            return value()
+
+        x1, x2 = b - inv * (b - a), a + inv * (b - a)
+        f1, f2 = f(x1), f(x2)
+        while b - a > 1e-12:
+            if f1 < f2:
+                a, x1, f1 = x1, x2, f2
+                x2 = a + inv * (b - a)
+                f2 = f(x2)
+            else:
+                b, x2, f2 = x2, x1, f1
+                x1 = b - inv * (b - a)
+                f1 = f(x1)
+        coords[j] = 0.5 * (a + b)
+
+    best = value()
+    for _ in range(MAX_SWEEPS):
+        previous = best
+        for j in range(1, ell - 1):
+            line_max(gamma, j, ang.phi[j], ang.psi[j])
+        for j in range(ell - 1):
+            line_max(delta, j, ang.psi[j], ang.phi[j + 1])
+        best = value()
+        if best - previous < SWEEP_TOL:
+            break
+    return max(best, solynin_midpoint_bound(ang))
+
+
+def test_ascent_on_its_own_factors_matches_full_product_ascent():
+    rng = np.random.RandomState(41)
+    sets = [e for _, e in _verify_fixtures() if e.ell > 1]
+    sets += [random_union(rng, ell_max=5) for _ in range(150)]
+    for e in sets:
+        ang = to_angles(e)
+        val, params = solynin_optimized_bound(ang)
+        assert val == pytest.approx(_full_product_ascent(ang), rel=1e-13, abs=0.0)
+        assert val >= solynin_midpoint_bound(ang)
+        assert solynin_bound(ang, params) == pytest.approx(val, rel=1e-15, abs=1e-13)
+
+
+def test_midpoint_paths_disagreeing_is_numerical(monkeypatch):
+    # The two evaluations of the midpoint bound guard each other; their
+    # disagreement is a failure of the computation, not of the input.
+    true_bound = _capacity.solynin_bound
+    monkeypatch.setattr(_capacity, "solynin_bound", lambda a, p: (1 + 1e-9) * true_bound(a, p))
+    with pytest.raises(ConvergenceError, match="evaluation paths disagree"):
+        solynin_midpoint_bound(to_angles(TRIPLE))

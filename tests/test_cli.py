@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from chebcap import arcs as _arcs
+from chebcap import capacity as _capacity
 from chebcap import cli
 from chebcap import chebpoly as _chebpoly
 from chebcap import remez as _remez
@@ -109,6 +110,17 @@ def test_arcs_lift_disagreement_exits_numerical(capsys, monkeypatch):
     assert code == cli.EXIT_NO_CONVERGENCE == 3
     assert out == ""
     assert "lift sup-norm" in err
+
+
+def test_capacity_self_check_failure_exits_numerical(capsys, monkeypatch):
+    true_bound = _capacity.solynin_bound
+    monkeypatch.setattr(_capacity, "solynin_bound", lambda a, p: (1 + 1e-9) * true_bound(a, p))
+    code, out, err = run_cli(
+        capsys, "capacity", "--intervals", "-1 -0.6; 0.6 1", "--degree", "8"
+    )
+    assert code == cli.EXIT_NO_CONVERGENCE == 3
+    assert out == ""
+    assert "evaluation paths disagree" in err
 
 
 def test_verify_battery_passes(capsys):

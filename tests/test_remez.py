@@ -9,14 +9,16 @@ from numpy.polynomial import chebyshev as npcheb
 
 from oracles import grid_sup_norm, minimax_deviation_oracle
 
+from chebcap import remez as _remez
 from chebcap.chebpoly import Polynomial
-from chebcap.errors import DegreeCapError, InvalidInputError
+from chebcap.errors import ConvergenceError, DegreeCapError, InvalidInputError
 from chebcap.intervals import IntervalUnion, is_subset, normalize
 from chebcap.inverse_image import e_alpha, inverse_image, symmetric_two_interval_minpoly
 from chebcap.leveled import equilibrium, evaluate, weights_and_level
 from chebcap.remez import (
     _angle_lengths,
     _error_extrema,
+    _extremum_grid,
     _init_reference,
     _select_reference,
     _solve_on_reference,
@@ -388,3 +390,47 @@ def test_witness_sandwich_allows_the_residuals_of_a_stall_accepted_solve():
     w = minimality_witness(TRIPLE, exact)
     assert w.sandwich_applicable
     assert not w.sandwich_ok
+
+
+RESOLUTION_SETS = {
+    "interval": FULL,
+    "e_0.3": e_alpha(0.3),
+    "e_0.6": e_alpha(0.6),
+    "asym": IntervalUnion((-1.0, 0.0, 0.5, 1.0)),
+    "triple": TRIPLE,
+    "quad": QUAD,
+}
+
+
+@pytest.mark.parametrize("n", [48, 100])
+@pytest.mark.parametrize("name", sorted(RESOLUTION_SETS))
+def test_extremum_grid_resolves_adjacent_critical_points(name, n):
+    # Adjacent interior critical points of the final M, located by a fine
+    # cosine-spaced scan of M', lie at least two cells of the extremum grid
+    # apart on every interval.  A grid uniform in x puts the two next to the
+    # end of [-1, 1] 1.2 cells apart at n = 100.
+    cn, _ = normalize(RESOLUTION_SETS[name])
+    r = minimal_polynomial(cn, n)
+    u, w = np.array(r.nodes), np.array(r.weights)
+    xs, ends, _ = _extremum_grid(cn, n)
+    edges = np.flatnonzero(ends)
+    for (a, b), i0, i1 in zip(cn.intervals, edges[0::2], edges[1::2]):
+        grid = xs[i0:i1 + 1]
+        assert grid[0] == a and grid[-1] == b
+        assert np.all(np.diff(grid) > 0.0)
+        scan = 0.5 * (a + b) - 0.5 * (b - a) * np.cos(np.linspace(0.0, math.pi, 20001))
+        d1 = evaluate(scan, u, w, r.level, 1)[1]
+        cells = np.flatnonzero(np.sign(d1[:-1]) * np.sign(d1[1:]) < 0.0)
+        crit = 0.5 * (scan[cells] + scan[cells + 1])
+        at = np.interp(crit, grid, np.arange(len(grid)))
+        assert len(crit) >= 2
+        assert np.min(np.diff(at)) >= 2.0, (name, n, a, b)
+
+
+def test_empty_blow_up_set_is_numerical(monkeypatch):
+    # A level test that puts every cell outside [-L, L] is a failure of the
+    # computation, not of the input.
+    r = minimal_polynomial(TRIPLE, 8)
+    monkeypatch.setattr(_remez, "_leveled_values", lambda result, t: np.full(len(t), np.inf))
+    with pytest.raises(ConvergenceError, match="empty blow-up set"):
+        blow_up_set(TRIPLE, r)
