@@ -1,10 +1,11 @@
 """Polynomial algebra in the monomial and Chebyshev bases.
 
 Monomial coefficients are fine for bookkeeping (leading coefficients, exact
-examples, the critical values of inverse images) but evaluation of near-minimal polynomials happens
-in the Chebyshev basis: on [-1, 1] Clenshaw summation keeps the relative error
-near machine precision where Horner on monomial coefficients loses digits to
-cancellation already around degree 15.
+examples, the critical values of inverse images), but on [-1, 1] Horner on
+them loses digits to cancellation from about degree 15, where Clenshaw
+summation of Chebyshev coefficients does not.  Minimal polynomials are
+evaluated in the barycentric form of `leveled`; `clenshaw` now serves only
+`arcs._series_max`.
 """
 
 from __future__ import annotations
@@ -104,7 +105,8 @@ class Polynomial:
 
 
 def clenshaw(x: float, coeffs: list) -> float:
-    """Chebyshev series sum_k coeffs[k] T_k(x) at one Python float x.
+    """Chebyshev series sum_k coeffs[k] T_k(x) at one Python float x, for the
+    polish of `arcs._series_max`, its only caller.
 
     Performs numpy.polynomial.chebyshev.chebval's operations in its order,
     length-1 and length-2 branches and the final c0 + c1*x included, so every

@@ -29,6 +29,8 @@ from numpy.polynomial import chebyshev as npcheb
 REFINE_TOL = 1e-8
 # Newton steps that may pass before the refine's bracket has to halve.
 NEWTON_RUN = 4
+# A level crossing is done at a Newton correction below this many ulps of it.
+CROSS_ULPS = 4
 # Angle grid of the equilibrium measure's distribution functions.
 EQ_GRID = 64
 
@@ -145,36 +147,56 @@ def evaluate(x, u, w, h, order: int):
     return out
 
 
-def refine(lo, hi, d_lo, d_hi, u, w, h):
-    """Zeros of M' in the brackets (lo, hi), where M' takes the values d_lo
-    and d_hi of opposite signs, all cells at once.
+def outer_values(x, u, w):
+    """M at points x outside [u_0, u_n] by the first barycentric form
+    M = l(x) sum_j |w_j|/(x - u_j) / sum_j |w_j| (every w_j f_j is |w_j| h),
+    l(x) = prod_j (x - u_j).  Every x - u_j has one sign there, so nothing
+    cancels; l is kept as a product of mantissas and a power of 2."""
+    d = np.subtract.outer(x, u)
+    a = np.abs(w)
+    mant, expo = np.frexp(d)
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.prod(mant, axis=1) * (a / d).sum(axis=1) / a.sum(), expo.sum(axis=1))
 
-    Newton on M' with M'', started at the regula falsi point of the grid
-    values and kept inside the bracket that each evaluation narrows.  A step
-    that would leave the bracket is a bisection, and so is every step after
-    a bracket has failed to halve in NEWTON_RUN evaluations, so every cell
-    converges.  A cell is done once its bracket is below REFINE_TOL of its
-    starting width, or has collapsed to adjacent floats, or once a Newton
-    correction is below sqrt(REFINE_TOL) of it: Newton squares the relative
-    error, so the corrected point is then within about REFINE_TOL.
+
+def refine(lo, hi, f_lo, f_hi, u, w, h, k=1, level=0.0):
+    """Zeros of M' (k = 1) or of M - level (k = 0; level a scalar or one per
+    cell) in the brackets (lo, hi), where it has the values f_lo and f_hi of
+    opposite signs, all cells at once.
+
+    Newton with M^(k+1) from the regula falsi point, kept inside the bracket
+    that each evaluation narrows: a step that would leave it is a bisection,
+    and so is every step after a bracket has failed to halve in NEWTON_RUN
+    evaluations, so every cell converges, at the latest when its bracket
+    collapses to adjacent floats.  A zero of M' fixes M to second order, so
+    its cell is done once its bracket is below REFINE_TOL of its starting
+    width, or a Newton correction below sqrt(REFINE_TOL) of it.  A level
+    crossing is wanted to the last bits: its cell is done once a Newton
+    correction is below CROSS_ULPS ulps of x, inside the bracket or not,
+    since a root within an ulp of the bracket's end would otherwise be
+    bisected down to adjacent floats.
     """
-    tol = REFINE_TOL * (hi - lo)
-    newton_tol = math.sqrt(REFINE_TOL) * (hi - lo)
-    x = lo - d_lo * ((hi - lo) / (d_hi - d_lo))
+    tol = REFINE_TOL * (hi - lo) if k else 0.0
+    newton_tol = math.sqrt(REFINE_TOL) * (hi - lo) if k else 0.0
+    x = lo - f_lo * ((hi - lo) / (f_hi - f_lo))
     x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
-    slo = np.sign(d_lo)
+    slo = np.sign(f_lo)
     last_width = hi - lo
     run = np.zeros(len(x), dtype=int)
     live = np.ones(len(x), dtype=bool)
     while live.any():
-        _, d1, d2 = evaluate(x, u, w, h, 2)
-        sd = np.sign(d1)
-        right = sd != slo
+        vals = evaluate(x, u, w, h, k + 1)
+        f, df = vals[1:] if k else (vals[0] - level, vals[1])
+        sf = np.sign(f)
+        right = sf != slo
         lo = np.where(right, lo, x)
         hi = np.where(right, x, hi)
         width = hi - lo
-        ok = np.abs(d1) < np.abs(d2) * width
-        nxt = x - d1 / np.where(ok, d2, 1.0)
+        ok = np.abs(f) < np.abs(df) * width
+        nxt = x - f / np.where(ok, df, 1.0)
+        stay = sf == 0.0
+        if not k:
+            stay |= ok & (np.abs(nxt - x) < CROSS_ULPS * np.spacing(np.abs(x)))
         ok &= (nxt > lo) & (nxt < hi)
         small = ok & (np.abs(nxt - x) <= newton_tol)
         halved = width <= 0.5 * last_width
@@ -182,6 +204,6 @@ def refine(lo, hi, d_lo, d_hi, u, w, h):
         last_width = np.where(halved, width, last_width)
         mid = 0.5 * (lo + hi)
         step = np.where(small | ok & (run < NEWTON_RUN), nxt, mid)
-        x = np.where(live & (sd != 0.0), step, x)
-        live &= ~(small | (sd == 0.0) | (width <= tol) | (mid == lo) | (mid == hi))
+        x = np.where(live & ~stay, step, x)
+        live &= ~(small | stay | (width <= tol) | (mid == lo) | (mid == hi))
     return x

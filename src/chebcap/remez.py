@@ -5,10 +5,11 @@ covariant, L_n(s E + t) = |s|^n L_n(E), which is how results return to the
 original frame.  Each iterate is the leveled interpolant on the reference,
 in the barycentric form of `leveled`, whose evaluation error on the set does
 not grow with the size of M in the gaps; its extrema are refined together by
-one bracket-safeguarded Newton loop.  Monomial coefficients of near-minimal
+one bracket-safeguarded Newton loop, which also finds the blow-up set's
+critical points and level crossings.  Monomial coefficients of near-minimal
 polynomials grow exponentially with the degree, so `poly` is for reporting
-only; the Chebyshev coefficients `cheb` of the final reference serve the
-blow-up crossings and the arc transfer.
+only; the Chebyshev coefficients `cheb` of the final reference serve only
+`poly` and the arc transfer.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
 from . import chebpoly, leveled
-from .chebpoly import ChebExpansion, Polynomial, clenshaw, to_monomial
+from .chebpoly import ChebExpansion, Polynomial, to_monomial
 from .errors import ConvergenceError, DegreeCapError, InvalidInputError
 from .intervals import AffineMap, IntervalUnion, is_subset, normalize
 
@@ -82,8 +83,9 @@ class MinimalPolyResult:
         """M_n(x) from the barycentric form of the final reference.
 
         Accurate on the set, where its error grows with the reference's
-        Lebesgue function; deep in the gaps and outside the hull it loses
-        digits as |M| grows past the deviation.
+        Lebesgue function, and outside the hull, where the first barycentric
+        form has no cancellation (a value beyond the float range is inf);
+        deep in the gaps it loses digits as |M| grows past the deviation.
         """
         t = self.frame(np.asarray(x, dtype=float))
         return (self.hull_scale * _leveled_values(self, t.ravel()).reshape(t.shape))[()]
@@ -112,11 +114,6 @@ class WitnessReport:
     def passed(self) -> bool:
         ok = self.sup_ok and self.alternation_ok
         return ok and (self.sandwich_ok or not self.sandwich_applicable)
-
-
-def _angle_lengths(e: IntervalUnion) -> list:
-    return [math.acos(max(-1.0, min(1.0, a))) - math.acos(max(-1.0, min(1.0, b)))
-            for a, b in e.intervals]
 
 
 def _quantile_points(a: float, b: float, cdf: tuple, k: int) -> np.ndarray:
@@ -173,68 +170,6 @@ def _solve_on_reference(u: np.ndarray, n: int):
     return coeffs, float(sol[n]), s
 
 
-def _grid_size(n: int, w: float, total: float) -> int:
-    """Uniform grid points for the Clenshaw zero search of `_error_extrema`
-    on a piece of arccos length w."""
-    return max(24, int(16 * (n + 1) * w / total) + 8)
-
-
-def _zeros(coeffs: list, a: float, b: float, k: int) -> list:
-    """Zeros of a Chebyshev series on [a, b], ascending: sign changes on a
-    k-point grid, bisected on Python floats through chebpoly.clenshaw (the
-    IEEE operations of chebval without its per-scalar dispatch, which
-    dominated the solve) until the bracket collapses to adjacent floats."""
-    grid = np.linspace(a, b, k)
-    dv = npcheb.chebval(grid, coeffs).tolist()
-    xs = grid.tolist()
-    out = []
-    for i in range(k - 1):
-        da, db = dv[i], dv[i + 1]
-        if da == 0.0:
-            out.append(xs[i])
-        elif da * db < 0.0:
-            ta, tb = xs[i], xs[i + 1]
-            for _ in range(60):
-                tm = 0.5 * (ta + tb)
-                if tm == ta or tm == tb:
-                    break
-                dm = clenshaw(tm, coeffs)
-                if dm == 0.0:
-                    break
-                if da * dm < 0.0:
-                    tb = tm
-                else:
-                    ta, da = tm, dm
-            out.append(0.5 * (ta + tb))
-    if dv[-1] == 0.0:
-        out.append(xs[-1])
-    return out
-
-
-def _error_extrema(ct: np.ndarray, e: IntervalUnion, n: int) -> list:
-    """Interval endpoints plus interior critical points of the Chebyshev series
-    ct on the intervals of e, with its values."""
-    der = npcheb.chebder(ct).tolist()
-    mu = _angle_lengths(e)
-    total = sum(mu)
-    out = []
-    for (a, b), w in zip(e.intervals, mu):
-        locs = [a, b] + _zeros(der, a, b, _grid_size(n, w, total))
-        pts = np.array(sorted(set(locs)))
-        out.extend(zip(pts.tolist(), npcheb.chebval(pts, ct).tolist()))
-    return _sorted_unique(out)
-
-
-def _sorted_unique(out: list) -> list:
-    out.sort()
-    dedup = []
-    for x, v in out:
-        if dedup and x - dedup[-1][0] <= 1e-14:
-            continue
-        dedup.append((x, v))
-    return dedup
-
-
 def _extremum_grid(e: IntervalUnion, n: int):
     """One grid over all intervals of e for the extremum search, the mask of
     its interval endpoints and the mask of its cells inside an interval.
@@ -261,20 +196,32 @@ def _extremum_grid(e: IntervalUnion, n: int):
     return np.concatenate(grids), ends, inner
 
 
-def _leveled_extrema(u, w, h, grid) -> list:
-    """Interval endpoints plus interior critical points of the leveled
-    interpolant, with M values: the sign changes of M' on the grid of
-    `_extremum_grid`, refined together."""
-    xs, ends, inner = grid
+def _grid_critical_points(u, w, h, grid):
+    """M and the sign of M' on a grid of `_extremum_grid`, and the zeros of
+    M' in its cells inside an interval, refined together, with M at them."""
+    xs, _, inner = grid
     vals, d1 = leveled.evaluate(xs, u, w, h, 1)
     sd = np.sign(d1)
     cells = np.flatnonzero(inner & (sd[:-1] * sd[1:] < 0.0))
+    if not len(cells):  # spares small solves the fixed cost of two empty calls
+        return vals, sd, xs[cells], vals[cells]
+    crit = leveled.refine(xs[cells], xs[cells + 1], d1[cells], d1[cells + 1], u, w, h)
+    return vals, sd, crit, leveled.evaluate(crit, u, w, h, 0)[0]
+
+
+def _leveled_extrema(u, w, h, grid) -> list:
+    """Interval endpoints plus interior critical points of the leveled
+    interpolant, with M values, ascending and without points within 1e-14 of
+    the one before."""
+    xs, ends, _ = grid
+    vals, sd, crit, crit_vals = _grid_critical_points(u, w, h, grid)
     keep = ends | (sd == 0.0)
-    out = list(zip(xs[keep].tolist(), vals[keep].tolist()))
-    if len(cells):
-        crit = leveled.refine(xs[cells], xs[cells + 1], d1[cells], d1[cells + 1], u, w, h)
-        out += zip(crit.tolist(), leveled.evaluate(crit, u, w, h, 0)[0].tolist())
-    return _sorted_unique(out)
+    out = sorted(zip(xs[keep].tolist() + crit.tolist(), vals[keep].tolist() + crit_vals.tolist()))
+    dedup = []
+    for x, v in out:
+        if not dedup or x - dedup[-1][0] > 1e-14:
+            dedup.append((x, v))
+    return dedup
 
 
 def _collapse_sign_runs(cands: list) -> list:
@@ -399,56 +346,52 @@ def _normalized_endpoints(c: IntervalUnion, result: MinimalPolyResult) -> list:
 
 
 def _leveled_values(result: MinimalPolyResult, t: np.ndarray) -> np.ndarray:
-    """M at normalized-frame points t, from the result's leveled interpolant."""
+    """M at normalized-frame points t, from the result's leveled interpolant:
+    its second barycentric form on the hull [-1, 1], its first outside."""
     nodes, weights = np.array(result.nodes), np.array(result.weights)
-    return leveled.evaluate(t, nodes, weights, result.level, 0)[0]
+    far = np.abs(t) > 1.0
+    out = np.empty(len(t))
+    out[far] = leveled.outer_values(t[far], nodes, weights)
+    out[~far] = leveled.evaluate(t[~far], nodes, weights, result.level, 0)[0]
+    return out
 
 
 def blow_up_set(c: IntervalUnion, result: MinimalPolyResult) -> BlowUpResult:
     """C' = M_n^{-1}([-L, L]), the largest set on which M_n stays minimal.
 
-    Cut points are c's endpoints plus the crossings of M = +-L in its gaps;
-    outside the hull |M| exceeds L.  On `result.cheb` in the normalized
-    frame, the critical points of M (`_error_extrema` on the gaps) split each
-    gap into monotone pieces with at most one crossing of each level; a gap
-    may hold whole bands of C'.  Cells are classified by a level test of the
-    leveled interpolant at their midpoint.
+    Read from the result's leveled interpolant in the normalized frame, where
+    |M| exceeds L outside the hull.  Critical points of M split the cells of
+    the gaps' `_extremum_grid` into monotone pieces; piece-end values within
+    LEVEL_TOL of +-L are snapped to it, and the crossings of M = +-L inside
+    the pieces are refined together.  They cut the gaps, which may hold whole
+    bands of C'; a level test at each cell's midpoint keeps the cells of C'.
+    Cuts within 1e-12 merge, so narrower bands are dropped: on e_alpha at odd
+    n, where M is odd, the central band is lost from n = 93 at alpha = 0.3,
+    55 at 0.5, 43 at 0.6 and 35 at 0.7.
     """
     n = result.degree
     dev = result.deviation / result.hull_scale
     pts = _normalized_endpoints(c, result)
-    coeffs = list(result.cheb.cheb_coeffs)
-    m_minus = [coeffs[0] - dev] + coeffs[1:]
-    m_plus = [coeffs[0] + dev] + coeffs[1:]
-    gaps = pts[1:-1]
-    crit = []
-    if gaps:
-        crit = [x for x, _ in _error_extrema(np.array(coeffs), IntervalUnion(tuple(gaps)), n)]
-    cuts = list(pts)
-    for a, b in zip(gaps[0::2], gaps[1::2]):
-        ends = [a] + [x for x in crit if a < x < b] + [b]
-        for p, q in zip(ends, ends[1:]):
-            cuts += _zeros(m_minus, p, q, 2) + _zeros(m_plus, p, q, 2)
-    cuts.sort()
-    merged = []
-    for r in cuts:
-        if merged and r - merged[-1] <= 1e-12:
-            continue
-        merged.append(r)
-    cells = list(zip(merged, merged[1:]))
-    inside = np.abs(_leveled_values(result, np.array([0.5 * (a + b) for a, b in cells])))
-    pieces = []
-    for (a, b), v in zip(cells, inside.tolist()):
-        if v <= dev * (1.0 + 1e-9):
-            if pieces and pieces[-1][1] == a:
-                pieces[-1] = (pieces[-1][0], b)
-            else:
-                pieces.append((a, b))
-    if not pieces:
+    cuts = [np.array(pts)]
+    if len(pts) > 2:
+        u, w, h = np.array(result.nodes), np.array(result.weights), result.level
+        grid = _extremum_grid(IntervalUnion(tuple(pts[1:-1])), n)
+        vals, _, crit, crit_vals = _grid_critical_points(u, w, h, grid)
+        pos = np.searchsorted(grid[0], crit)
+        xs, inner = np.insert(grid[0], pos, crit), np.insert(grid[2], pos, True)
+        f = np.insert(vals, pos, crit_vals) - np.array([[dev], [-dev]])  # M - L, M + L
+        f[np.abs(f) <= LEVEL_TOL * dev] = 0.0  # as close to +-L as L is to L_n
+        row, cell = np.nonzero(inner & (f[:, :-1] * f[:, 1:] < 0.0))
+        cuts += [xs[(f == 0.0).any(axis=0)],
+                 leveled.refine(xs[cell], xs[cell + 1], f[row, cell], f[row, cell + 1],
+                                u, w, h, 0, np.where(row == 0, dev, -dev))]
+    cuts = np.sort(np.concatenate(cuts))
+    cuts = cuts[np.append(True, np.diff(cuts) > 1e-12)]
+    inside = np.abs(_leveled_values(result, 0.5 * (cuts[:-1] + cuts[1:]))) <= dev * (1.0 + 1e-9)
+    if not inside.any():
         raise ConvergenceError("empty blow-up set; level classification failed")
-    inv = result.frame.inverse()
-    flat = [inv(x) for piece in pieces for x in piece]
-    c_prime = IntervalUnion(tuple(flat))
+    edges = cuts[np.diff(np.concatenate(([False], inside, [False])))]  # where the test switches
+    c_prime = IntervalUnion(tuple(result.frame.inverse()(edges).tolist()))
     if not is_subset(c, c_prime, tol=1e-8):
         raise ConvergenceError("blow-up set does not contain the input set", last_iterate=c_prime)
     if not 1 <= c_prime.ell <= n:

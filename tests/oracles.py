@@ -63,3 +63,66 @@ def grid_sup_norm(coeffs, intervals, density: int = 20001) -> float:
         xs = np.linspace(a, b, density)
         best = max(best, float(np.max(np.abs(np.polynomial.polynomial.polyval(xs, coeffs)))))
     return best
+
+
+def _leveled_interpolant(nodes):
+    """x -> M(x) at the working precision of mpmath, for the monic degree-n
+    M with M(nodes[j]) = (-1)^(n-j) h, taken exactly from the float nodes."""
+    import mpmath
+
+    u = [mpmath.mpf(x) for x in nodes]
+    n = len(u) - 1
+    w = [1 / mpmath.fprod(uj - ui for i, ui in enumerate(u) if i != j) for j, uj in enumerate(u)]
+    h = 1 / mpmath.fsum(abs(wj) for wj in w)
+
+    def m(x):  # first barycentric form: w_j f_j = |w_j| h
+        d = [x - uj for uj in u]
+        if 0 in d:
+            return (-1) ** (n - d.index(0)) * h
+        return mpmath.fprod(d) * h * mpmath.fsum(abs(wj) / dj for wj, dj in zip(w, d))
+
+    return m
+
+
+def leveled_value_oracle(nodes, x: float, dps: int = 50) -> float:
+    """M(x) for the leveled interpolant on nodes, evaluated at dps digits."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        return float(_leveled_interpolant(nodes)(mpmath.mpf(x)))
+
+
+def blow_up_oracle(nodes, level, endpoints, scan: int = 400, dps: int = 50) -> list:
+    """C' = E u {x in the gaps of E : |M(x)| <= level} as a list of (lo, hi),
+    where M is the leveled interpolant on nodes, evaluated at dps digits, and
+    E is the union with the given endpoints.  The crossings of M = +-level in each gap are
+    bracketed by a cosine-spaced scan of `scan` cells and found by findroot;
+    a band narrower than the scan's cells and holding no crossing of the
+    other level is missed."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        m = _leveled_interpolant(nodes)
+        lev = mpmath.mpf(level)
+        ends = [mpmath.mpf(x) for x in endpoints]
+        pieces = [(ends[i], ends[i + 1]) for i in range(0, len(ends), 2)]
+        for a, b in zip(ends[1:-1:2], ends[2:-1:2]):
+            xs = [a + (b - a) * (1 - mpmath.cos(mpmath.pi * i / scan)) / 2
+                  for i in range(scan + 1)]
+            vs = [m(x) for x in xs]
+            cuts = [a, b]
+            for x0, x1, v0, v1 in zip(xs, xs[1:], vs, vs[1:]):
+                for t in (lev, -lev):
+                    if (v0 - t) * (v1 - t) < 0:
+                        cuts.append(mpmath.findroot(lambda x: m(x) - t, (x0, x1),
+                                                    solver="anderson"))
+            cuts.sort()
+            pieces += [(p, q) for p, q in zip(cuts, cuts[1:]) if abs(m((p + q) / 2)) <= lev]
+        pieces.sort()
+        out = [list(pieces[0])]
+        for p, q in pieces[1:]:
+            if p <= out[-1][1]:
+                out[-1][1] = max(out[-1][1], q)
+            else:
+                out.append([p, q])
+        return [(float(p), float(q)) for p, q in out]

@@ -10,7 +10,6 @@ from chebcap import arcs as _arcs
 from chebcap import capacity as _capacity
 from chebcap import cli
 from chebcap import chebpoly as _chebpoly
-from chebcap import remez as _remez
 from chebcap.cli import RunConfig, main
 
 
@@ -189,7 +188,6 @@ def test_degree_cap_env(capsys, monkeypatch):
         assert code == 2 and "CHEBCAP_MAX_DEGREE" in err
     finally:
         _chebpoly.DEGREE_CAP = 100
-        _remez.DEGREE_CAP = 100
 
 
 def test_out_file(tmp_path, capsys):

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as npcheb
 
-from oracles import grid_sup_norm, minimax_deviation_oracle
+from oracles import blow_up_oracle, grid_sup_norm, leveled_value_oracle, minimax_deviation_oracle
 
+from chebcap import leveled
 from chebcap import remez as _remez
 from chebcap.chebpoly import Polynomial
 from chebcap.errors import ConvergenceError, DegreeCapError, InvalidInputError
@@ -16,11 +17,8 @@ from chebcap.intervals import IntervalUnion, is_subset, normalize
 from chebcap.inverse_image import e_alpha, inverse_image, symmetric_two_interval_minpoly
 from chebcap.leveled import equilibrium, evaluate, weights_and_level
 from chebcap.remez import (
-    _angle_lengths,
-    _error_extrema,
     _extremum_grid,
     _init_reference,
-    _select_reference,
     _solve_on_reference,
     blow_up_set,
     minimal_polynomial,
@@ -182,47 +180,6 @@ def test_solver_accuracy_random_unions():
         assert sup >= r.deviation * (1 - 1e-7)
 
 
-def _error_extrema_numpy_scalar(ct, e, n):
-    """Reference: the extremum search with one numpy-scalar chebval per
-    bisection step and per candidate, as the solver first ran it."""
-    der = npcheb.chebder(ct)
-    mu = _angle_lengths(e)
-    total = sum(mu)
-    out = []
-    for (a, b), w in zip(e.intervals, mu):
-        k = max(24, int(16 * (n + 1) * w / total) + 8)
-        xs = np.linspace(a, b, k)
-        dv = npcheb.chebval(xs, der)
-        locs = [a, b]
-        for i in range(k - 1):
-            da, db = dv[i], dv[i + 1]
-            if da == 0.0:
-                locs.append(xs[i])
-            elif da * db < 0.0:
-                ta, tb = xs[i], xs[i + 1]
-                for _ in range(60):
-                    tm = 0.5 * (ta + tb)
-                    dm = npcheb.chebval(tm, der)
-                    if dm == 0.0:
-                        break
-                    if da * dm < 0.0:
-                        tb = tm
-                    else:
-                        ta, da = tm, dm
-                locs.append(0.5 * (ta + tb))
-        if dv[-1] == 0.0:
-            locs.append(xs[-1])
-        for x in sorted(set(locs)):
-            out.append((float(x), float(npcheb.chebval(x, ct))))
-    out.sort()
-    dedup = []
-    for x, v in out:
-        if dedup and x - dedup[-1][0] <= 1e-14:
-            continue
-        dedup.append((x, v))
-    return dedup
-
-
 def _seeded_union():
     rng = np.random.default_rng(20130626)
     while True:
@@ -238,20 +195,6 @@ EXTREMA_SETS = {
     "quad": IntervalUnion((-1.0, -0.65, -0.35, -0.05, 0.25, 0.55, 0.85, 1.0)),
     "random": _seeded_union(),
 }
-
-
-@pytest.mark.parametrize("name", sorted(EXTREMA_SETS))
-def test_error_extrema_bit_identical_to_numpy_scalar_loop(name):
-    # The float bisection must reproduce every point and value exactly, on the
-    # first reference and on the two exchanges after it.
-    cn, _ = normalize(EXTREMA_SETS[name])
-    for n in (1, 2, 3, 7, 20, 48, 100):
-        u = _init_reference(cn, n)
-        for _ in range(3):
-            ct, _, _ = _solve_on_reference(u, n)
-            got = _error_extrema(ct, cn, n)
-            assert got == _error_extrema_numpy_scalar(ct, cn, n), (name, n)
-            u = _select_reference(got, n + 1, u, npcheb.chebval(u, ct))
 
 
 TRIPLE = IntervalUnion((-1.0, -0.6, -0.2, 0.2, 0.6, 1.0))
@@ -434,3 +377,69 @@ def test_empty_blow_up_set_is_numerical(monkeypatch):
     monkeypatch.setattr(_remez, "_leveled_values", lambda result, t: np.full(len(t), np.inf))
     with pytest.raises(ConvergenceError, match="empty blow-up set"):
         blow_up_set(TRIPLE, r)
+
+
+@pytest.mark.parametrize("name, n", [("asym", 90), ("triple", 98), ("quad", 94), ("e_0.6", 33),
+                                     ("triple", 48), ("quad", 48)])
+def test_blow_up_matches_mpmath_oracle(name, n):
+    # C' of the result's own leveled interpolant, evaluated exactly at 50
+    # digits: interval count and every endpoint.  The Chebyshev-basis
+    # crossings missed bands at the first four degrees (asym n = 90: the
+    # band of width 4.9e-10 near 0.16) and were 3.8e-14 off at triple n = 48.
+    e = RESOLUTION_SETS[name]
+    r = minimal_polynomial(e, n)
+    want = blow_up_oracle(r.nodes, r.deviation / r.hull_scale, [r.frame(x) for x in e.endpoints])
+    got = [r.frame(x) for x in blow_up_set(e, r).c_prime.endpoints]
+    assert len(got) == 2 * len(want), (name, n)
+    assert np.max(np.abs(np.array(got) - np.ravel(want))) <= 1e-12, (name, n)
+
+
+@pytest.mark.parametrize("alpha, n", [(0.3, 73), (0.3, 89), (0.5, 41), (0.5, 51),
+                                      (0.6, 33), (0.6, 39), (0.7, 27), (0.7, 31)])
+def test_odd_degree_blow_up_keeps_the_central_band(alpha, n):
+    # At odd n on e_alpha the minimizer is odd, so C' has a third interval
+    # around 0, symmetric, where M runs from -L to L.
+    e = e_alpha(alpha)
+    b = blow_up_set(e, minimal_polynomial(e, n))
+    assert b.ell_prime == 3
+    (_, a), (lo, hi), (c, _) = b.c_prime.intervals
+    assert lo < 0.0 < hi and a == -alpha and c == alpha
+    assert abs(hi + lo) <= 1e-14
+
+
+def test_blow_up_splits_gap_cells_at_critical_points():
+    # On e_0.5 at n = 2, M = x^2 - 5/8 peaks in the gap at |M(0)| = 5/8.  A
+    # level just below that peak crosses M twice within one grid cell around
+    # the critical point 0, at +-sqrt(5/8 - level); the cells split there.
+    r = minimal_polynomial(e_alpha(0.5), 2)
+    level = 0.625 * (1.0 - 1e-6)
+    b = blow_up_set(e_alpha(0.5), dataclasses.replace(r, deviation=level))
+    cross = math.sqrt(0.625 - level)
+    assert np.allclose(b.c_prime.endpoints, (-1.0, -cross, cross, 1.0), rtol=1e-9, atol=0.0)
+
+
+def test_evaluate_outside_the_hull():
+    # Past the hull every term of the first barycentric form has one sign.
+    r = minimal_polynomial(FULL, 2)  # M = x^2 - 1/2 on the reference -1, 0, 1
+    for x in (3e7, 1e10, -1e10):
+        assert r.evaluate(x) == pytest.approx(x * x - 0.5, rel=1e-14)
+    r = minimal_polynomial(e_alpha(0.5), 6)  # the second form was 0.17% off here
+    want = r.hull_scale * leveled_value_oracle(r.nodes, r.frame(100.0))
+    assert r.evaluate(100.0) == pytest.approx(want, rel=1e-14)
+    assert math.isinf(minimal_polynomial(FULL, 100).evaluate(1e10))
+
+
+def test_refine_stops_level_crossings_on_the_newton_correction(monkeypatch):
+    # M = x^2 - 1/2 crosses the levels 0.1, 0.2 and 0.3 at sqrt(0.5 + level).
+    # Newton lands within an ulp of each root, where the next correction
+    # points out of the bracket; stopping there saves bisecting the bracket
+    # down to adjacent floats (25 to 55 evaluations).
+    u = np.array([-1.0, 0.0, 1.0])
+    w, h = weights_and_level(u)
+    calls = []
+    monkeypatch.setattr(leveled, "evaluate", lambda *a: calls.append(1) or evaluate(*a))
+    level = np.array([0.1, 0.2, 0.3])
+    lo, hi = np.array([0.0, 0.5, 0.0]), np.ones(3)
+    x = leveled.refine(lo, hi, lo**2 - 0.5 - level, hi**2 - 0.5 - level, u, w, h, 0, level)
+    assert np.max(np.abs(x - np.sqrt(0.5 + level))) <= 2e-16
+    assert len(calls) <= 8
