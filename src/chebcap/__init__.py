@@ -34,7 +34,6 @@ from .capacity import (
 from .chebpoly import (
     ChebExpansion,
     Polynomial,
-    autocorrelate,
     cheb_T,
     compose_T,
     to_cheb,
@@ -106,7 +105,6 @@ __all__ = [
     "arc_deviation_upper",
     "arc_lower_bound",
     "arc_sup_norm",
-    "autocorrelate",
     "blow_up_set",
     "capacity_bracket",
     "capacity_of_inverse_image",

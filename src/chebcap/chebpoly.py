@@ -4,8 +4,8 @@ Monomial coefficients are fine for bookkeeping (leading coefficients, exact
 examples, the critical values of inverse images), but on [-1, 1] Horner on
 them loses digits to cancellation from about degree 15, where Clenshaw
 summation of Chebyshev coefficients does not.  Minimal polynomials are
-evaluated in the barycentric form of `leveled`; `clenshaw` now serves only
-`arcs._series_max`.
+evaluated in the barycentric form of `leveled`; their coefficients here are
+for reporting and for the arc lifts.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import polynomial as nppoly
 
 from .errors import DegreeCapError, InvalidInputError
-from .intervals import AffineMap
 
 # Trailing coefficients below this relative size are trimmed after arithmetic.
 DROP_TOL = 1e-13
@@ -104,28 +103,6 @@ class Polynomial:
         return Polynomial(tuple(out))
 
 
-def clenshaw(x: float, coeffs: list) -> float:
-    """Chebyshev series sum_k coeffs[k] T_k(x) at one Python float x, for the
-    polish of `arcs._series_max`, its only caller.
-
-    Performs numpy.polynomial.chebyshev.chebval's operations in its order,
-    length-1 and length-2 branches and the final c0 + c1*x included, so every
-    value is the same IEEE double chebval returns.  On Python floats a scalar
-    inner loop skips numpy's per-scalar dispatch, which is most of chebval's
-    cost on one point.
-    """
-    if len(coeffs) == 1:
-        c0, c1 = coeffs[0], 0
-    elif len(coeffs) == 2:
-        c0, c1 = coeffs
-    else:
-        x2 = 2 * x
-        c0, c1 = coeffs[-2], coeffs[-1]
-        for c in coeffs[-3::-1]:
-            c0, c1 = c - c1, c0 + c1 * x2
-    return c0 + c1 * x
-
-
 @dataclass(frozen=True)
 class ChebExpansion:
     """Expansion against T_0 ... T_n on [-1, 1]; evaluated by Clenshaw recurrence."""
@@ -181,19 +158,6 @@ def compose_T(k: int, p: Polynomial) -> Polynomial:
     if not all(math.isfinite(c) for c in cur.coeffs):
         raise InvalidInputError("coefficient overflow in Chebyshev composition")
     return cur
-
-
-def autocorrelate(b) -> list:
-    """A_l = sum_k b_k b_{k+l} for l = 0..n.
-
-    For real b these are the cosine coefficients of |sum b_k z^k|^2 on |z| = 1:
-    the square modulus equals A_0 + 2 sum_{l>=1} A_l T_l(Re z).
-    """
-    v = np.asarray(b, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise InvalidInputError("need a nonempty 1-d coefficient sequence")
-    n = v.size
-    return [float(np.dot(v[: n - l], v[l:])) for l in range(n)]
 
 
 def to_cheb(p: Polynomial) -> ChebExpansion:

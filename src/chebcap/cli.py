@@ -287,6 +287,10 @@ def _cmd_verify(config: RunConfig):
     seeded random unions.  The two sides come from independent computations,
     an exchange solve and a closed-form product, so agreement is evidence."""
     tol = config.tol
+    if not (config.n_max >= 1 and config.random_count >= 0 and 0 <= config.seed < 2**32
+            and 0.0 <= tol < math.inf):
+        raise InvalidInputError("verify needs --nmax >= 1, --random >= 0, "
+                                "0 <= --seed < 2**32 and a finite --tol >= 0")
     sets = list(_verify_fixtures())
     rng = np.random.RandomState(config.seed)
     sets.extend(
@@ -448,8 +452,12 @@ def main(argv=None) -> int:
     finally:
         _chebpoly.DEGREE_CAP = default_cap
     if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(config.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INVALID
     else:
         sys.stdout.write(text)
     return code

@@ -173,9 +173,11 @@ def parse_intervals(text: str) -> IntervalUnion:
         except json.JSONDecodeError as exc:
             raise InvalidInputError(f"bad JSON interval specification: {exc}") from exc
         if not isinstance(pairs, list) or not all(
-            isinstance(p, list) and len(p) == 2 for p in pairs
+            isinstance(p, list) and len(p) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in p)
+            for p in pairs
         ):
-            raise InvalidInputError("JSON intervals must be a list of [lo, hi] pairs")
+            raise InvalidInputError("JSON intervals must be a list of [lo, hi] number pairs")
         flat = [float(v) for p in pairs for v in p]
         return IntervalUnion(tuple(flat))
     flat = []

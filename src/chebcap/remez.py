@@ -9,7 +9,7 @@ one bracket-safeguarded Newton loop, which also finds the blow-up set's
 critical points and level crossings.  Monomial coefficients of near-minimal
 polynomials grow exponentially with the degree, so `poly` is for reporting
 only; the Chebyshev coefficients `cheb` of the final reference serve only
-`poly` and the arc transfer.
+`poly`.
 """
 
 from __future__ import annotations

@@ -126,3 +126,38 @@ def blow_up_oracle(nodes, level, endpoints, scan: int = 400, dps: int = 50) -> l
             else:
                 out.append([p, q])
         return [(float(p), float(q)) for p, q in out]
+
+
+def arc_sup_oracle(coeffs, intervals, scan: int = 2000, dps: int = 40) -> float:
+    """Sup of |p(z)| over the arcs {|z| = 1, Re z in intervals}, p given by
+    ascending real coefficients, taken exactly from the floats.  p is real,
+    so the upper half suffices: theta in [arccos hi, arccos lo] per interval.
+    A uniform scan of `scan` cells per arc, in double precision, only
+    brackets the local maxima of |p|; each is found by findroot on
+    d|p|^2/dtheta, and it and the arc's ends are valued at dps digits.  Two
+    maxima within one cell are seen as one."""
+    import mpmath
+
+    mono = np.asarray(coeffs, dtype=float)[::-1]
+    with mpmath.workdps(dps):
+        c = [mpmath.mpf(v) for v in coeffs]
+
+        def square_and_slope(t):  # |p|^2 and 2 Re(conj(p) p' i z), its theta-derivative
+            z = mpmath.expj(t)
+            p, dp = c[-1], mpmath.mpf(0)
+            for ck in c[-2::-1]:
+                dp = dp * z + p
+                p = p * z + ck
+            return abs(p) ** 2, 2 * mpmath.re(mpmath.conj(p) * dp * 1j * z)
+
+        best = mpmath.mpf(0)
+        for lo, hi in intervals:
+            ts = np.linspace(*np.arccos(np.clip((hi, lo), -1.0, 1.0)), scan + 1)
+            v = np.abs(np.polyval(mono, np.exp(1j * ts)))
+            peaks = np.flatnonzero((v[1:-1] >= v[:-2]) & (v[1:-1] >= v[2:])) + 1
+            found = [mpmath.findroot(lambda u: square_and_slope(u)[1],
+                                     (mpmath.mpf(ts[i - 1]), mpmath.mpf(ts[i + 1])),
+                                     solver="anderson") for i in peaks]
+            for t in [ts[0], ts[-1]] + [t for t in found if ts[0] <= t <= ts[-1]]:
+                best = max(best, square_and_slope(mpmath.mpf(t))[0])
+        return float(mpmath.sqrt(best))

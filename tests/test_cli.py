@@ -11,6 +11,7 @@ from chebcap import capacity as _capacity
 from chebcap import cli
 from chebcap import chebpoly as _chebpoly
 from chebcap.cli import RunConfig, main
+from chebcap.errors import ConvergenceError
 
 
 def run_cli(capsys, *argv):
@@ -100,15 +101,32 @@ def test_arcs_report(capsys):
     assert r["deviation_upper"] == pytest.approx(1.5, rel=1e-8)
 
 
-def test_arcs_lift_disagreement_exits_numerical(capsys, monkeypatch):
-    true_sup = _arcs.arc_sup_norm
-    monkeypatch.setattr(_arcs, "arc_sup_norm", lambda p, a: 1.5 * true_sup(p, a))
+def test_arcs_projection_solve_failure_exits_numerical(capsys, monkeypatch):
+    def stalled(e, m):
+        raise ConvergenceError("exchange stalled on the projection")
+
+    monkeypatch.setattr(_arcs, "minimal_polynomial", stalled)
     code, out, err = run_cli(
         capsys, "arcs", "--intervals", "-1 -0.5; 0.5 1", "--degree", "4"
     )
     assert code == cli.EXIT_NO_CONVERGENCE == 3
     assert out == ""
-    assert "lift sup-norm" in err
+    assert "exchange stalled on the projection" in err
+
+
+@pytest.mark.parametrize("intervals", ["-1 -0.5; 0.5 1", "-0.9 -0.2; 0.1 0.7"],
+                         ids=["pair-0.5", "asym"])
+def test_arcs_cli_to_degree_96(intervals):
+    # The README-style sets through the advertised degree range, through
+    # `cli.run`, which `main` wraps with argument parsing and the mapping of
+    # errors to exit codes.  On e_0.5, 2^m L_m = 2 (3/4)^(m/2) at even m.
+    for n in range(1, 97):
+        text, code = cli.run(RunConfig(command="arcs", intervals=intervals, degree=n))
+        assert code == cli.EXIT_OK, n
+        m = n // 2
+        if intervals.startswith("-1 ") and m > 0 and m % 2 == 0:
+            got = json.loads(text)["results"]["deviation_upper"]
+            assert got == pytest.approx(2.0 * 0.75 ** (m / 2), rel=1e-12), n
 
 
 def test_capacity_self_check_failure_exits_numerical(capsys, monkeypatch):
@@ -149,6 +167,25 @@ def test_json_keys_sorted(capsys):
 
 def test_invalid_intervals_exit_code(capsys):
     code, out, err = run_cli(capsys, "minpoly", "--intervals", "bogus", "--degree", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("spec", ['[["a", 1]]', "[[null, 1]]", "[[true, 1]]"])
+def test_non_numeric_json_intervals_exit_code(capsys, spec):
+    code, out, err = run_cli(capsys, "minpoly", "--intervals", spec, "--degree", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("option", ["--nmax=0", "--random=-3", "--tol=nan", "--tol=inf",
+                                    "--tol=-1e-9", "--seed=-1", "--seed=4294967296"])
+def test_verify_rejects_bad_numeric_options(capsys, option):
+    # a battery of zero checks or a NaN tolerance cannot fail, and its
+    # report (inf or nan) is not valid JSON; numpy refuses the seeds
+    code, out, err = run_cli(capsys, "verify", "--random", "0", "--nmax", "1", option)
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
@@ -199,6 +236,16 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     doc = json.loads(target.read_text())
     assert doc["command"] == "capacity"
+
+
+def test_unwritable_out_exits_invalid(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(
+        capsys, "capacity", "--intervals", "-1 1", "--out", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err and err.count("\n") == 1
 
 
 def test_config_roundtrip():

@@ -144,6 +144,9 @@ def test_parse_text_and_json_forms():
         parse_intervals("[[1, 2], [3]]")
     with pytest.raises(InvalidInputError):
         parse_intervals("[1, 2,")
+    for spec in ('[["a", 1]]', "[[null, 1]]", "[[true, 1]]", "[[[0], 1]]"):
+        with pytest.raises(InvalidInputError):
+            parse_intervals(spec)
 
 
 def test_format_roundtrips():
