@@ -67,8 +67,10 @@ def robinson_capacity(cap_c: float) -> float:
 def arc_sup_norm(p: Polynomial, arcs: ArcSet) -> float:
     """Sup of |p| over the arc set: |p(e^(i theta))| by complex Horner, with
     relative error about eps sum |c_k| / |p|, on a grid over the upper arcs
-    theta in [arccos hi, arccos lo], then golden polish of the winning cell
-    pair.  p is real, so the lower arcs mirror the upper ones."""
+    theta in [arccos hi, arccos lo] (p is real, so the lower arcs mirror
+    them), then golden polish of every grid peak that its sampling error,
+    half its second difference, may lift to the best sample: an
+    equioscillating p has many near-equal peaks."""
 
     def modulus(theta):  # Horner on Python complex: numpy's per-scalar cost is most of a polish
         z, v = cmath.exp(1j * theta), 0j
@@ -77,16 +79,20 @@ def arc_sup_norm(p: Polynomial, arcs: ArcSet) -> float:
         return abs(v)
 
     n_grid = 64 * (p.degree + 1)
-    best = 0.0
+    grids = []
     for lo, hi in arcs.projection.intervals:
         # ArcSet admits a projection overhanging [-1, 1] by rounding
-        th_lo, th_hi = np.arccos(np.clip((hi, lo), -1.0, 1.0))
-        thetas = np.linspace(th_lo, th_hi, n_grid)
+        thetas = np.linspace(*np.arccos(np.clip((hi, lo), -1.0, 1.0)), n_grid)
         vals = np.abs(p(np.exp(1j * thetas)))
-        i = int(np.argmax(vals))
-        a = float(thetas[max(i - 1, 0)])
-        b = float(thetas[min(i + 1, n_grid - 1)])
-        best = max(best, float(vals[i]), golden_max(modulus, a, b, 1e-13)[1])
+        padded = np.concatenate(([-np.inf], vals, [-np.inf]))
+        peak = (vals > padded[:-2]) & (vals >= padded[2:])  # a plateau once
+        sampling = 0.5 * np.abs(np.diff(np.concatenate(([vals[0]], vals, [vals[-1]])), 2))
+        grids.append((thetas, vals, peak, vals + sampling))
+    best = max(float(vals.max()) for _, vals, _, _ in grids)
+    for thetas, vals, peak, reach in grids:
+        for i in np.flatnonzero(peak & (reach >= best)):
+            a, b = float(thetas[max(i - 1, 0)]), float(thetas[min(i + 1, n_grid - 1)])
+            best = max(best, golden_max(modulus, a, b, 1e-13)[1])
     return best
 
 

@@ -16,6 +16,7 @@ CHEBCAP_MAX_DEGREE in the environment sets the degree cap for one run.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -361,6 +362,7 @@ def run(config: RunConfig):
 # Argument parsing and entry point.
 
 
+@functools.lru_cache(maxsize=1)  # once per process: in-process callers run main many times
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="chebcap",

@@ -116,40 +116,30 @@ class WitnessReport:
         return ok and (self.sandwich_ok or not self.sandwich_applicable)
 
 
-def _quantile_points(a: float, b: float, cdf: tuple, k: int) -> np.ndarray:
-    """k points of [a, b] at the quantiles j/(k-1) of the equilibrium
-    measure's distribution function cdf on it (from `leveled.equilibrium`);
-    the midpoint when k = 1."""
-    mid, rad = 0.5 * (a + b), 0.5 * (b - a)
-    if k == 1:
-        return np.array([mid])
-    theta = np.interp(np.linspace(0.0, 1.0, k), cdf, _EQ_ANGLES)
-    return mid - rad * np.cos(theta)
+def _quantile_points(a: float, b: float, cdf: tuple, q: np.ndarray) -> np.ndarray:
+    """The points of [a, b] at the quantiles q of the equilibrium measure's
+    distribution function cdf on it (from `leveled.equilibrium`), clipped
+    to [a, b] against rounding at its ends."""
+    x = 0.5 * (a + b) - 0.5 * (b - a) * np.cos(np.interp(q, cdf, _EQ_ANGLES))
+    return np.clip(x, a, b)
 
 
 def _init_reference(e: IntervalUnion, n: int) -> np.ndarray:
-    """n+1 starting points, allocated per interval by equilibrium mass and
-    placed within it at quantiles of the equilibrium measure (on a single
-    interval, the Chebyshev-Lobatto points); each interval gets at least one
-    point whenever n+1 >= ell.
-    """
-    m = n + 1
+    """n+1 starting points at the quantiles j/n, j = 0..n, of e's equilibrium
+    measure: each goes to the interval whose cumulative mass holds it and is
+    inverted there through the interval's cdf table.  On an inverse image
+    P^{-1}([-1, 1]) the measure is the pullback of the arcsine measure, so at
+    multiples of deg P these are the minimizer's extrema, up to the table's
+    interpolation; on a single interval they are the Chebyshev-Lobatto points."""
     eq = leveled.equilibrium(e.endpoints)
-    mu = [mass for mass, _ in eq]
-    total = sum(mu)
-    raw = [m * w / total for w in mu]
-    counts = [int(v) for v in raw]
-    rema = sorted(range(len(raw)), key=lambda i: raw[i] - counts[i], reverse=True)
-    for i in rema[: m - sum(counts)]:
-        counts[i] += 1
-    if m >= e.ell:
-        while any(c == 0 for c in counts):
-            i0 = counts.index(0)
-            counts[max(range(len(counts)), key=lambda i: counts[i])] -= 1
-            counts[i0] += 1
-    pts = [_quantile_points(a, b, cdf, k)
-           for (a, b), k, (_, cdf) in zip(e.intervals, counts, eq) if k]
-    return np.sort(np.concatenate(pts))
+    mass = np.array([m for m, _ in eq])
+    cum = np.cumsum(mass)
+    start = cum - mass  # exactly 0 for the first interval
+    targets = np.linspace(0.0, cum[-1], n + 1)
+    piece = np.searchsorted(cum, targets)  # targets[-1] is cum[-1] exactly
+    return np.concatenate([
+        _quantile_points(a, b, cdf, (targets[piece == i] - start[i]) / mass[i])
+        for i, ((a, b), (_, cdf)) in enumerate(zip(e.intervals, eq))])
 
 
 def _solve_on_reference(u: np.ndarray, n: int):
@@ -174,18 +164,20 @@ def _extremum_grid(e: IntervalUnion, n: int):
     """One grid over all intervals of e for the extremum search, the mask of
     its interval endpoints and the mask of its cells inside an interval.
 
-    Like the first reference, the grid follows the equilibrium measure, which
-    the extrema of the iterates approach: each interval gets GRID_PER_POINT
-    cells per reference point its mass carries (at least 24 points), at
-    quantiles of the measure, so adjacent critical points stay a few cells
-    apart at every degree, at the ends of the intervals too, where a grid
-    uniform in x loses them like 1/n.  The endpoints are exact.
+    The first reference sits at the quantiles j/n of the equilibrium
+    measure, which the extrema of the iterates approach, and the grid follows
+    the same measure: each interval gets GRID_PER_POINT cells per reference
+    point its mass carries (at least 24 points), at quantiles of the measure,
+    so adjacent critical points stay a few cells apart at every degree, at
+    the ends of the intervals too, where a grid uniform in x loses them like
+    1/n.  The endpoints are exact.
     """
     eq = leveled.equilibrium(e.endpoints)
     total = sum(mass for mass, _ in eq)
     grids = []
     for (a, b), (mass, cdf) in zip(e.intervals, eq):
-        g = _quantile_points(a, b, cdf, max(24, int(GRID_PER_POINT * (n + 1) * mass / total) + 8))
+        k = max(24, int(GRID_PER_POINT * (n + 1) * mass / total) + 8)
+        g = _quantile_points(a, b, cdf, np.linspace(0.0, 1.0, k))
         g[0], g[-1] = a, b
         grids.append(g)
     last = np.cumsum([len(g) for g in grids]) - 1

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,3 +291,28 @@ def test_ratio_readme_pair_to_degree_40(capsys):
         k, ratio, _ = line.split(",")
         assert int(k) % 2 == 0
         assert float(ratio) == pytest.approx(2.0, rel=1e-9)
+
+
+def test_main_in_one_process_matches_fresh_runs(capsys):
+    # main builds its parser once per process; several subcommands, an error
+    # among them, run through it in turn print what fresh processes print.
+    runs = [
+        ("minpoly", "--intervals", "-1 1", "--degree", "3"),
+        ("capacity", "--intervals", "-1 -0.6; 0.6 1", "--degree", "8"),
+        ("inverse-image", "--coeffs", "0 -3 0 4"),
+        ("ratio", "--intervals", "-1 -0.6; 0.6 1", "--kmax", "6"),
+        ("arcs", "--intervals", "-1 -0.5; 0.5 1", "--degree", "4"),
+        ("minpoly", "--intervals", "bogus", "--degree", "2"),
+        ("verify", "--seed", "0", "--random", "2", "--nmax", "4"),
+        ("minpoly", "--intervals", "-1 -0.3; 0.2 1", "--degree", "5", "--output", "csv"),
+    ]
+    in_process = [run_cli(capsys, *argv)[:2] for argv in runs]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env.pop("CHEBCAP_MAX_DEGREE", None)
+    for argv, (code, out) in zip(runs, in_process):
+        fresh = subprocess.run(
+            [sys.executable, "-c", "import sys; from chebcap.cli import main; sys.exit(main())", *argv],
+            capture_output=True, text=True, env=env)
+        assert (fresh.returncode, fresh.stdout) == (code, out), argv
+    assert cli._build_parser() is cli._build_parser()

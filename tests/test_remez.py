@@ -12,6 +12,7 @@ from oracles import blow_up_oracle, grid_sup_norm, leveled_value_oracle, minimax
 from chebcap import leveled
 from chebcap import remez as _remez
 from chebcap.chebpoly import Polynomial
+from chebcap.cli import _verify_fixtures
 from chebcap.errors import ConvergenceError, DegreeCapError, InvalidInputError
 from chebcap.intervals import IntervalUnion, is_subset, normalize
 from chebcap.inverse_image import e_alpha, inverse_image, symmetric_two_interval_minpoly
@@ -443,3 +444,63 @@ def test_refine_stops_level_crossings_on_the_newton_correction(monkeypatch):
     x = leveled.refine(lo, hi, lo**2 - 0.5 - level, hi**2 - 0.5 - level, u, w, h, 0, level)
     assert np.max(np.abs(x - np.sqrt(0.5 + level))) <= 2e-16
     assert len(calls) <= 8
+
+
+def _start_sets():
+    sets = dict(_verify_fixtures())
+    rng = np.random.default_rng(1010)
+    for ell in range(2, 9):
+        while True:
+            pts = np.sort(rng.uniform(-1.0, 1.0, 2 * ell))
+            if np.min(np.diff(pts)) >= 1e-3:
+                break
+        sets[f"random-{ell}"] = IntervalUnion(tuple(pts.tolist()))
+    sets["narrow"] = IntervalUnion((-1.0, -0.3, 0.2, 0.2001, 0.5, 1.0))
+    sets["far"] = IntervalUnion((31415.9, 31416.11, 31416.32, 31416.6))
+    return sets
+
+
+START_SETS = _start_sets()
+
+
+@pytest.mark.parametrize("name", sorted(START_SETS))
+def test_init_reference_is_an_increasing_reference_in_the_set(name):
+    # n + 1 strictly increasing points, each inside an interval: the set as
+    # given and normalized, as the exchange solves it.
+    e = START_SETS[name]
+    for c in (e, normalize(e)[0]):
+        lo, hi = np.array(c.endpoints[0::2]), np.array(c.endpoints[1::2])
+        for n in range(1, 101):
+            u = _init_reference(c, n)
+            assert len(u) == n + 1 and np.all(np.diff(u) > 0.0), (name, n)
+            assert np.all(((u[:, None] >= lo) & (u[:, None] <= hi)).any(axis=1)), (name, n)
+
+
+def test_init_reference_on_one_interval_is_chebyshev_lobatto():
+    cdf = equilibrium((-1.0, 1.0))[0][1]
+    for n in range(1, 101):
+        want = _remez._quantile_points(-1.0, 1.0, cdf, np.linspace(0.0, 1.0, n + 1))
+        assert np.array_equal(_init_reference(FULL, n), want)
+        assert np.allclose(want, -np.cos(np.arange(n + 1) * math.pi / n), rtol=0.0, atol=1e-15)
+
+
+def _scaled_chebyshev_image(k):
+    return inverse_image(Polynomial(tuple(1.25 * npcheb.cheb2poly([0] * k + [1])))).image
+
+
+@pytest.mark.parametrize("name, e, ns", [
+    ("e_0.3", e_alpha(0.3), (32, 40, 48)),
+    ("e_0.6", e_alpha(0.6), (32, 40, 48)),
+    ("1.25*T_3", _scaled_chebyshev_image(3), (33, 39, 48)),
+    ("1.25*T_4", _scaled_chebyshev_image(4), (32, 40, 48)),
+], ids=["e_0.3", "e_0.6", "1.25*T_3", "1.25*T_4"])
+def test_first_reference_is_nearly_leveled_on_inverse_images(name, e, ns):
+    # On P^{-1}([-1, 1]) at degrees divisible by deg P, the quantiles j/n of
+    # the equilibrium measure are the minimizer's extrema, so the first
+    # iterate is leveled up to the cdf table's interpolation.
+    cn, _ = normalize(e)
+    for n in ns:
+        u = _init_reference(cn, n)
+        w, h = weights_and_level(u)
+        emax = max(abs(v) for _, v in _remez._leveled_extrema(u, w, h, _extremum_grid(cn, n)))
+        assert (emax - h) / emax <= 1e-5, (name, n, (emax - h) / emax)
