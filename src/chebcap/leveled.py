@@ -31,31 +31,58 @@ REFINE_TOL = 1e-8
 NEWTON_RUN = 4
 # A level crossing is done at a Newton correction below this many ulps of it.
 CROSS_ULPS = 4
-# Angle grid of the equilibrium measure's distribution functions.
+# Midpoint angles of the equilibrium density's samples; Chebyshev-Lobatto
+# points in q of each interval's inverse distribution function.
 EQ_GRID = 64
+# Cosine and Chebyshev coefficients below this (relative) are chopped.
+EQ_CHOP = 1e-14
+# Newton steps of the inversion, at most; each one squares the table's error.
+EQ_NEWTON = 8
+_EQ_MID = (np.arange(EQ_GRID) + 0.5) * (math.pi / EQ_GRID)
+_EQ_TABLE = np.linspace(0.0, math.pi, EQ_GRID + 1)  # ends of the midpoint cells
+# Samples at _EQ_MID -> cosine coefficients (DCT-II), and values at the
+# Lobatto points _EQ_Q (q = 1 first) -> Chebyshev coefficients (DCT-I).
+_EQ_DCT = 2.0 * np.cos(np.outer(_EQ_MID, np.arange(EQ_GRID)))
+_EQ_DCT[:, 0] = 1.0
+_EQ_Q = 0.5 + 0.5 * np.cos(np.arange(EQ_GRID + 1) * (math.pi / EQ_GRID))
+_EQ_ICT = np.cos(np.outer(np.arange(EQ_GRID + 1), np.arange(EQ_GRID + 1)) * (math.pi / EQ_GRID))
+_EQ_ICT[:, [0, -1]] *= 0.5
+_EQ_ICT *= 2.0 / EQ_GRID
+_EQ_ICT[[0, -1]] *= 0.5
+
+
+def _chop(c: np.ndarray, scale: float) -> np.ndarray:
+    """c (one row per interval) without the trailing columns below EQ_CHOP * scale."""
+    big = np.flatnonzero((np.abs(c) > EQ_CHOP * scale).any(axis=0))
+    return c[:, :big[-1] + 1]
 
 
 @lru_cache(maxsize=64)
 def equilibrium(ends: tuple) -> tuple:
     """The equilibrium measure of a normalized union, given by its endpoints:
-    per interval, its mass and its distribution function at the angles
-    theta = i pi / EQ_GRID of x = mid - rad cos(theta).  Cached for degree
-    sweeps.
+    per interval, its mass and the Chebyshev coefficients in t = 2q - 1 of
+    the angle theta(q) at which its distribution function reaches q, with
+    x = mid - rad cos(theta).  Cached for degree sweeps.
 
     The density is |q(x)| / (pi sqrt|R(x)|), with R the product of (x - e_i)
     over all endpoints and q monic of degree ell - 1 such that the integral
     of q / sqrt|R| over every gap vanishes; those conditions are linear in q's
-    Chebyshev coefficients.  In theta the density is smooth: the square-root
-    singularities at a piece's own ends cancel against dx/dtheta, so every
-    integral is a midpoint (Gauss-Chebyshev) sum.
+    Chebyshev coefficients.  In theta the density f is analytic and even:
+    the square-root singularities at a piece's own ends cancel against
+    dx/dtheta, so every integral is a midpoint (Gauss-Chebyshev) sum, and
+    the EQ_GRID samples give f's cosine coefficients b_k by one DCT.  The
+    distribution function F(theta) = (theta + sum b_k sin(k theta) / k) / pi
+    (b_0 = 1) is then accurate at every angle; Newton inverts it at the
+    Chebyshev-Lobatto points in q, from the cumulative midpoint sums, all
+    intervals at once.  On one interval theta = pi q exactly.
     """
     k = len(ends) // 2 - 1
     m = EQ_GRID
     if not k:
-        return ((1.0, tuple(np.linspace(0.0, 1.0, m + 1).tolist())),)
+        return ((1.0, (0.5 * math.pi, 0.5 * math.pi)),)
     ends = np.array(ends)
     a, b = ends[:-1, None], ends[1:, None]  # intervals and gaps alternate
-    x = 0.5 * (a + b) - 0.5 * (b - a) * np.cos((np.arange(m) + 0.5) * math.pi / m)
+    x = 0.5 * (a + b) - 0.5 * (b - a) * np.cos(_EQ_MID)
     r = np.prod(x[:, :, None] - ends, axis=2) / ((x - a) * (x - b))
     g = (1.0 / m) / np.sqrt(np.abs(r))
     v = npcheb.chebvander(x, k)
@@ -63,8 +90,23 @@ def equilibrium(ends: tuple) -> tuple:
     gap_sums = (g[1::2, :, None] * v[1::2]).sum(axis=1)
     q = np.append(np.linalg.solve(gap_sums[:, :k], -top * gap_sums[:, k]), top)
     dens = g[0::2] * np.abs(v[0::2] @ q)
-    return tuple((float(row.sum()), tuple(np.append(0.0, np.cumsum(row) / row.sum()).tolist()))
-                 for row in dens)
+    mass = dens.sum(axis=1)
+    cos_coef = _chop((dens @ _EQ_DCT) / mass[:, None], 1.0)[:, 1:, None]
+    sin_coef = cos_coef / np.arange(1, cos_coef.shape[1] + 1)[:, None]
+    cdf = np.zeros((len(dens), m + 1))
+    cdf[:, 1:] = np.cumsum(dens, axis=1) / mass[:, None]
+    theta = np.array([np.interp(_EQ_Q, row, _EQ_TABLE) for row in cdf])
+    for _ in range(EQ_NEWTON):  # e^{i k theta} by powers of e^{i theta}
+        z = np.exp(1j * theta)[:, :, None]
+        zk = np.cumprod(np.broadcast_to(z, z.shape[:2] + (len(sin_coef[0]),)), axis=2)
+        f = theta + (zk @ sin_coef)[:, :, 0].imag - math.pi * _EQ_Q
+        step = f / (1.0 + (zk @ cos_coef)[:, :, 0].real)
+        theta = np.clip(theta - step, 0.0, math.pi)
+        if np.max(np.abs(step)) <= 4.0 * np.spacing(math.pi):
+            break
+    theta[:, 0], theta[:, -1] = math.pi, 0.0  # q = 1 and q = 0 exactly
+    coef = _chop(theta @ _EQ_ICT.T, math.pi)
+    return tuple((float(mi), tuple(ci.tolist())) for mi, ci in zip(mass, coef))
 
 
 def weights_and_level(u: np.ndarray):
@@ -159,31 +201,36 @@ def outer_values(x, u, w):
         return np.ldexp(np.prod(mant, axis=1) * (a / d).sum(axis=1) / a.sum(), expo.sum(axis=1))
 
 
-def refine(lo, hi, f_lo, f_hi, u, w, h, k=1, level=0.0):
+def refine(lo, hi, f_lo, f_hi, u, w, h, k=1, level=0.0, start=None):
     """Zeros of M' (k = 1) or of M - level (k = 0; level a scalar or one per
     cell) in the brackets (lo, hi), where it has the values f_lo and f_hi of
     opposite signs, all cells at once.
 
-    Newton with M^(k+1) from the regula falsi point, kept inside the bracket
+    Newton with M^(k+1) from `start` (a point inside each bracket) or else
+    the regula falsi point, kept inside the bracket
     that each evaluation narrows: a step that would leave it is a bisection,
     and so is every step after a bracket has failed to halve in NEWTON_RUN
     evaluations, so every cell converges, at the latest when its bracket
     collapses to adjacent floats.  A zero of M' fixes M to second order, so
     its cell is done once its bracket is below REFINE_TOL of its starting
-    width, or a Newton correction below sqrt(REFINE_TOL) of it.  A level
-    crossing is wanted to the last bits: its cell is done once a Newton
-    correction is below CROSS_ULPS ulps of x, inside the bracket or not,
-    since a root within an ulp of the bracket's end would otherwise be
-    bisected down to adjacent floats.
+    width, or a Newton correction below sqrt(REFINE_TOL) of it, clipped to
+    the bracket.  A level crossing is wanted to the last bits: its cell is
+    done once a Newton correction is below CROSS_ULPS ulps of x.  Both hold
+    inside the bracket or not: next to a zero on the bracket's end (a
+    Chebyshev-Lobatto point on the grid of one interval) the sign of f there
+    is rounding noise, and the zero would otherwise be bisected for some 27
+    rounds.  A regula falsi point on an end is that end: its f is rounding
+    noise against the other's, and the cell is done before any evaluation.
     """
     tol = REFINE_TOL * (hi - lo) if k else 0.0
     newton_tol = math.sqrt(REFINE_TOL) * (hi - lo) if k else 0.0
     x = lo - f_lo * ((hi - lo) / (f_hi - f_lo))
-    x = np.where((x > lo) & (x < hi), x, 0.5 * (lo + hi))
+    live = ~((x <= lo) | (x >= hi))  # off an end: that end's f is rounding noise
+    x = np.where(live, x if start is None else start, np.where(np.abs(f_lo) < np.abs(f_hi), lo, hi))
+    x = np.where(np.isnan(x), 0.5 * (lo + hi), x)
     slo = np.sign(f_lo)
     last_width = hi - lo
     run = np.zeros(len(x), dtype=int)
-    live = np.ones(len(x), dtype=bool)
     while live.any():
         vals = evaluate(x, u, w, h, k + 1)
         f, df = vals[1:] if k else (vals[0] - level, vals[1])
@@ -197,13 +244,13 @@ def refine(lo, hi, f_lo, f_hi, u, w, h, k=1, level=0.0):
         stay = sf == 0.0
         if not k:
             stay |= ok & (np.abs(nxt - x) < CROSS_ULPS * np.spacing(np.abs(x)))
-        ok &= (nxt > lo) & (nxt < hi)
         small = ok & (np.abs(nxt - x) <= newton_tol)
+        ok &= (nxt > lo) & (nxt < hi)
         halved = width <= 0.5 * last_width
         run = np.where(halved, 0, run + 1)
         last_width = np.where(halved, width, last_width)
         mid = 0.5 * (lo + hi)
-        step = np.where(small | ok & (run < NEWTON_RUN), nxt, mid)
+        step = np.where(small, np.clip(nxt, lo, hi), np.where(ok & (run < NEWTON_RUN), nxt, mid))
         x = np.where(live & ~stay, step, x)
         live &= ~(small | stay | (width <= tol) | (mid == lo) | (mid == hi))
     return x

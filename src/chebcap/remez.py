@@ -37,7 +37,6 @@ STALL_ACCEPT = 1e-6
 STALL_COUNT = 10
 # Cells of the extremum grid per expected reference point.
 GRID_PER_POINT = 4
-_EQ_ANGLES = np.linspace(0.0, math.pi, leveled.EQ_GRID + 1)
 
 
 @dataclass(frozen=True)
@@ -116,30 +115,39 @@ class WitnessReport:
         return ok and (self.sandwich_ok or not self.sandwich_applicable)
 
 
-def _quantile_points(a: float, b: float, cdf: tuple, q: np.ndarray) -> np.ndarray:
-    """The points of [a, b] at the quantiles q of the equilibrium measure's
-    distribution function cdf on it (from `leveled.equilibrium`), clipped
-    to [a, b] against rounding at its ends."""
-    x = 0.5 * (a + b) - 0.5 * (b - a) * np.cos(np.interp(q, cdf, _EQ_ANGLES))
-    return np.clip(x, a, b)
+def _quantile_points(a, b, theta, q: np.ndarray) -> np.ndarray:
+    """The points of [a, b] at the quantiles q of the equilibrium measure on
+    it: theta holds the Chebyshev coefficients in 2q - 1 of the angle at
+    which its distribution function reaches q (from `leveled.equilibrium`),
+    one row per point or one for all.  The points are clipped to [a, b]
+    against rounding at its ends."""
+    t = np.arccos(np.clip(2.0 * q - 1.0, -1.0, 1.0))
+    angle = (np.cos(np.outer(t, np.arange(np.shape(theta)[-1]))) * theta).sum(axis=-1)
+    return np.clip(0.5 * (a + b) - 0.5 * (b - a) * np.cos(angle), a, b)
+
+
+def _equilibrium_arrays(e: IntervalUnion):
+    """Masses, inverse-distribution coefficients (one row per interval) and
+    interval ends of e's equilibrium measure."""
+    eq = leveled.equilibrium(e.endpoints)
+    ends = np.array(e.endpoints)
+    return np.array([m for m, _ in eq]), np.array([c for _, c in eq]), ends[0::2], ends[1::2]
 
 
 def _init_reference(e: IntervalUnion, n: int) -> np.ndarray:
     """n+1 starting points at the quantiles j/n, j = 0..n, of e's equilibrium
     measure: each goes to the interval whose cumulative mass holds it and is
-    inverted there through the interval's cdf table.  On an inverse image
-    P^{-1}([-1, 1]) the measure is the pullback of the arcsine measure, so at
-    multiples of deg P these are the minimizer's extrema, up to the table's
-    interpolation; on a single interval they are the Chebyshev-Lobatto points."""
-    eq = leveled.equilibrium(e.endpoints)
-    mass = np.array([m for m, _ in eq])
+    inverted there, all at once.  On an inverse image P^{-1}([-1, 1]) the
+    measure is the pullback of the arcsine measure, so at multiples of deg P
+    these are the minimizer's extrema to rounding, and the first iterate is
+    leveled; on a single interval they are the Chebyshev-Lobatto points."""
+    mass, theta, lo, hi = _equilibrium_arrays(e)
     cum = np.cumsum(mass)
     start = cum - mass  # exactly 0 for the first interval
     targets = np.linspace(0.0, cum[-1], n + 1)
     piece = np.searchsorted(cum, targets)  # targets[-1] is cum[-1] exactly
-    return np.concatenate([
-        _quantile_points(a, b, cdf, (targets[piece == i] - start[i]) / mass[i])
-        for i, ((a, b), (_, cdf)) in enumerate(zip(e.intervals, eq))])
+    return _quantile_points(lo[piece], hi[piece], theta[piece],
+                            (targets - start[piece]) / mass[piece])
 
 
 def _solve_on_reference(u: np.ndarray, n: int):
@@ -172,32 +180,50 @@ def _extremum_grid(e: IntervalUnion, n: int):
     the ends of the intervals too, where a grid uniform in x loses them like
     1/n.  The endpoints are exact.
     """
-    eq = leveled.equilibrium(e.endpoints)
-    total = sum(mass for mass, _ in eq)
-    grids = []
-    for (a, b), (mass, cdf) in zip(e.intervals, eq):
-        k = max(24, int(GRID_PER_POINT * (n + 1) * mass / total) + 8)
-        g = _quantile_points(a, b, cdf, np.linspace(0.0, 1.0, k))
-        g[0], g[-1] = a, b
-        grids.append(g)
-    last = np.cumsum([len(g) for g in grids]) - 1
+    mass, theta, lo, hi = _equilibrium_arrays(e)
+    counts = np.maximum(24, (GRID_PER_POINT * (n + 1) * mass / mass.sum()).astype(int) + 8)
+    last = np.cumsum(counts) - 1
+    first = last - counts + 1
+    piece = np.repeat(np.arange(len(counts)), counts)
+    q = (np.arange(last[-1] + 1) - first[piece]) / (counts - 1)[piece]
+    xs = _quantile_points(lo[piece], hi[piece], theta[piece], q)
+    xs[first], xs[last] = lo, hi
     ends = np.zeros(last[-1] + 1, dtype=bool)
-    ends[last] = ends[last[:-1] + 1] = ends[0] = True
+    ends[first] = ends[last] = True
     inner = np.ones(last[-1], dtype=bool)
     inner[last[:-1]] = False
-    return np.concatenate(grids), ends, inner
+    return xs, ends, inner
+
+
+def _hermite_start(x0, x1, m0, m1, d0, d1):
+    """In each cell (x0, x1), the zero of the derivative of the cubic that
+    matches M (m0, m1) and M' (d0, d1 of opposite signs) at its ends, or the
+    regula falsi point of M' where that zero is not inside: a Newton start
+    for M' that is one step ahead of regula falsi."""
+    width = x1 - x0
+    slope = 6.0 * (m1 - m0) / width
+    a, b = 3.0 * (d0 + d1) - slope, slope - 4.0 * d0 - 2.0 * d1  # d0 + b s + a s^2
+    r = -0.5 * (b + np.copysign(np.sqrt(np.maximum(b * b - 4.0 * a * d0, 0.0)), b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = r / a  # the other root is d0 / r
+        s = np.where((s > 0.0) & (s < 1.0), s, d0 / r)
+    s = np.where((s > 0.0) & (s < 1.0), s, d0 / (d0 - d1))
+    return x0 + s * width
 
 
 def _grid_critical_points(u, w, h, grid):
     """M and the sign of M' on a grid of `_extremum_grid`, and the zeros of
-    M' in its cells inside an interval, refined together, with M at them."""
+    M' in its cells inside an interval, refined together from the cells'
+    `_hermite_start`, with M at them."""
     xs, _, inner = grid
     vals, d1 = leveled.evaluate(xs, u, w, h, 1)
     sd = np.sign(d1)
     cells = np.flatnonzero(inner & (sd[:-1] * sd[1:] < 0.0))
     if not len(cells):  # spares small solves the fixed cost of two empty calls
         return vals, sd, xs[cells], vals[cells]
-    crit = leveled.refine(xs[cells], xs[cells + 1], d1[cells], d1[cells + 1], u, w, h)
+    lo, hi, d_lo, d_hi = xs[cells], xs[cells + 1], d1[cells], d1[cells + 1]
+    start = _hermite_start(lo, hi, vals[cells], vals[cells + 1], d_lo, d_hi)
+    crit = leveled.refine(lo, hi, d_lo, d_hi, u, w, h, start=start)
     return vals, sd, crit, leveled.evaluate(crit, u, w, h, 0)[0]
 
 

@@ -497,10 +497,80 @@ def _scaled_chebyshev_image(k):
 def test_first_reference_is_nearly_leveled_on_inverse_images(name, e, ns):
     # On P^{-1}([-1, 1]) at degrees divisible by deg P, the quantiles j/n of
     # the equilibrium measure are the minimizer's extrema, so the first
-    # iterate is leveled up to the cdf table's interpolation.
+    # iterate is leveled to rounding and the exchange stops after one pass.
     cn, _ = normalize(e)
     for n in ns:
         u = _init_reference(cn, n)
         w, h = weights_and_level(u)
         emax = max(abs(v) for _, v in _remez._leveled_extrema(u, w, h, _extremum_grid(cn, n)))
-        assert (emax - h) / emax <= 1e-5, (name, n, (emax - h) / emax)
+        assert (emax - h) / emax <= 1e-12, (name, n, (emax - h) / emax)
+        assert minimal_polynomial(e, n).iterations == 1, (name, n)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.6, 0.7, 0.9])
+def test_init_reference_hits_the_extrema_on_symmetric_pairs(alpha):
+    # e_alpha = P^{-1}([-1, 1]) for P(x) = (2x^2 - 1 - alpha^2)/(1 - alpha^2);
+    # at even n the extrema of T_{n/2}(P) are the points with
+    # P(x) = cos(2 pi j / n), and the quantiles j/n fall on them.
+    e = e_alpha(alpha)
+    for n in range(2, 101, 2):
+        c = np.cos(2.0 * math.pi * np.arange(n // 2 + 1) / n)
+        r = np.sqrt(((1.0 - alpha * alpha) * c + 1.0 + alpha * alpha) / 2.0)
+        extrema = np.concatenate([-r, r])
+        u = _init_reference(e, n)
+        err = np.max(np.min(np.abs(u[:, None] - extrema[None, :]), axis=1))
+        assert err <= 1e-12, (alpha, n, err)
+
+
+def _narrow_component_sets():
+    sets = {}
+    for alpha, n in ((0.5, 41), (0.3, 89)):  # C' with a central band 8e-10 and 3e-12 wide
+        e = e_alpha(alpha)
+        sets[f"C'(e_{alpha}, {n})"] = blow_up_set(e, minimal_polynomial(e, n)).c_prime
+    for k in (3, 4):
+        for c in (10.0, 1e3, 1e5):  # bands 3e-2 down to 2e-6 wide
+            p = Polynomial(tuple(c * npcheb.cheb2poly([0] * k + [1])))
+            sets[f"{c:g}*T_{k}"] = inverse_image(p).image
+    return sets
+
+
+def test_init_reference_on_narrow_components():
+    # 64 density samples under-resolve the equilibrium measure next to a
+    # narrow component; the inverted distribution functions must still give
+    # an increasing reference inside the set.
+    for name, e in _narrow_component_sets().items():
+        lo, hi = np.array(e.endpoints[0::2]), np.array(e.endpoints[1::2])
+        for n in range(1, 101):
+            u = _init_reference(e, n)
+            assert len(u) == n + 1 and np.all(np.diff(u) > 0.0), (name, n)
+            assert np.all(((u[:, None] >= lo) & (u[:, None] <= hi)).any(axis=1)), (name, n)
+
+
+def test_refine_on_a_critical_point_at_a_grid_node(monkeypatch):
+    # On the interval at n = 11k the grid holds the Chebyshev-Lobatto points,
+    # where M' is zero up to a rounding-level value of either sign; the same
+    # happens on triple at n = 56.  The cell's regula falsi start lands on
+    # that node, which is the critical point: no bisection tail.
+    refine = leveled.refine
+    inside, counts = [False], []
+
+    def counting_evaluate(*args):
+        if inside[0]:
+            counts[-1] += 1
+        return evaluate(*args)
+
+    def counting_refine(*args, **kwargs):
+        counts.append(0)
+        inside[0] = True
+        try:
+            return refine(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(leveled, "evaluate", counting_evaluate)
+    monkeypatch.setattr(leveled, "refine", counting_refine)
+    for e, ns in ((FULL, range(11, 100, 11)), (TRIPLE, (56,))):
+        for n in ns:
+            counts.clear()
+            minimal_polynomial(e, n)
+            assert counts and max(counts) <= 4, (n, counts)
