@@ -186,11 +186,7 @@ def golden_max(f, lo: float, hi: float, tol: float) -> tuple:
     return 0.5 * (a + b), max(f1, f2)
 
 
-def solynin_optimized_bound(
-    angles: AngleCoordinates,
-    sweep_tol: float = SWEEP_TOL,
-    max_sweeps: int = MAX_SWEEPS,
-) -> tuple:
+def solynin_optimized_bound(angles: AngleCoordinates) -> tuple:
     """Best capacity lower bound found by deterministic coordinate ascent.
 
     Starts from the midpoint parameters and line-searches each free angle in
@@ -199,8 +195,9 @@ def solynin_optimized_bound(
     two sine factors only, gamma[j] the gap-side factor of gap j-1 and the
     arc-side factor of gap j, delta[j] both factors of gap j, so each line
     search maximizes the product of those two; the full bound, with its
-    parameter checks, is evaluated once per sweep.  Returns (value, params);
-    the value never falls below the midpoint bound.
+    parameter checks, is evaluated once per sweep.  The ascent stops when a
+    sweep gains less than SWEEP_TOL, or after MAX_SWEEPS sweeps.  Returns
+    (value, params); the value never falls below the midpoint bound.
     """
     phi, psi = angles.phi, angles.psi
     ell = len(phi)
@@ -218,7 +215,7 @@ def solynin_optimized_bound(
         return lo + m, hi - m
 
     best = value()
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         previous = best
         for j in range(1, ell - 1):
             def f(x, j=j):
@@ -233,7 +230,7 @@ def solynin_optimized_bound(
 
             delta[j] = golden_max(f, *box(psi[j], phi[j + 1]), 1e-12)[0]
         best = value()
-        if best - previous < sweep_tol:
+        if best - previous < SWEEP_TOL:
             break
 
     params = SolyninParams(gamma=tuple(gamma), delta=tuple(delta))
@@ -274,6 +271,8 @@ def capacity_bracket(e: IntervalUnion, n: int) -> CapacityBracket:
     The set is hull-normalized first and the bracket scaled back, since
     capacity is affine-covariant: cap(s E + t) = |s| cap(E).
     """
+    if n < 1:
+        raise InvalidInputError("degree must be at least 1")
     e_norm, fwd = normalize(e)
     scale = 1.0 / abs(fwd.scale)
     lower, params = capacity_lower_bound(e)
@@ -291,20 +290,19 @@ def ratio_sequence(e: IntervalUnion, k_max: int) -> RatioReport:
     """Ratios L_k / cap_est^k for k = 1..k_max.
 
     cap_est is the certified lower bound on the capacity, so every ratio is
-    a true upper bound on L_k / cap^k and in particular stays >= 2.  k_max
-    is capped because high-degree solves on tight sets hit the accuracy
-    floor of the exchange iteration.
+    a true upper bound on L_k / cap^k and in particular stays >= 2.  The
+    upper estimate is (L_k / 2)^(1/k) at k = min(k_max, 12), read from the
+    same solves.  k_max is capped because high-degree solves on tight sets
+    hit the accuracy floor of the exchange iteration.
     """
     if not 1 <= k_max <= RATIO_K_MAX:
         raise InvalidInputError(f"k_max must be in 1..{RATIO_K_MAX}, got {k_max}")
-    bracket = capacity_bracket(e, min(k_max, 12))
-    lower, upper = bracket.lower, bracket.upper
-    ratios = []
-    upper_ratios = []
-    for k in range(1, k_max + 1):
-        dev = minimal_polynomial(e, k).deviation
-        ratios.append(dev / lower**k)
-        upper_ratios.append(dev / upper**k)
+    lower = capacity_lower_bound(e)[0]
+    devs = [minimal_polynomial(e, k).deviation for k in range(1, k_max + 1)]
+    k_upper = min(k_max, 12)
+    upper = lower if e.ell == 1 else (0.5 * devs[k_upper - 1]) ** (1.0 / k_upper)
+    ratios = [dev / lower**k for k, dev in enumerate(devs, 1)]
+    upper_ratios = [dev / upper**k for k, dev in enumerate(devs, 1)]
     return RatioReport(
         ratios=tuple(ratios),
         min_ratio=min(ratios),

@@ -9,8 +9,6 @@ the rounding estimate in the message on standard error.  JSON
 reports carry {command, inputs, version, results} with keys sorted; CSV is a
 fixed-column table.  All floating-point output is formatted at 17 significant
 digits, and identical invocations produce byte-identical output.
-
-CHEBCAP_MAX_DEGREE in the environment sets the degree cap for one run.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -27,7 +24,6 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from . import chebpoly as _chebpoly
 from .arcs import ArcSet, arc_deviation_upper, robinson_capacity
 from .capacity import capacity_bracket, capacity_lower_bound, ratio_sequence
 from .chebpoly import Polynomial
@@ -417,19 +413,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_degree_cap_env() -> None:
-    raw = os.environ.get("CHEBCAP_MAX_DEGREE")
-    if raw is None:
-        return
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise InvalidInputError(f"CHEBCAP_MAX_DEGREE must be an integer, got {raw!r}")
-    if cap < 1:
-        raise InvalidInputError("CHEBCAP_MAX_DEGREE must be positive")
-    _chebpoly.DEGREE_CAP = cap
-
-
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     known = {f: getattr(args, f, None) for f in (
         "command", "intervals", "coeffs", "degree", "k_max", "n_max",
@@ -441,9 +424,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     config = _config_from_args(args)
-    default_cap = _chebpoly.DEGREE_CAP
     try:
-        _apply_degree_cap_env()
         text, code = run(config)
     except (InvalidInputError, EmptyImageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -451,8 +432,6 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    finally:
-        _chebpoly.DEGREE_CAP = default_cap
     if config.out:
         try:
             with open(config.out, "w") as fh:

@@ -33,6 +33,10 @@ from .intervals import IntervalUnion
 # no band gap whose critical value clears +-1 by more than 1e-6 is closed.
 # Monomial T_k stays below it up to k = 26.
 ROUNDING_LIMIT = 1e-6
+# verify_sharpness passes when the Remez deviation is within this relative
+# error of 2 cap^n and its monomial coefficients within this distance of P/c_n.
+SHARPNESS_REL_TOL = 1e-7
+SHARPNESS_COEFF_TOL = 1e-6
 # Scan points per monotone piece that bracket its crossings for Newton.
 _SCAN = 9
 _EPS = float(np.finfo(float).eps)
@@ -290,12 +294,13 @@ def _composed(p: Polynomial, k: int, res: InverseImageResult):
     return poly, 2.0 / (2.0 * abs(c_n)) ** k
 
 
-def verify_sharpness(p: Polynomial, rel_tol: float = 1e-7,
-                     coeff_tol: float = 1e-6) -> SharpnessReport:
-    """Check L_n(A) = 2 (cap A)^n by an independent Remez solve on A.
+def verify_sharpness(p: Polynomial) -> SharpnessReport:
+    """Check L_n(A) = 2 (cap A)^n by an independent Remez solve on A, to
+    SHARPNESS_REL_TOL relative error.
 
     Also checks that the Remez minimizer is the monic rescale P/c_n itself
-    (the k = 1 member of the composed sequence).
+    (the k = 1 member of the composed sequence), to SHARPNESS_COEFF_TOL in
+    the largest monomial coefficient.
     """
     from .remez import minimal_polynomial
 
@@ -319,8 +324,8 @@ def verify_sharpness(p: Polynomial, rel_tol: float = 1e-7,
         deviation_theory=theory,
         rel_error=rel,
         coeff_distance=dist,
-        deviation_ok=rel <= rel_tol,
-        poly_ok=dist <= coeff_tol,
+        deviation_ok=rel <= SHARPNESS_REL_TOL,
+        poly_ok=dist <= SHARPNESS_COEFF_TOL,
     )
 
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
-from . import chebpoly, leveled
-from .chebpoly import ChebExpansion, Polynomial, to_monomial
+from . import leveled
+from .chebpoly import DEGREE_CAP, ChebExpansion, Polynomial, to_monomial
 from .errors import ConvergenceError, DegreeCapError, InvalidInputError
 from .intervals import AffineMap, IntervalUnion, is_subset, normalize
 
@@ -37,6 +37,8 @@ STALL_ACCEPT = 1e-6
 STALL_COUNT = 10
 # Cells of the extremum grid per expected reference point.
 GRID_PER_POINT = 4
+# Points of the grid on which the witness takes the sup of |M|.
+WITNESS_GRID = 2000
 
 
 @dataclass(frozen=True)
@@ -290,18 +292,18 @@ def _select_reference(cands: list, m: int, u: np.ndarray, vals: np.ndarray) -> n
     return np.array([x for x, _ in pts])
 
 
-def minimal_polynomial(c: IntervalUnion, n: int, level_tol: float = LEVEL_TOL,
-                       max_iter: int = MAX_ITER) -> MinimalPolyResult:
+def minimal_polynomial(c: IntervalUnion, n: int) -> MinimalPolyResult:
     """Monic polynomial of degree n minimizing the sup norm on c.
 
-    Convergence is a relative leveling gap below level_tol; iterations that
-    stall above it are accepted at the best iterate once the gap is below
-    STALL_ACCEPT, and the achieved gap is reported in `residual`.
+    Convergence is a relative leveling gap below LEVEL_TOL within MAX_ITER
+    iterations; iterations that stall above it are accepted at the best
+    iterate once the gap is below STALL_ACCEPT, and the achieved gap is
+    reported in `residual`.  Degrees above DEGREE_CAP are refused.
     """
     if n < 1:
         raise InvalidInputError("degree must be at least 1")
-    if n > chebpoly.DEGREE_CAP:
-        raise DegreeCapError(f"degree {n} exceeds cap {chebpoly.DEGREE_CAP}")
+    if n > DEGREE_CAP:
+        raise DegreeCapError(f"degree {n} exceeds cap {DEGREE_CAP}")
     cn, fwd = normalize(c)
     rad = 1.0 / fwd.scale
     hull_scale = rad**n
@@ -311,7 +313,7 @@ def minimal_polynomial(c: IntervalUnion, n: int, level_tol: float = LEVEL_TOL,
     best = None
     best_gap = math.inf
     stall = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         w, h = leveled.weights_and_level(u)
         cands = _leveled_extrema(u, w, h, grid)
         emax = max(abs(v) for _, v in cands)
@@ -321,7 +323,7 @@ def minimal_polynomial(c: IntervalUnion, n: int, level_tol: float = LEVEL_TOL,
             best_gap, best, stall = gap_rel, (u, w, h, emax, gap, it), 0
         else:
             stall += 1
-        if gap_rel <= level_tol:
+        if gap_rel <= LEVEL_TOL:
             break
         if stall >= STALL_COUNT and best_gap <= STALL_ACCEPT:
             break
@@ -329,7 +331,7 @@ def minimal_polynomial(c: IntervalUnion, n: int, level_tol: float = LEVEL_TOL,
     else:
         last = _finalize(best, fwd, hull_scale) if best else None
         raise ConvergenceError(
-            f"leveling gap {best_gap:.3e} after {max_iter} iterations (degree {n})",
+            f"leveling gap {best_gap:.3e} after {MAX_ITER} iterations (degree {n})",
             last_iterate=last,
         )
     return _finalize(best, fwd, hull_scale)
@@ -418,18 +420,18 @@ def blow_up_set(c: IntervalUnion, result: MinimalPolyResult) -> BlowUpResult:
     return BlowUpResult(c_prime=c_prime, ell_prime=c_prime.ell)
 
 
-def minimality_witness(c: IntervalUnion, result: MinimalPolyResult,
-                       grid_density: int = 2000, c_double_prime=None) -> WitnessReport:
+def minimality_witness(c: IntervalUnion, result: MinimalPolyResult) -> WitnessReport:
     """Check the two alternation facts and the sandwich invariance of L_n.
 
-    The sup is taken on a grid over c in the normalized frame, with the hull
-    snapped to [-1, 1]: mapped through the frame, the hull of a set far from
-    the origin lands just outside it, where |M| already exceeds L.
-    The sandwich: any C'' with C subset C'' subset C' has the same minimal
+    The sup is taken on about WITNESS_GRID points over c in the normalized
+    frame, with the hull snapped to [-1, 1]: mapped through the frame, the
+    hull of a set far from the origin lands just outside it, where |M|
+    already exceeds L.
+    The sandwich: the blow-up set C' contains C and has the same minimal
     polynomial and deviation, up to 1e-8 relative plus the residual of each
-    solve (a stall-accepted deviation may sit that far above L_n).  Passing a
-    C'' that is not inside C' is reported as not applicable rather than a
-    failure.
+    solve (a stall-accepted deviation may sit that far above L_n).  It is
+    checked by solving again on C'; a C' that does not contain c to 1e-9 is
+    reported as not applicable rather than a failure.
     """
     n = result.degree
     dev = result.deviation
@@ -438,7 +440,7 @@ def minimality_witness(c: IntervalUnion, result: MinimalPolyResult,
     pts = _normalized_endpoints(c, result)
     lengths = [b - a for a, b in c.intervals]
     total = sum(lengths)
-    grid = np.concatenate([np.linspace(a, b, max(16, int(grid_density * w / total)))
+    grid = np.concatenate([np.linspace(a, b, max(16, int(WITNESS_GRID * w / total)))
                            for a, b, w in zip(pts[0::2], pts[1::2], lengths)])
     sup = result.hull_scale * float(np.max(np.abs(_leveled_values(result, grid))))
     sup_excess = max(0.0, sup - dev)
@@ -451,13 +453,12 @@ def minimality_witness(c: IntervalUnion, result: MinimalPolyResult,
     level_ok = bool(np.max(np.abs(np.abs(vals) - dev)) <= slack + 1e-9 * dev)
     alternation_ok = signs_ok and level_ok
 
-    blow = blow_up_set(c, result)
-    cpp = blow.c_prime if c_double_prime is None else c_double_prime
-    applicable = is_subset(c, cpp, tol=1e-9) and is_subset(cpp, blow.c_prime, tol=1e-9)
+    c_prime = blow_up_set(c, result).c_prime
+    applicable = is_subset(c, c_prime, tol=1e-9)
     diff = math.inf
     sandwich_ok = False
     if applicable:
-        again = minimal_polynomial(cpp, n)
+        again = minimal_polynomial(c_prime, n)
         diff = abs(again.deviation - dev)
         sandwich_ok = diff <= (1e-8 * max(dev, again.deviation)
                                + result.residual + again.residual)

@@ -223,6 +223,28 @@ def test_ratio_sequence_validates_k_max():
         ratio_sequence(FULL, 51)
 
 
+def test_capacity_bracket_validates_degree_on_every_set_shape():
+    for e in (FULL, e_alpha(0.5)):
+        for n in (0, -5):
+            with pytest.raises(InvalidInputError, match="degree must be at least 1"):
+                capacity_bracket(e, n)
+
+
+def test_ratio_sequence_solves_each_degree_once(monkeypatch):
+    calls = []
+
+    def counting(e, n):
+        calls.append(n)
+        return minimal_polynomial(e, n)
+
+    monkeypatch.setattr(_capacity, "minimal_polynomial", counting)
+    for e, k_max in ((FULL, 4), (ASYM, 5), (TRIPLE, 14)):
+        calls.clear()
+        upper = ratio_sequence(e, k_max).upper_est
+        assert sorted(calls) == list(range(1, k_max + 1))
+        assert upper == capacity_bracket(e, min(k_max, 12)).upper
+
+
 def test_one_lower_bound_behind_bracket_and_ratios():
     for e in (IntervalUnion((0.0, 4.0)), e_alpha(0.6), ASYM, TRIPLE):
         e_norm, fwd = normalize(e)

@@ -1,8 +1,11 @@
 """Command-line interface: report contents, formats, exit codes."""
 
+import csv
+import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -211,24 +214,15 @@ def test_ill_conditioned_image_exit_code(capsys):
     assert "exceeds 1e-06" in err
 
 
-def test_degree_cap_env(capsys, monkeypatch):
+def test_degree_cap_is_a_constant(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "minpoly", "--intervals", "-1 1", "--degree", "101")
+    assert code == 2 and out == "" and "cap 100" in err
+    # the environment no longer moves the cap
     monkeypatch.setenv("CHEBCAP_MAX_DEGREE", "4")
-    try:
-        code, _, err = run_cli(
-            capsys, "minpoly", "--intervals", "-1 1", "--degree", "9"
-        )
-        assert code == 2 and "error:" in err
-        code, out, _ = run_cli(
-            capsys, "minpoly", "--intervals", "-1 1", "--degree", "3"
-        )
-        assert code == 0
-        monkeypatch.setenv("CHEBCAP_MAX_DEGREE", "nope")
-        code, _, err = run_cli(
-            capsys, "minpoly", "--intervals", "-1 1", "--degree", "2"
-        )
-        assert code == 2 and "CHEBCAP_MAX_DEGREE" in err
-    finally:
-        _chebpoly.DEGREE_CAP = 100
+    code, out, _ = run_cli(capsys, "minpoly", "--intervals", "-1 1", "--degree", "5")
+    assert code == 0
+    assert json.loads(out)["results"]["degree"] == 5
+    assert _chebpoly.DEGREE_CAP == 100
 
 
 def test_out_file(tmp_path, capsys):
@@ -271,17 +265,6 @@ def test_flat_csv_fallback(capsys):
     assert "lower" in keys and "upper" in keys and "scale" in keys
 
 
-def test_degree_cap_env_lasts_one_run(capsys, monkeypatch):
-    monkeypatch.setenv("CHEBCAP_MAX_DEGREE", "4")
-    code, _, err = run_cli(capsys, "minpoly", "--intervals", "-1 1", "--degree", "5")
-    assert code == 2 and "error:" in err
-    monkeypatch.delenv("CHEBCAP_MAX_DEGREE")
-    code, out, _ = run_cli(capsys, "minpoly", "--intervals", "-1 1", "--degree", "5")
-    assert code == 0
-    assert json.loads(out)["results"]["degree"] == 5
-    assert _chebpoly.DEGREE_CAP == 100
-
-
 def test_ratio_readme_pair_to_degree_40(capsys):
     code, out, _ = run_cli(capsys, "ratio", "--intervals", "-1 -0.6; 0.6 1", "--kmax", "40")
     assert code == 0
@@ -291,6 +274,22 @@ def test_ratio_readme_pair_to_degree_40(capsys):
         k, ratio, _ = line.split(",")
         assert int(k) % 2 == 0
         assert float(ratio) == pytest.approx(2.0, rel=1e-9)
+
+
+def test_readme_examples_run(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [ln for ln in block.splitlines() if ln.startswith("chebcap ")]
+    assert lines
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), line
+        if out.startswith("{"):
+            assert json.loads(out)["command"] == argv[0], line
+        else:
+            rows = list(csv.reader(io.StringIO(out)))
+            assert len(rows) > 1 and len({len(r) for r in rows}) == 1, line
 
 
 def test_main_in_one_process_matches_fresh_runs(capsys):
