@@ -214,14 +214,26 @@ def test_ill_conditioned_image_exit_code(capsys):
     assert "exceeds 1e-06" in err
 
 
-def test_degree_cap_is_a_constant(capsys, monkeypatch):
-    code, out, err = run_cli(capsys, "minpoly", "--intervals", "-1 1", "--degree", "101")
-    assert code == 2 and out == "" and "cap 100" in err
-    # the environment no longer moves the cap
+def test_degree_cap_env(capsys, monkeypatch):
+    # CHEBCAP_MAX_DEGREE no longer moves the cap, nor fails when malformed.
+    for value in ("4", "200", "nope"):
+        monkeypatch.setenv("CHEBCAP_MAX_DEGREE", value)
+        code, out, err = run_cli(capsys, "minpoly", "--intervals", "-1 1", "--degree", "101")
+        assert code == 2 and out == "" and "cap 100" in err, value
+        code, out, _ = run_cli(capsys, "minpoly", "--intervals", "-1 1", "--degree", "5")
+        assert code == 0, value
+        assert json.loads(out)["results"]["degree"] == 5
+
+
+def test_degree_cap_env_lasts_one_run(capsys, monkeypatch):
+    # DEGREE_CAP is a constant: no run, with or without the variable, changes it.
     monkeypatch.setenv("CHEBCAP_MAX_DEGREE", "4")
-    code, out, _ = run_cli(capsys, "minpoly", "--intervals", "-1 1", "--degree", "5")
+    code, _, _ = run_cli(capsys, "minpoly", "--intervals", "-1 1", "--degree", "100")
     assert code == 0
-    assert json.loads(out)["results"]["degree"] == 5
+    assert _chebpoly.DEGREE_CAP == 100
+    monkeypatch.delenv("CHEBCAP_MAX_DEGREE")
+    code, _, err = run_cli(capsys, "minpoly", "--intervals", "-1 1", "--degree", "101")
+    assert code == 2 and "cap 100" in err
     assert _chebpoly.DEGREE_CAP == 100
 
 
