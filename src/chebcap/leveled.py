@@ -29,8 +29,13 @@ from numpy.polynomial import chebyshev as npcheb
 REFINE_TOL = 1e-8
 # Newton steps that may pass before the refine's bracket has to halve.
 NEWTON_RUN = 4
-# A level crossing is done at a Newton correction below this many ulps of it.
+# A level crossing is done at a Newton step whose own error, from M'', is
+# below this many ulps of it.
 CROSS_ULPS = 4
+# A refined point this close to the refine's last evaluation, as a fraction
+# of its starting bracket, takes M from that evaluation's Taylor expansion,
+# whose error is then far below an ulp of M.
+TAYLOR_REACH = 1e-6
 # Midpoint angles of the equilibrium density's samples; Chebyshev-Lobatto
 # points in q of each interval's inverse distribution function.
 EQ_GRID = 64
@@ -146,11 +151,14 @@ def evaluate(x, u, w, h, order: int):
     node k: f_j - f_k is 0 or -2 s_k h, so it is a sum over the nodes of the
     other sign only, which leaves out the dominant term next to a node and
     keeps the divided differences accurate there.  Points on a node take the
-    node's value and the differentiation-matrix derivatives.
+    node's value; M' there is the node's row of the differentiation matrix
+    applied to f, sum_j D_kj (f_j - f_k) = (f_j - f_k) rest_k / w_k over the
+    other sign's sum rest_k that the same pass forms, and M'' comes from
+    `_node_derivatives`.
     """
     n = len(u) - 1
     d = np.subtract.outer(x, u)
-    near = np.argmin(np.abs(d), axis=1)
+    near = np.abs(d).argmin(axis=1)
     hit = d[np.arange(len(x)), near] == 0.0
     some_hit = hit.any()
     if some_hit:
@@ -182,10 +190,10 @@ def evaluate(x, u, w, h, order: int):
     if some_hit:
         k = near[hit]
         out[0][hit] = np.sign(w[k]) * h
-        if order >= 1:
-            derivs = _node_derivatives(u, w, h, k)
-            for i in range(1, order + 1):
-                out[i][hit] = derivs[i - 1]
+        if order == 1:
+            out[1][hit] = jump[hit] * rest[hit] / w[k]
+        elif order == 2:
+            out[1][hit], out[2][hit] = _node_derivatives(u, w, h, k)
     return out
 
 
@@ -204,53 +212,74 @@ def outer_values(x, u, w):
 def refine(lo, hi, f_lo, f_hi, u, w, h, k=1, level=0.0, start=None):
     """Zeros of M' (k = 1) or of M - level (k = 0; level a scalar or one per
     cell) in the brackets (lo, hi), where it has the values f_lo and f_hi of
-    opposite signs, all cells at once.
+    opposite signs, all cells at once, and M at them.
 
     Newton with M^(k+1) from `start` (a point inside each bracket) or else
-    the regula falsi point, kept inside the bracket
-    that each evaluation narrows: a step that would leave it is a bisection,
-    and so is every step after a bracket has failed to halve in NEWTON_RUN
-    evaluations, so every cell converges, at the latest when its bracket
-    collapses to adjacent floats.  A zero of M' fixes M to second order, so
-    its cell is done once its bracket is below REFINE_TOL of its starting
-    width, or a Newton correction below sqrt(REFINE_TOL) of it, clipped to
-    the bracket.  A level crossing is wanted to the last bits: its cell is
-    done once a Newton correction is below CROSS_ULPS ulps of x.  Both hold
+    the regula falsi point, kept inside the bracket that each evaluation
+    narrows: a step that would leave it is a bisection, and so is every step
+    after a bracket has failed to halve in NEWTON_RUN evaluations, so every
+    cell converges, at the latest when its bracket collapses to adjacent
+    floats.  A zero of M' fixes M to second order, so its cell is done once
+    its bracket is below REFINE_TOL of its starting width, or a Newton
+    correction below sqrt(REFINE_TOL) of it.  A level crossing is wanted to
+    the last bits: its cell is done once the Newton step's own error,
+    M'' corr^2 / 2M', is below CROSS_ULPS ulps, which in rounding noise holds
+    at once instead of after a bisection down to adjacent floats.  Both hold
     inside the bracket or not: next to a zero on the bracket's end (a
     Chebyshev-Lobatto point on the grid of one interval) the sign of f there
     is rounding noise, and the zero would otherwise be bisected for some 27
-    rounds.  A regula falsi point on an end is that end: its f is rounding
-    noise against the other's, and the cell is done before any evaluation.
+    rounds.  A cell done on a Newton correction takes that step, clipped to
+    the bracket; any other keeps its last point.  A regula falsi point on an
+    end is that end: its f is rounding noise against the other's, and the
+    cell is done before any Newton step.
+
+    Every pass evaluates every cell, and the loop ends in the pass in which
+    the last cell is done, so each point is at most one Newton step from
+    that pass's evaluation.  Within TAYLOR_REACH of its starting bracket, M
+    there is the evaluation's second-order Taylor expansion; further away it
+    is evaluated directly.
     """
-    tol = REFINE_TOL * (hi - lo) if k else 0.0
-    newton_tol = math.sqrt(REFINE_TOL) * (hi - lo) if k else 0.0
-    x = lo - f_lo * ((hi - lo) / (f_hi - f_lo))
+    width0 = hi - lo
+    tol = REFINE_TOL * width0 if k else 0.0
+    newton_tol = math.sqrt(REFINE_TOL) * width0
+    x = lo - f_lo * (width0 / (f_hi - f_lo))
     live = ~((x <= lo) | (x >= hi))  # off an end: that end's f is rounding noise
     x = np.where(live, x if start is None else start, np.where(np.abs(f_lo) < np.abs(f_hi), lo, hi))
     x = np.where(np.isnan(x), 0.5 * (lo + hi), x)
     slo = np.sign(f_lo)
-    last_width = hi - lo
+    last_width = width0
     run = np.zeros(len(x), dtype=int)
-    while live.any():
-        vals = evaluate(x, u, w, h, k + 1)
+    while True:
+        vals = evaluate(x, u, w, h, 2)
         f, df = vals[1:] if k else (vals[0] - level, vals[1])
         sf = np.sign(f)
         right = sf != slo
-        lo = np.where(right, lo, x)
+        lo = np.where(right, lo, x)  # x is now an end of its bracket
         hi = np.where(right, x, hi)
         width = hi - lo
         ok = np.abs(f) < np.abs(df) * width
         nxt = x - f / np.where(ok, df, 1.0)
         stay = sf == 0.0
-        if not k:
-            stay |= ok & (np.abs(nxt - x) < CROSS_ULPS * np.spacing(np.abs(x)))
-        small = ok & (np.abs(nxt - x) <= newton_tol)
+        corr = np.abs(nxt - x)
+        if k:
+            small = ok & (corr <= newton_tol)
+        else:  # the step's own error M'' corr^2 / 2M' is below CROSS_ULPS ulps
+            small = ok & (np.abs(vals[2]) * corr * corr
+                          <= (2.0 * CROSS_ULPS) * np.spacing(np.abs(nxt)) * np.abs(df))
+        mid = 0.5 * (lo + hi)
+        ending = live & (small | stay | (width <= tol) | (mid == lo) | (mid == hi))
+        end = np.where(ending & small, np.minimum(np.maximum(nxt, lo), hi), x)
+        live &= ~ending
+        if not live.any():
+            break
         ok &= (nxt > lo) & (nxt < hi)
         halved = width <= 0.5 * last_width
         run = np.where(halved, 0, run + 1)
         last_width = np.where(halved, width, last_width)
-        mid = 0.5 * (lo + hi)
-        step = np.where(small, np.clip(nxt, lo, hi), np.where(ok & (run < NEWTON_RUN), nxt, mid))
-        x = np.where(live & ~stay, step, x)
-        live &= ~(small | stay | (width <= tol) | (mid == lo) | (mid == hi))
-    return x
+        x = np.where(live, np.where(ok & (run < NEWTON_RUN), nxt, mid), end)
+    dx = end - x
+    m = vals[0] + dx * (vals[1] + 0.5 * dx * vals[2])
+    far = np.abs(dx) > TAYLOR_REACH * width0
+    if far.any():
+        m[far] = evaluate(end[far], u, w, h, 0)[0]
+    return end, m

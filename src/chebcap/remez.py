@@ -37,6 +37,11 @@ STALL_ACCEPT = 1e-6
 STALL_COUNT = 10
 # Cells of the extremum grid per expected reference point.
 GRID_PER_POINT = 4
+# The grid's angle series drop their trailing coefficients below this: the
+# grid only brackets the extrema, and its points move by under 1e-2 of a cell.
+GRID_CHOP = 1e-7
+# Newton steps on each cell's cubic for the start of a level-crossing refine.
+CROSS_START_STEPS = 3
 # Points of the grid on which the witness takes the sup of |M|.
 WITNESS_GRID = 2000
 
@@ -128,12 +133,20 @@ def _quantile_points(a, b, theta, q: np.ndarray) -> np.ndarray:
     return np.clip(0.5 * (a + b) - 0.5 * (b - a) * np.cos(angle), a, b)
 
 
-def _equilibrium_arrays(e: IntervalUnion):
-    """Masses, inverse-distribution coefficients (one row per interval) and
-    interval ends of e's equilibrium measure."""
-    eq = leveled.equilibrium(e.endpoints)
-    ends = np.array(e.endpoints)
-    return np.array([m for m, _ in eq]), np.array([c for _, c in eq]), ends[0::2], ends[1::2]
+@functools.lru_cache(maxsize=64)
+def _equilibrium_arrays(ends: tuple):
+    """The equilibrium measure of the union with these endpoints as read-only
+    arrays, cached like `leveled.equilibrium` for degree sweeps: the masses,
+    the inverse-distribution coefficients (one row per interval), the same
+    chopped at GRID_CHOP for the grid, and the interval ends."""
+    eq = leveled.equilibrium(ends)
+    theta = np.array([c for _, c in eq])
+    keep = 1 + np.flatnonzero((np.abs(theta) > GRID_CHOP).any(axis=0))[-1]
+    out = (np.array([m for m, _ in eq]), theta, theta[:, :keep],
+           np.array(ends[0::2]), np.array(ends[1::2]))
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 def _init_reference(e: IntervalUnion, n: int) -> np.ndarray:
@@ -143,7 +156,7 @@ def _init_reference(e: IntervalUnion, n: int) -> np.ndarray:
     measure is the pullback of the arcsine measure, so at multiples of deg P
     these are the minimizer's extrema to rounding, and the first iterate is
     leveled; on a single interval they are the Chebyshev-Lobatto points."""
-    mass, theta, lo, hi = _equilibrium_arrays(e)
+    mass, theta, _, lo, hi = _equilibrium_arrays(e.endpoints)
     cum = np.cumsum(mass)
     start = cum - mass  # exactly 0 for the first interval
     targets = np.linspace(0.0, cum[-1], n + 1)
@@ -180,9 +193,10 @@ def _extremum_grid(e: IntervalUnion, n: int):
     point its mass carries (at least 24 points), at quantiles of the measure,
     so adjacent critical points stay a few cells apart at every degree, at
     the ends of the intervals too, where a grid uniform in x loses them like
-    1/n.  The endpoints are exact.
+    1/n.  Its angle series is the one chopped at GRID_CHOP, about half as
+    long as the first reference's.  The endpoints are exact.
     """
-    mass, theta, lo, hi = _equilibrium_arrays(e)
+    mass, _, theta, lo, hi = _equilibrium_arrays(e.endpoints)
     counts = np.maximum(24, (GRID_PER_POINT * (n + 1) * mass / mass.sum()).astype(int) + 8)
     last = np.cumsum(counts) - 1
     first = last - counts + 1
@@ -197,36 +211,58 @@ def _extremum_grid(e: IntervalUnion, n: int):
     return xs, ends, inner
 
 
+def _hermite_slope(x0, x1, m0, m1, d0, d1):
+    """The coefficients a, b of the derivative d0 + b s + a s^2 (s from 0 to
+    1 across each cell (x0, x1)) of the cubic that matches M (m0, m1) and
+    M' (d0, d1) at the cell's ends."""
+    slope = 6.0 * (m1 - m0) / (x1 - x0)
+    return 3.0 * (d0 + d1) - slope, slope - 4.0 * d0 - 2.0 * d1
+
+
 def _hermite_start(x0, x1, m0, m1, d0, d1):
     """In each cell (x0, x1), the zero of the derivative of the cubic that
     matches M (m0, m1) and M' (d0, d1 of opposite signs) at its ends, or the
     regula falsi point of M' where that zero is not inside: a Newton start
     for M' that is one step ahead of regula falsi."""
-    width = x1 - x0
-    slope = 6.0 * (m1 - m0) / width
-    a, b = 3.0 * (d0 + d1) - slope, slope - 4.0 * d0 - 2.0 * d1  # d0 + b s + a s^2
+    a, b = _hermite_slope(x0, x1, m0, m1, d0, d1)
     r = -0.5 * (b + np.copysign(np.sqrt(np.maximum(b * b - 4.0 * a * d0, 0.0)), b))
     with np.errstate(divide="ignore", invalid="ignore"):
         s = r / a  # the other root is d0 / r
         s = np.where((s > 0.0) & (s < 1.0), s, d0 / r)
     s = np.where((s > 0.0) & (s < 1.0), s, d0 / (d0 - d1))
+    return x0 + s * (x1 - x0)
+
+
+def _hermite_crossing(x0, x1, f0, f1, d0, d1):
+    """In each cell (x0, x1), the zero of the cubic that matches f (f0, f1
+    of opposite signs) and f' (d0, d1) at its ends, by CROSS_START_STEPS
+    Newton steps from the regula falsi point; a step that would leave the
+    cell is not taken.  A Newton start for f that is a few steps ahead of
+    regula falsi."""
+    width = x1 - x0
+    a, b = _hermite_slope(x0, x1, f0, f1, d0, d1)
+    c0, b, a3 = f0 / width, 0.5 * b, a / 3.0  # the cubic / width: c0 + d0 s + b s^2 + a3 s^3
+    s = f0 / (f0 - f1)
+    for _ in range(CROSS_START_STEPS):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = s - (c0 + s * (d0 + s * (b + s * a3))) / (d0 + s * (2.0 * b + s * a))
+        s = np.where((t > 0.0) & (t < 1.0), t, s)
     return x0 + s * width
 
 
 def _grid_critical_points(u, w, h, grid):
-    """M and the sign of M' on a grid of `_extremum_grid`, and the zeros of
-    M' in its cells inside an interval, refined together from the cells'
+    """M and M' on a grid of `_extremum_grid`, and the zeros of M' in its
+    cells inside an interval, refined together from the cells'
     `_hermite_start`, with M at them."""
     xs, _, inner = grid
     vals, d1 = leveled.evaluate(xs, u, w, h, 1)
     sd = np.sign(d1)
     cells = np.flatnonzero(inner & (sd[:-1] * sd[1:] < 0.0))
-    if not len(cells):  # spares small solves the fixed cost of two empty calls
-        return vals, sd, xs[cells], vals[cells]
+    if not len(cells):  # spares small solves the fixed cost of an empty call
+        return vals, d1, xs[cells], vals[cells]
     lo, hi, d_lo, d_hi = xs[cells], xs[cells + 1], d1[cells], d1[cells + 1]
     start = _hermite_start(lo, hi, vals[cells], vals[cells + 1], d_lo, d_hi)
-    crit = leveled.refine(lo, hi, d_lo, d_hi, u, w, h, start=start)
-    return vals, sd, crit, leveled.evaluate(crit, u, w, h, 0)[0]
+    return (vals, d1) + leveled.refine(lo, hi, d_lo, d_hi, u, w, h, start=start)
 
 
 def _leveled_extrema(u, w, h, grid) -> list:
@@ -234,8 +270,8 @@ def _leveled_extrema(u, w, h, grid) -> list:
     interpolant, with M values, ascending and without points within 1e-14 of
     the one before."""
     xs, ends, _ = grid
-    vals, sd, crit, crit_vals = _grid_critical_points(u, w, h, grid)
-    keep = ends | (sd == 0.0)
+    vals, d1, crit, crit_vals = _grid_critical_points(u, w, h, grid)
+    keep = ends | (d1 == 0.0)
     out = sorted(zip(xs[keep].tolist() + crit.tolist(), vals[keep].tolist() + crit_vals.tolist()))
     dedup = []
     for x, v in out:
@@ -339,11 +375,9 @@ def minimal_polynomial(c: IntervalUnion, n: int) -> MinimalPolyResult:
 
 def _finalize(state, fwd, hull_scale) -> MinimalPolyResult:
     u, w, h, emax, gap, it = state
-    inv = fwd.inverse()
-    alts = tuple(float(inv(x)) for x in u)
     return MinimalPolyResult(
         deviation=hull_scale * emax,
-        alternation_points=alts,
+        alternation_points=tuple(fwd.inverse()(u).tolist()),
         iterations=it,
         residual=hull_scale * gap,
         frame=fwd,
@@ -383,8 +417,10 @@ def blow_up_set(c: IntervalUnion, result: MinimalPolyResult) -> BlowUpResult:
     |M| exceeds L outside the hull.  Critical points of M split the cells of
     the gaps' `_extremum_grid` into monotone pieces; piece-end values within
     LEVEL_TOL of +-L are snapped to it, and the crossings of M = +-L inside
-    the pieces are refined together.  They cut the gaps, which may hold whole
-    bands of C'; a level test at each cell's midpoint keeps the cells of C'.
+    the pieces are refined together, each from the `_hermite_crossing` of
+    its piece, where M' is known at both ends (zero at a critical point).
+    They cut the gaps, which may hold whole bands of C'; a level test at
+    each cell's midpoint keeps the cells of C'.
     Cuts within 1e-12 merge, so narrower bands are dropped: on e_alpha at odd
     n, where M is odd, the central band is lost from n = 93 at alpha = 0.3,
     55 at 0.5, 43 at 0.6 and 35 at 0.7.
@@ -396,15 +432,18 @@ def blow_up_set(c: IntervalUnion, result: MinimalPolyResult) -> BlowUpResult:
     if len(pts) > 2:
         u, w, h = np.array(result.nodes), np.array(result.weights), result.level
         grid = _extremum_grid(IntervalUnion(tuple(pts[1:-1])), n)
-        vals, _, crit, crit_vals = _grid_critical_points(u, w, h, grid)
+        vals, d1, crit, crit_vals = _grid_critical_points(u, w, h, grid)
         pos = np.searchsorted(grid[0], crit)
         xs, inner = np.insert(grid[0], pos, crit), np.insert(grid[2], pos, True)
+        d1 = np.insert(d1, pos, 0.0)
         f = np.insert(vals, pos, crit_vals) - np.array([[dev], [-dev]])  # M - L, M + L
         f[np.abs(f) <= LEVEL_TOL * dev] = 0.0  # as close to +-L as L is to L_n
         row, cell = np.nonzero(inner & (f[:, :-1] * f[:, 1:] < 0.0))
+        lo, hi, f_lo, f_hi = xs[cell], xs[cell + 1], f[row, cell], f[row, cell + 1]
+        start = _hermite_crossing(lo, hi, f_lo, f_hi, d1[cell], d1[cell + 1])
         cuts += [xs[(f == 0.0).any(axis=0)],
-                 leveled.refine(xs[cell], xs[cell + 1], f[row, cell], f[row, cell + 1],
-                                u, w, h, 0, np.where(row == 0, dev, -dev))]
+                 leveled.refine(lo, hi, f_lo, f_hi, u, w, h, 0, np.where(row == 0, dev, -dev),
+                                start)[0]]
     cuts = np.sort(np.concatenate(cuts))
     cuts = cuts[np.append(True, np.diff(cuts) > 1e-12)]
     inside = np.abs(_leveled_values(result, 0.5 * (cuts[:-1] + cuts[1:]))) <= dev * (1.0 + 1e-9)

@@ -12,13 +12,14 @@ from oracles import blow_up_oracle, grid_sup_norm, leveled_value_oracle, minimax
 from chebcap import leveled
 from chebcap import remez as _remez
 from chebcap.chebpoly import Polynomial
-from chebcap.cli import _verify_fixtures
+from chebcap.cli import _random_union, _verify_fixtures
 from chebcap.errors import ConvergenceError, DegreeCapError, InvalidInputError
 from chebcap.intervals import IntervalUnion, is_subset, normalize
 from chebcap.inverse_image import e_alpha, inverse_image, symmetric_two_interval_minpoly
 from chebcap.leveled import equilibrium, evaluate, weights_and_level
 from chebcap.remez import (
     _extremum_grid,
+    _grid_critical_points,
     _init_reference,
     _solve_on_reference,
     blow_up_set,
@@ -441,7 +442,7 @@ def test_refine_stops_level_crossings_on_the_newton_correction(monkeypatch):
     monkeypatch.setattr(leveled, "evaluate", lambda *a: calls.append(1) or evaluate(*a))
     level = np.array([0.1, 0.2, 0.3])
     lo, hi = np.array([0.0, 0.5, 0.0]), np.ones(3)
-    x = leveled.refine(lo, hi, lo**2 - 0.5 - level, hi**2 - 0.5 - level, u, w, h, 0, level)
+    x, _ = leveled.refine(lo, hi, lo**2 - 0.5 - level, hi**2 - 0.5 - level, u, w, h, 0, level)
     assert np.max(np.abs(x - np.sqrt(0.5 + level))) <= 2e-16
     assert len(calls) <= 8
 
@@ -546,13 +547,10 @@ def test_init_reference_on_narrow_components():
             assert np.all(((u[:, None] >= lo) & (u[:, None] <= hi)).any(axis=1)), (name, n)
 
 
-def test_refine_on_a_critical_point_at_a_grid_node(monkeypatch):
-    # On the interval at n = 11k the grid holds the Chebyshev-Lobatto points,
-    # where M' is zero up to a rounding-level value of either sign; the same
-    # happens on triple at n = 56.  The cell's regula falsi start lands on
-    # that node, which is the critical point: no bisection tail.
-    refine = leveled.refine
-    inside, counts = [False], []
+def _count_refine_evaluations(monkeypatch, k):
+    """Patches leveled so that each refine call with this k records how many
+    evaluate calls it makes; returns the list of counts."""
+    refine, counts, inside = leveled.refine, [], [False]
 
     def counting_evaluate(*args):
         if inside[0]:
@@ -560,8 +558,10 @@ def test_refine_on_a_critical_point_at_a_grid_node(monkeypatch):
         return evaluate(*args)
 
     def counting_refine(*args, **kwargs):
-        counts.append(0)
-        inside[0] = True
+        mine = (args[7] if len(args) > 7 else kwargs.get("k", 1)) == k
+        if mine:
+            counts.append(0)
+            inside[0] = True
         try:
             return refine(*args, **kwargs)
         finally:
@@ -569,8 +569,120 @@ def test_refine_on_a_critical_point_at_a_grid_node(monkeypatch):
 
     monkeypatch.setattr(leveled, "evaluate", counting_evaluate)
     monkeypatch.setattr(leveled, "refine", counting_refine)
+    return counts
+
+
+def test_refine_on_a_critical_point_at_a_grid_node(monkeypatch):
+    # On the interval at n = 11k the grid holds the Chebyshev-Lobatto points,
+    # where M' is zero up to a rounding-level value of either sign; the same
+    # happens on triple at n = 56.  The cell's regula falsi start lands on
+    # that node, which is the critical point: no bisection tail.
+    counts = _count_refine_evaluations(monkeypatch, 1)
     for e, ns in ((FULL, range(11, 100, 11)), (TRIPLE, (56,))):
         for n in ns:
             counts.clear()
             minimal_polynomial(e, n)
             assert counts and max(counts) <= 4, (n, counts)
+
+
+@pytest.mark.parametrize("name", ["interval", "e_0.3", "e_0.6", "triple", "quad"])
+def test_node_slope_from_the_sums_matches_the_differentiation_matrix(name):
+    # M'(u_k) = (f_j - f_k) rest_k / w_k, from the sums of one evaluate pass,
+    # is the node's row of the barycentric differentiation matrix.
+    cn, _ = normalize(RESOLUTION_SETS[name])
+    for n in range(1, 101):
+        u = _init_reference(cn, n)
+        w, h = weights_and_level(u)
+        got = evaluate(u, u, w, h, 1)[1]
+        want = leveled._node_derivatives(u, w, h, np.arange(n + 1))[0]
+        scale = np.max(np.abs(evaluate(_extremum_grid(cn, n)[0], u, w, h, 1)[1]))
+        assert np.max(np.abs(got - want)) <= 4e-15 * scale, (name, n)
+
+
+@pytest.mark.parametrize("name", ["e_0.3", "e_0.6", "triple", "quad", "asym"])
+def test_refine_returns_m_at_its_points(name):
+    # The values at the refined critical points come from the last Newton
+    # pass's Taylor expansion, not from a separate evaluate pass.
+    cn, _ = normalize(RESOLUTION_SETS[name])
+    for n in range(1, 101):
+        u = _init_reference(cn, n)
+        w, h = weights_and_level(u)
+        _, _, crit, crit_vals = _grid_critical_points(u, w, h, _extremum_grid(cn, n))
+        want = evaluate(crit, u, w, h, 0)[0]
+        assert np.max(np.abs(crit_vals - want), initial=0.0) <= 1e-14 * h, (name, n)
+
+
+def test_refine_evaluates_a_point_far_from_its_last_pass(monkeypatch):
+    # M = x^2 - 1/2: from the start 5e-5 Newton lands on the critical point 0
+    # in one step, 5e-5 of the bracket away from the evaluated point, beyond
+    # the Taylor expansion's reach, so M there is evaluated directly.
+    u = np.array([-1.0, 0.0, 1.0])
+    w, h = weights_and_level(u)
+    orders = []
+    monkeypatch.setattr(leveled, "evaluate", lambda *a: orders.append(a[-1]) or evaluate(*a))
+    lo, hi = np.array([-0.3]), np.array([0.7])
+    x, m = leveled.refine(lo, hi, 2.0 * lo, 2.0 * hi, u, w, h, start=np.array([5e-5]))
+    assert orders == [2, 0]
+    assert abs(x[0]) <= 1e-15 and m[0] == evaluate(x, u, w, h, 0)[0][0]
+    assert m[0] == pytest.approx(-0.5, rel=1e-15)
+
+
+@pytest.mark.parametrize("e", [TRIPLE, QUAD], ids=["triple", "quad"])
+def test_level_crossings_start_at_the_cubic_hermite_zero(monkeypatch, e):
+    # From the zero of each piece's cubic Hermite interpolant (M and M' at
+    # both ends, M' = 0 at a critical point) a crossing of M = +-L needs at
+    # most three Newton passes; from regula falsi it took four to seven.
+    results = [(n, minimal_polynomial(e, n)) for n in range(8, 33)]
+    counts = _count_refine_evaluations(monkeypatch, 0)
+    for n, r in results:
+        counts.clear()
+        b = blow_up_set(e, r)
+        assert is_subset(e, b.c_prime, tol=1e-8)
+        assert len(counts) == 1 and counts[0] <= 3, (n, counts)
+
+
+def _frontier_solves():
+    images = {k: _scaled_chebyshev_image(k) for k in (3, 4)}
+    solves = [(e, n) for e in (FULL, e_alpha(0.3), e_alpha(0.6)) for n in (32, 40, 48)]
+    solves += [(images[k], k * round(n / k)) for k in (3, 4) for n in (32, 40, 48)]
+    return solves + [(e, n) for e in (TRIPLE, QUAD) for n in (32, 40, 48)]
+
+
+def _sweep_solves():
+    rng = np.random.RandomState(0)
+    solves = [(e, n) for _, e in _verify_fixtures() for n in range(1, 21)]
+    return solves + [(_random_union(rng), n) for _ in range(20) for n in range(1, 11)]
+
+
+@pytest.mark.parametrize("solves, bound", [(_frontier_solves, 3.5), (_sweep_solves, 3.0)],
+                         ids=["frontier", "sweep"])
+def test_evaluate_passes_per_exchange_iteration(monkeypatch, solves, bound):
+    # One grid pass and the refine's Newton passes per iteration, with the
+    # extremum values taken from the last Newton pass: 3.38 per iteration on
+    # the 21 frontier solves (n = 32/40/48) and 2.79 on the 360 sweep solves
+    # (the verify fixtures at n <= 20, 20 random unions at n <= 10).  A
+    # further pass over the interpolant shows here.
+    solves = solves()
+    calls = []
+    monkeypatch.setattr(leveled, "evaluate", lambda *a: calls.append(1) or evaluate(*a))
+    iterations = sum(minimal_polynomial(e, n).iterations for e, n in solves)
+    assert len(calls) <= bound * iterations, len(calls) / iterations
+
+
+def test_grid_series_chop_moves_grid_points_within_their_cells():
+    # The grid's angle series is chopped at GRID_CHOP; against the full
+    # series each interval's points move by a small fraction of its smallest
+    # cell.
+    worst = 0.0
+    for name, e in {**START_SETS, **_narrow_component_sets()}.items():
+        cn, _ = normalize(e)
+        _, theta, _, lo, hi = _remez._equilibrium_arrays(cn.endpoints)
+        for n in (1, 2, 5, 10, 20, 40, 70, 100):
+            xs, ends, _ = _extremum_grid(cn, n)
+            edges = np.flatnonzero(ends)
+            for i, (i0, i1) in enumerate(zip(edges[0::2], edges[1::2])):
+                full = _remez._quantile_points(lo[i], hi[i], theta[i],
+                                               np.linspace(0.0, 1.0, i1 - i0 + 1))
+                grid = xs[i0:i1 + 1]
+                worst = max(worst, np.max(np.abs(grid - full)) / np.min(np.diff(grid)))
+    assert worst <= 1e-2, worst
