@@ -27,6 +27,8 @@ from numpy.polynomial import chebyshev as npcheb
 # A refined critical point is accepted once it is within about this fraction
 # of the grid cell it started in.
 REFINE_TOL = 1e-8
+# Plain Newton passes of the refine before its open cells are bracketed.
+NEWTON_PASSES = 2
 # Newton steps that may pass before the refine's bracket has to halve.
 NEWTON_RUN = 4
 # A level crossing is done at a Newton step whose own error, from M'', is
@@ -142,6 +144,17 @@ def _node_derivatives(u, w, h, k):
     return t.sum(axis=1), d2
 
 
+@lru_cache(maxsize=128)
+def _sign_split(n: int) -> np.ndarray:
+    """The (n + 1) x 2 matrix that takes a row of node terms to its sums over
+    the nodes with s_j = +1 and over those with s_j = -1."""
+    split = np.zeros((n + 1, 2))
+    split[n % 2::2, 0] = 1.0
+    split[1 - n % 2::2, 1] = 1.0
+    split.setflags(write=False)
+    return split
+
+
 def evaluate(x, u, w, h, order: int):
     """M and its first `order` (0, 1 or 2) derivatives at the points x.
 
@@ -150,48 +163,52 @@ def evaluate(x, u, w, h, order: int):
     formulas summed in closed form.  M - f_k is taken against the nearest
     node k: f_j - f_k is 0 or -2 s_k h, so it is a sum over the nodes of the
     other sign only, which leaves out the dominant term next to a node and
-    keeps the divided differences accurate there.  Points on a node take the
-    node's value; M' there is the node's row of the differentiation matrix
-    applied to f, sum_j D_kj (f_j - f_k) = (f_j - f_k) rest_k / w_k over the
-    other sign's sum rest_k that the same pass forms, and M'' comes from
+    keeps the divided differences accurate there.  The terms w_j/(x - u_j)^i,
+    i = 1..order + 1, are built by multiplying with 1/(x - u_j), formed once
+    in place, and every sum split by node sign comes from one matrix product
+    of the stacked terms with `_sign_split`; no full-size array beyond the
+    terms and the reciprocals is allocated.  Points on a node take the node's value;
+    M' there is the node's row of the differentiation matrix applied to f,
+    sum_j D_kj (f_j - f_k) = (f_j - f_k) rest_k / w_k over the other sign's
+    sum rest_k that the same pass forms, and M'' comes from
     `_node_derivatives`.
     """
     n = len(u) - 1
-    d = np.subtract.outer(x, u)
-    near = np.abs(d).argmin(axis=1)
-    hit = d[np.arange(len(x)), near] == 0.0
+    r = np.subtract.outer(x, u)
+    near = np.abs(r).argmin(axis=1)
+    hit = x == u[near]
     some_hit = hit.any()
     if some_hit:
-        d[hit, near[hit]] = 1.0
-    plus = (n - near) % 2 == 0  # s_k = +1
-
-    def sums(v):  # the sum over all nodes and over those of the other sign
-        p, q = v[:, n % 2::2].sum(axis=1), v[:, 1 - n % 2::2].sum(axis=1)
-        return p + q, np.where(plus, q, p)
-
-    a = w / d
-    den, rest = sums(a)
+        r[hit, near[hit]] = 1.0
+    np.divide(1.0, r, out=r)  # 1/(x - u_j)
+    terms = np.empty((order + 1,) + r.shape)
+    np.multiply(r, w, out=terms[0])
+    for i in range(order):
+        np.multiply(terms[i], r, out=terms[i + 1])
+    sums = (terms.reshape(-1, n + 1) @ _sign_split(n)).reshape(order + 1, len(r), 2)
+    del terms
+    plus = w[near] > 0.0  # s_k = +1
+    total = sums[..., 0] + sums[..., 1]
+    rest = np.where(plus, sums[..., 1], sums[..., 0])  # over the other sign
+    den = total[0]
     gone = den == 0.0
     if gone.any():  # cancelled to zero: take it from sum_j w_j/(x - u_j) = 1/l(x)
-        dz = d[gone]
-        log_l = np.log(np.abs(dz)).sum(axis=1)
-        den[gone] = np.prod(np.sign(dz), axis=1) * np.exp(math.log(h * np.abs(w).sum()) - log_l)
+        rz = r[gone]
+        log_r = np.log(np.abs(rz)).sum(axis=1)  # -log|l(x)|
+        den[gone] = np.prod(np.sign(rz), axis=1) * np.exp(math.log(h * np.abs(w).sum()) + log_r)
     jump = np.where(plus, -2.0 * h, 2.0 * h)  # f_j - f_k at the nodes of the other sign
-    mk = jump * rest / den
+    mk = jump * rest[0] / den
     out = [mk - 0.5 * jump]
     if order >= 1:
-        b = a / d
-        b_all, b_rest = sums(b)
-        d1 = (mk * b_all - jump * b_rest) / den
+        d1 = (mk * total[1] - jump * rest[1]) / den
         out.append(d1)
     if order >= 2:
-        c_all, c_rest = sums(b / d)
-        out.append(2.0 * (d1 * b_all - mk * c_all + jump * c_rest) / den)
+        out.append(2.0 * (d1 * total[1] - mk * total[2] + jump * rest[2]) / den)
     if some_hit:
         k = near[hit]
         out[0][hit] = np.sign(w[k]) * h
         if order == 1:
-            out[1][hit] = jump[hit] * rest[hit] / w[k]
+            out[1][hit] = jump[hit] * rest[0][hit] / w[k]
         elif order == 2:
             out[1][hit], out[2][hit] = _node_derivatives(u, w, h, k)
     return out
@@ -209,77 +226,117 @@ def outer_values(x, u, w):
         return np.ldexp(np.prod(mant, axis=1) * (a / d).sum(axis=1) / a.sum(), expo.sum(axis=1))
 
 
+def _newton(x, f, df, d2, k, width, newton_tol):
+    """The Newton point of f = M' (k = 1) or M - level (k = 0) from its
+    derivatives df and d2, whether the step is shorter than `width` (x
+    itself where it is not), and whether the cell is done on it: f = 0, or a
+    short step within newton_tol (k = 1) or whose own error, d2 corr^2 / 2df,
+    is below CROSS_ULPS ulps (k = 0)."""
+    ok = np.abs(f) < np.abs(df) * width
+    nxt = x - np.where(ok, f, 0.0) / np.where(ok, df, 1.0)
+    corr = np.abs(nxt - x)
+    if k:
+        small = corr <= newton_tol
+    else:
+        small = np.abs(d2) * corr * corr <= (2.0 * CROSS_ULPS) * np.spacing(np.abs(nxt)) * np.abs(df)
+    return nxt, ok, (ok & small) | (f == 0.0)
+
+
 def refine(lo, hi, f_lo, f_hi, u, w, h, k=1, level=0.0, start=None):
     """Zeros of M' (k = 1) or of M - level (k = 0; level a scalar or one per
     cell) in the brackets (lo, hi), where it has the values f_lo and f_hi of
     opposite signs, all cells at once, and M at them.
 
     Newton with M^(k+1) from `start` (a point inside each bracket) or else
-    the regula falsi point, kept inside the bracket that each evaluation
-    narrows: a step that would leave it is a bisection, and so is every step
-    after a bracket has failed to halve in NEWTON_RUN evaluations, so every
-    cell converges, at the latest when its bracket collapses to adjacent
-    floats.  A zero of M' fixes M to second order, so its cell is done once
-    its bracket is below REFINE_TOL of its starting width, or a Newton
-    correction below sqrt(REFINE_TOL) of it.  A level crossing is wanted to
-    the last bits: its cell is done once the Newton step's own error,
-    M'' corr^2 / 2M', is below CROSS_ULPS ulps, which in rounding noise holds
-    at once instead of after a bisection down to adjacent floats.  Both hold
-    inside the bracket or not: next to a zero on the bracket's end (a
-    Chebyshev-Lobatto point on the grid of one interval) the sign of f there
-    is rounding noise, and the zero would otherwise be bisected for some 27
-    rounds.  A cell done on a Newton correction takes that step, clipped to
-    the bracket; any other keeps its last point.  A regula falsi point on an
-    end is that end: its f is rounding noise against the other's, and the
+    the regula falsi point.  A zero of M' fixes M to second order, so its
+    cell is done on a Newton correction below sqrt(REFINE_TOL) of its
+    bracket.  A level crossing is wanted to the last bits: its cell is done
+    once the Newton step's own error, M'' corr^2 / 2M', is below CROSS_ULPS
+    ulps, which in rounding noise holds at once.  Both hold inside the
+    bracket or not: next to a zero on the bracket's end (a Chebyshev-Lobatto
+    point on the grid of one interval) the sign of f there is rounding
+    noise, and the zero would otherwise be bisected for some 27 rounds.  A
+    cell done on a Newton correction takes that step, clipped to the
+    bracket.  A cell with f = 0 keeps its point, and a regula falsi point on
+    an end is that end: its f is rounding noise against the other's, and the
     cell is done before any Newton step.
 
-    Every pass evaluates every cell, and the loop ends in the pass in which
-    the last cell is done, so each point is at most one Newton step from
-    that pass's evaluation.  Within TAYLOR_REACH of its starting bracket, M
-    there is the evaluation's second-order Taylor expansion; further away it
-    is evaluated directly.
+    The refine runs in two phases.  The plain phase takes up to
+    NEWTON_PASSES full Newton steps on every cell, each clipped to its
+    bracket, with no bracket bookkeeping; on the exchange's cells it ends
+    every cell.  The cells still open after it go on, alone, to the
+    bracketed phase (`_bracketed`), whose brackets the signs of f narrow and
+    where a step that would leave the bracket, or any step after the bracket
+    has failed to halve in NEWTON_RUN evaluations, is a bisection, so every
+    cell converges, at the latest when its bracket collapses to adjacent
+    floats.
+
+    Each point is at most one Newton step from its last evaluation.  Within
+    TAYLOR_REACH of its starting bracket, M there is the evaluation's
+    second-order Taylor expansion; further away it is evaluated directly.
     """
     width0 = hi - lo
-    tol = REFINE_TOL * width0 if k else 0.0
     newton_tol = math.sqrt(REFINE_TOL) * width0
     x = lo - f_lo * (width0 / (f_hi - f_lo))
-    live = ~((x <= lo) | (x >= hi))  # off an end: that end's f is rounding noise
-    x = np.where(live, x if start is None else start, np.where(np.abs(f_lo) < np.abs(f_hi), lo, hi))
-    x = np.where(np.isnan(x), 0.5 * (lo + hi), x)
-    slo = np.sign(f_lo)
-    last_width = width0
-    run = np.zeros(len(x), dtype=int)
-    while True:
+    done = (x <= lo) | (x >= hi)  # off an end: that end's f is rounding noise
+    x = np.where(done, np.where(np.abs(f_lo) < np.abs(f_hi), lo, hi), x if start is None else start)
+    end = np.where(np.isnan(x), 0.5 * (lo + hi), x)
+    for _ in range(NEWTON_PASSES):
+        x = end  # done cells stay on their points
         vals = evaluate(x, u, w, h, 2)
         f, df = vals[1:] if k else (vals[0] - level, vals[1])
-        sf = np.sign(f)
-        right = sf != slo
-        lo = np.where(right, lo, x)  # x is now an end of its bracket
-        hi = np.where(right, x, hi)
-        width = hi - lo
-        ok = np.abs(f) < np.abs(df) * width
-        nxt = x - f / np.where(ok, df, 1.0)
-        stay = sf == 0.0
-        corr = np.abs(nxt - x)
-        if k:
-            small = ok & (corr <= newton_tol)
-        else:  # the step's own error M'' corr^2 / 2M' is below CROSS_ULPS ulps
-            small = ok & (np.abs(vals[2]) * corr * corr
-                          <= (2.0 * CROSS_ULPS) * np.spacing(np.abs(nxt)) * np.abs(df))
-        mid = 0.5 * (lo + hi)
-        ending = live & (small | stay | (width <= tol) | (mid == lo) | (mid == hi))
-        end = np.where(ending & small, np.minimum(np.maximum(nxt, lo), hi), x)
-        live &= ~ending
-        if not live.any():
+        nxt, _, small = _newton(x, f, df, vals[2], k, width0, newton_tol)
+        end = np.where(done, x, np.minimum(np.maximum(nxt, lo), hi))
+        done |= small
+        if done.all():
             break
-        ok &= (nxt > lo) & (nxt < hi)
-        halved = width <= 0.5 * last_width
-        run = np.where(halved, 0, run + 1)
-        last_width = np.where(halved, width, last_width)
-        x = np.where(live, np.where(ok & (run < NEWTON_RUN), nxt, mid), end)
+    else:
+        open_ = np.flatnonzero(~done)
+        end[open_], x[open_], *rows = _bracketed(
+            lo[open_], hi[open_], f_lo[open_], x[open_], [v[open_] for v in vals],
+            u, w, h, k, level[open_] if np.ndim(level) else level, width0[open_])
+        for v, row in zip(vals, rows):
+            v[open_] = row
     dx = end - x
     m = vals[0] + dx * (vals[1] + 0.5 * dx * vals[2])
     far = np.abs(dx) > TAYLOR_REACH * width0
     if far.any():
         m[far] = evaluate(end[far], u, w, h, 0)[0]
     return end, m
+
+
+def _bracketed(lo, hi, f_lo, x, vals, u, w, h, k, level, width0):
+    """The bracketed phase of `refine` on the cells that the plain phase left
+    open, from their last points x and the evaluation there (vals): each
+    evaluation's sign of f narrows the bracket, whose end x then is; a
+    Newton step that would leave it, and every step after it has failed to
+    halve in NEWTON_RUN evaluations, is a bisection.  Besides `refine`'s
+    rules a zero of M' is done once its bracket is below REFINE_TOL of its
+    starting width, and any cell once its bracket is two adjacent floats.
+    Returns the done points, the last evaluated points and that evaluation
+    (M, M', M'')."""
+    tol = REFINE_TOL * width0 if k else 0.0
+    newton_tol = math.sqrt(REFINE_TOL) * width0
+    slo = np.sign(f_lo)
+    live = np.ones(len(x), dtype=bool)
+    last_width = width0
+    run = np.zeros(len(x), dtype=int)
+    while True:
+        f, df = vals[1:] if k else (vals[0] - level, vals[1])
+        right = np.sign(f) != slo
+        lo = np.where(right, lo, x)  # x is now an end of its bracket
+        hi = np.where(right, x, hi)
+        width = hi - lo
+        nxt, ok, small = _newton(x, f, df, vals[2], k, width, newton_tol)
+        mid = 0.5 * (lo + hi)
+        ending = live & (small | (width <= tol) | (mid == lo) | (mid == hi))
+        end = np.where(ending & small, np.minimum(np.maximum(nxt, lo), hi), x)
+        live &= ~ending
+        if not live.any():
+            return [end, x] + vals
+        ok &= (nxt > lo) & (nxt < hi)
+        halved = width <= 0.5 * last_width
+        run = np.where(halved, 0, run + 1)
+        last_width = np.where(halved, width, last_width)
+        x = np.where(live, np.where(ok & (run < NEWTON_RUN), nxt, mid), end)
+        vals = evaluate(x, u, w, h, 2)

@@ -5,8 +5,9 @@ covariant, L_n(s E + t) = |s|^n L_n(E), which is how results return to the
 original frame.  Each iterate is the leveled interpolant on the reference,
 in the barycentric form of `leveled`, whose evaluation error on the set does
 not grow with the size of M in the gaps; its extrema are refined together by
-one bracket-safeguarded Newton loop, which also finds the blow-up set's
-critical points and level crossings.  Monomial coefficients of near-minimal
+one Newton refine, plain passes first and a bracketed loop for the cells they
+leave open, which also finds the blow-up set's critical points and level
+crossings.  Monomial coefficients of near-minimal
 polynomials grow exponentially with the degree, so `poly` is for reporting
 only; the Chebyshev coefficients `cheb` of the final reference serve only
 `poly`.
@@ -17,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
@@ -122,31 +124,55 @@ class WitnessReport:
         return ok and (self.sandwich_ok or not self.sandwich_applicable)
 
 
-def _quantile_points(a, b, theta, q: np.ndarray) -> np.ndarray:
-    """The points of [a, b] at the quantiles q of the equilibrium measure on
-    it: theta holds the Chebyshev coefficients in 2q - 1 of the angle at
-    which its distribution function reaches q (from `leveled.equilibrium`),
-    one row per point or one for all.  The points are clipped to [a, b]
-    against rounding at its ends."""
-    t = np.arccos(np.clip(2.0 * q - 1.0, -1.0, 1.0))
-    angle = (np.cos(np.outer(t, np.arange(np.shape(theta)[-1]))) * theta).sum(axis=-1)
-    return np.clip(0.5 * (a + b) - 0.5 * (b - a) * np.cos(angle), a, b)
+class _EquilibriumArrays(NamedTuple):
+    """The equilibrium measure of a union (from `leveled.equilibrium`) as
+    read-only arrays, one entry or row per interval."""
+
+    mass: np.ndarray
+    cum: np.ndarray  # cumulative masses
+    start: np.ndarray  # cum - mass: exactly 0 for the first interval
+    theta: np.ndarray  # inverse-distribution coefficients
+    grid_theta: np.ndarray  # the same chopped at GRID_CHOP, for the grid
+    lo: np.ndarray
+    hi: np.ndarray
+    mid: np.ndarray
+    rad: np.ndarray
 
 
 @functools.lru_cache(maxsize=64)
-def _equilibrium_arrays(ends: tuple):
-    """The equilibrium measure of the union with these endpoints as read-only
-    arrays, cached like `leveled.equilibrium` for degree sweeps: the masses,
-    the inverse-distribution coefficients (one row per interval), the same
-    chopped at GRID_CHOP for the grid, and the interval ends."""
+def _equilibrium_arrays(ends: tuple) -> _EquilibriumArrays:
+    """The equilibrium measure of the union with these endpoints, cached like
+    `leveled.equilibrium` for degree sweeps: the masses and their cumulative
+    sums, the inverse-distribution coefficients (one row per interval), the
+    same chopped at GRID_CHOP for the grid, and the interval ends, midpoints
+    and radii."""
     eq = leveled.equilibrium(ends)
+    mass = np.array([m for m, _ in eq])
     theta = np.array([c for _, c in eq])
     keep = 1 + np.flatnonzero((np.abs(theta) > GRID_CHOP).any(axis=0))[-1]
-    out = (np.array([m for m, _ in eq]), theta, theta[:, :keep],
-           np.array(ends[0::2]), np.array(ends[1::2]))
+    cum = np.cumsum(mass)
+    lo, hi = np.array(ends[0::2]), np.array(ends[1::2])
+    out = _EquilibriumArrays(mass, cum, cum - mass, theta, theta[:, :keep],
+                             lo, hi, 0.5 * (lo + hi), 0.5 * (hi - lo))
     for a in out:
         a.setflags(write=False)
     return out
+
+
+def _quantile_points(eq: _EquilibriumArrays, theta, piece, q: np.ndarray) -> np.ndarray:
+    """The points at the quantiles q of the equilibrium measure on the
+    intervals `piece` (one per point, or one for all) of the union of `eq`:
+    theta holds, one row per interval, the Chebyshev coefficients in 2q - 1
+    of the angle at which its distribution function reaches q (`eq.theta`
+    or `eq.grid_theta`).  The series of every interval is summed at every
+    point by one product, cos(t k) @ theta^T, and each point takes its
+    interval's column.  The points are clipped to their intervals against
+    rounding at the ends."""
+    t = np.arccos(np.minimum(np.maximum(2.0 * q - 1.0, -1.0), 1.0))
+    angles = np.cos(t[:, None] * np.arange(theta.shape[1])) @ theta.T
+    angle = angles[np.arange(len(q)), piece]
+    x = eq.mid[piece] - eq.rad[piece] * np.cos(angle)
+    return np.minimum(np.maximum(x, eq.lo[piece]), eq.hi[piece])
 
 
 def _init_reference(e: IntervalUnion, n: int) -> np.ndarray:
@@ -156,13 +182,11 @@ def _init_reference(e: IntervalUnion, n: int) -> np.ndarray:
     measure is the pullback of the arcsine measure, so at multiples of deg P
     these are the minimizer's extrema to rounding, and the first iterate is
     leveled; on a single interval they are the Chebyshev-Lobatto points."""
-    mass, theta, _, lo, hi = _equilibrium_arrays(e.endpoints)
-    cum = np.cumsum(mass)
-    start = cum - mass  # exactly 0 for the first interval
-    targets = np.linspace(0.0, cum[-1], n + 1)
-    piece = np.searchsorted(cum, targets)  # targets[-1] is cum[-1] exactly
-    return _quantile_points(lo[piece], hi[piece], theta[piece],
-                            (targets - start[piece]) / mass[piece])
+    eq = _equilibrium_arrays(e.endpoints)
+    targets = np.arange(n + 1) * (eq.cum[-1] / n)
+    targets[-1] = eq.cum[-1]  # exactly, so every target has an interval
+    piece = np.searchsorted(eq.cum, targets)
+    return _quantile_points(eq, eq.theta, piece, (targets - eq.start[piece]) / eq.mass[piece])
 
 
 def _solve_on_reference(u: np.ndarray, n: int):
@@ -196,14 +220,14 @@ def _extremum_grid(e: IntervalUnion, n: int):
     1/n.  Its angle series is the one chopped at GRID_CHOP, about half as
     long as the first reference's.  The endpoints are exact.
     """
-    mass, _, theta, lo, hi = _equilibrium_arrays(e.endpoints)
-    counts = np.maximum(24, (GRID_PER_POINT * (n + 1) * mass / mass.sum()).astype(int) + 8)
+    eq = _equilibrium_arrays(e.endpoints)
+    counts = np.maximum(24, (GRID_PER_POINT * (n + 1) * eq.mass / eq.mass.sum()).astype(int) + 8)
     last = np.cumsum(counts) - 1
     first = last - counts + 1
     piece = np.repeat(np.arange(len(counts)), counts)
     q = (np.arange(last[-1] + 1) - first[piece]) / (counts - 1)[piece]
-    xs = _quantile_points(lo[piece], hi[piece], theta[piece], q)
-    xs[first], xs[last] = lo, hi
+    xs = _quantile_points(eq, eq.grid_theta, piece, q)
+    xs[first], xs[last] = eq.lo, eq.hi
     ends = np.zeros(last[-1] + 1, dtype=bool)
     ends[first] = ends[last] = True
     inner = np.ones(last[-1], dtype=bool)
@@ -223,12 +247,17 @@ def _hermite_start(x0, x1, m0, m1, d0, d1):
     """In each cell (x0, x1), the zero of the derivative of the cubic that
     matches M (m0, m1) and M' (d0, d1 of opposite signs) at its ends, or the
     regula falsi point of M' where that zero is not inside: a Newton start
-    for M' that is one step ahead of regula falsi."""
+    for M' that is one step ahead of regula falsi.
+
+    The derivative d0 + b s + a s^2 changes sign once in (0, 1), at the root
+    where its slope b + 2 a s has the sign of d1.  Of the roots r / a and
+    d0 / r, r = -(b + sign(b) sqrt(b^2 - 4 a d0)) / 2, that is d0 / r where
+    b has the sign of d1, as it has where a = 0 (b = d1 - d0 there), and
+    r / a elsewhere, so one division picks it and none divides by zero."""
     a, b = _hermite_slope(x0, x1, m0, m1, d0, d1)
     r = -0.5 * (b + np.copysign(np.sqrt(np.maximum(b * b - 4.0 * a * d0, 0.0)), b))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = r / a  # the other root is d0 / r
-        s = np.where((s > 0.0) & (s < 1.0), s, d0 / r)
+    up = b * d1 > 0.0
+    s = np.where(up, d0, r) / np.where(up, r, a)
     s = np.where((s > 0.0) & (s < 1.0), s, d0 / (d0 - d1))
     return x0 + s * (x1 - x0)
 

@@ -320,7 +320,6 @@ def test_main_in_one_process_matches_fresh_runs(capsys):
     in_process = [run_cli(capsys, *argv)[:2] for argv in runs]
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    env.pop("CHEBCAP_MAX_DEGREE", None)
     for argv, (code, out) in zip(runs, in_process):
         fresh = subprocess.run(
             [sys.executable, "-c", "import sys; from chebcap.cli import main; sys.exit(main())", *argv],

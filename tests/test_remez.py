@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -478,11 +479,41 @@ def test_init_reference_is_an_increasing_reference_in_the_set(name):
 
 
 def test_init_reference_on_one_interval_is_chebyshev_lobatto():
-    cdf = equilibrium((-1.0, 1.0))[0][1]
+    eq = _remez._equilibrium_arrays((-1.0, 1.0))
     for n in range(1, 101):
-        want = _remez._quantile_points(-1.0, 1.0, cdf, np.linspace(0.0, 1.0, n + 1))
+        want = _remez._quantile_points(eq, eq.theta, 0, np.linspace(0.0, 1.0, n + 1))
         assert np.array_equal(_init_reference(FULL, n), want)
         assert np.allclose(want, -np.cos(np.arange(n + 1) * math.pi / n), rtol=0.0, atol=1e-15)
+
+
+def _per_point_quantiles(e, n):
+    """The reference for `_init_reference`: each point's own series row,
+    summed along it; and each point's rounding scale, an ulp of its
+    interval's max(|a|, |b|) plus its radius times the series' own
+    rounding, eps sum_k |theta_k|."""
+    eq = _remez._equilibrium_arrays(e.endpoints)
+    targets = np.linspace(0.0, eq.cum[-1], n + 1)
+    piece = np.searchsorted(eq.cum, targets)
+    q = (targets - eq.start[piece]) / eq.mass[piece]
+    a, b, theta = eq.lo[piece], eq.hi[piece], eq.theta[piece]
+    t = np.arccos(np.clip(2.0 * q - 1.0, -1.0, 1.0))
+    angle = (np.cos(np.outer(t, np.arange(theta.shape[1]))) * theta).sum(axis=1)
+    x = np.clip(0.5 * (a + b) - 0.5 * (b - a) * np.cos(angle), a, b)
+    series = np.finfo(float).eps * np.abs(theta).sum(axis=1)
+    return x, np.spacing(np.maximum(np.abs(a), np.abs(b))) + eq.rad[piece] * series
+
+
+def test_init_reference_matches_the_per_point_series_sums():
+    # One product cos(t k) @ theta^T for all intervals, each point taking its
+    # interval's column, moves the first reference by at most 4 of its
+    # rounding scales against summing each point's own row (3.5 ulps of the
+    # interval on the sets without narrow components; on these the series'
+    # rounding is the larger term).
+    for name, e in {**START_SETS, **_narrow_component_sets()}.items():
+        for c in (e, normalize(e)[0]):
+            for n in range(1, 101):
+                want, scale = _per_point_quantiles(c, n)
+                assert np.all(np.abs(_init_reference(c, n) - want) <= 4.0 * scale), (name, n)
 
 
 def _scaled_chebyshev_image(k):
@@ -676,13 +707,153 @@ def test_grid_series_chop_moves_grid_points_within_their_cells():
     worst = 0.0
     for name, e in {**START_SETS, **_narrow_component_sets()}.items():
         cn, _ = normalize(e)
-        _, theta, _, lo, hi = _remez._equilibrium_arrays(cn.endpoints)
+        eq = _remez._equilibrium_arrays(cn.endpoints)
         for n in (1, 2, 5, 10, 20, 40, 70, 100):
             xs, ends, _ = _extremum_grid(cn, n)
             edges = np.flatnonzero(ends)
             for i, (i0, i1) in enumerate(zip(edges[0::2], edges[1::2])):
-                full = _remez._quantile_points(lo[i], hi[i], theta[i],
-                                               np.linspace(0.0, 1.0, i1 - i0 + 1))
+                full = _remez._quantile_points(eq, eq.theta, i, np.linspace(0.0, 1.0, i1 - i0 + 1))
                 grid = xs[i0:i1 + 1]
                 worst = max(worst, np.max(np.abs(grid - full)) / np.min(np.diff(grid)))
     assert worst <= 1e-2, worst
+
+
+def test_plain_newton_phase_ends_the_exchange_refines(monkeypatch):
+    # Two plain Newton passes end every cell of every refine on the 21
+    # frontier solves and the 360 sweep solves: none reaches the bracketed
+    # phase.
+    entered, calls = [], []
+    refine, bracketed = leveled.refine, leveled._bracketed
+    monkeypatch.setattr(leveled, "refine", lambda *a, **k: calls.append(1) or refine(*a, **k))
+    monkeypatch.setattr(leveled, "_bracketed", lambda *a: entered.append(len(a[0])) or bracketed(*a))
+    for e, n in _frontier_solves() + _sweep_solves():
+        minimal_polynomial(e, n)
+    assert len(calls) > 1000 and entered == []
+
+
+def test_refine_brackets_only_the_cells_plain_newton_misses(monkeypatch):
+    # M = x^3 - 3x/4 (the Chebyshev-Lobatto reference of degree 3) has
+    # M' = 3x^2 - 3/4 with zeros at +-1/2.  From 0.01, where M'' = 0.06, the
+    # first Newton step is 12.5 long and leaves the cell (-0.1, 0.9); from
+    # 0.499 and -0.501 plain Newton converges in two passes.  Only the first cell goes on to
+    # the bracketed phase, which finds its zero.
+    u = -np.cos(np.arange(4) * math.pi / 3)
+    w, h = weights_and_level(u)
+    entered = []
+    bracketed = leveled._bracketed
+    monkeypatch.setattr(leveled, "_bracketed", lambda *a: entered.append(a[0].copy()) or bracketed(*a))
+    lo, hi = np.array([-0.1, 0.2, -0.9]), np.array([0.9, 0.8, -0.3])
+    x, m = leveled.refine(lo, hi, 3.0 * lo**2 - 0.75, 3.0 * hi**2 - 0.75, u, w, h,
+                          start=np.array([0.01, 0.499, -0.501]))
+    assert len(entered) == 1 and np.array_equal(entered[0], lo[:1])
+    assert np.max(np.abs(x - np.array([0.5, 0.5, -0.5]))) <= 1e-9
+    assert np.max(np.abs(m - (x**3 - 0.75 * x))) <= 1e-15
+
+
+def _strided_evaluate(x, u, w, h):
+    """The reference: M, M' and M'' as `leveled.evaluate` forms them, with
+    each sign-split sum taken by a strided sum over the nodes and each term
+    divided by x - u_j; and the rounding scale of M'', the sum of the moduli
+    of its terms, off the nodes (its sums cancel next to a node)."""
+    n = len(u) - 1
+    d = np.subtract.outer(x, u)
+    near = np.abs(d).argmin(axis=1)
+    hit = d[np.arange(len(x)), near] == 0.0
+    d[hit, near[hit]] = 1.0
+    plus = (n - near) % 2 == 0
+
+    def sums(v):
+        p, q = v[:, n % 2::2].sum(axis=1), v[:, 1 - n % 2::2].sum(axis=1)
+        return p + q, np.where(plus, q, p)
+
+    a = w / d
+    den, rest = sums(a)
+    jump = np.where(plus, -2.0 * h, 2.0 * h)
+    mk = jump * rest / den
+    b = a / d
+    b_all, b_rest = sums(b)
+    d1 = (mk * b_all - jump * b_rest) / den
+    c_all, c_rest = sums(b / d)
+    out = [mk - 0.5 * jump, d1, 2.0 * (d1 * b_all - mk * c_all + jump * c_rest) / den]
+    abs_c, abs_c_rest = sums(np.abs(b / d))
+    noise = 2.0 * (np.abs(d1) * sums(np.abs(b))[0] + np.abs(mk) * abs_c
+                   + 2.0 * h * abs_c_rest) / np.abs(den)
+    k = near[hit]
+    out[0][hit] = np.sign(w[k]) * h
+    out[1][hit], out[2][hit] = leveled._node_derivatives(u, w, h, k)
+    noise[hit] = 0.0
+    return out, noise
+
+
+@pytest.mark.parametrize("name", sorted(RESOLUTION_SETS))
+def test_stacked_product_evaluation_matches_strided_sums(name):
+    # M, M' and M'' from one matrix product of the stacked terms agree with
+    # the strided sums on the extremum grid, at the refined critical points
+    # and on some nodes, to 1e-14 of each one's largest modulus on the grid;
+    # M'' also to 8 ulps of its terms' moduli, since both forms lose it to
+    # cancellation within about 1e-16 of a node (a grid end one ulp from a
+    # reference point).
+    eps = np.finfo(float).eps
+    cn, _ = normalize(RESOLUTION_SETS[name])
+    for n in range(1, 101):
+        u = _init_reference(cn, n)
+        w, h = weights_and_level(u)
+        grid = _extremum_grid(cn, n)
+        x = np.concatenate([grid[0], _grid_critical_points(u, w, h, grid)[2], u[::7]])
+        want, noise = _strided_evaluate(x, u, w, h)
+        slack = [0.0, 0.0, 8.0 * eps * noise]
+        for order in (0, 1, 2):
+            got = evaluate(x, u, w, h, order)
+            assert len(got) == order + 1
+            for i in range(order + 1):
+                scale = np.max(np.abs(want[i][:len(grid[0])]))
+                assert np.all(np.abs(got[i] - want[i]) <= 1e-14 * scale + slack[i]), (name, n, i)
+
+
+def test_evaluate_allocates_no_array_beyond_the_terms():
+    # At 2,000 points and n = 100 an order-k evaluation holds the
+    # reciprocals and k + 1 term arrays of N x (n + 1) doubles at its peak:
+    # the strided sums peaked at 2.07, 3.11 and 4.14 such arrays, and a
+    # separate reciprocal array would add one more.
+    cn, _ = normalize(e_alpha(0.5))
+    n, size = 100, 8 * 2000 * 101
+    u = _init_reference(cn, n)
+    w, h = weights_and_level(u)
+    x = np.linspace(-1.0, 1.0, 2000)
+    for order, bound in ((0, 2.07), (1, 3.11), (2, 4.14)):
+        evaluate(x, u, w, h, order)
+        tracemalloc.start()
+        try:
+            evaluate(x, u, w, h, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * size, (order, peak / size)
+
+
+def test_hermite_start_picks_the_root_inside_the_cell():
+    # The root picked by the sign of the quadratic's slope is the one the
+    # reference, which tries r / a and then d0 / r for a root in (0, 1),
+    # keeps, bit for bit, on random cells with M' of opposite signs at the
+    # ends; no division by zero warns (warnings are errors here).
+    def reference(x0, x1, m0, m1, d0, d1):
+        a, b = _remez._hermite_slope(x0, x1, m0, m1, d0, d1)
+        r = -0.5 * (b + np.copysign(np.sqrt(np.maximum(b * b - 4.0 * a * d0, 0.0)), b))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = r / a
+            s = np.where((s > 0.0) & (s < 1.0), s, d0 / r)
+        s = np.where((s > 0.0) & (s < 1.0), s, d0 / (d0 - d1))
+        return x0 + s * (x1 - x0)
+
+    rng = np.random.default_rng(5)
+    size = 20000
+    x0 = rng.uniform(-1.0, 1.0, size)
+    x1 = x0 + rng.uniform(1e-6, 0.1, size)
+    m0, m1 = rng.standard_normal(size), rng.standard_normal(size)
+    d0 = rng.standard_normal(size) * 10.0 ** rng.uniform(-3.0, 3.0, size)
+    d1 = -np.sign(d0) * np.abs(rng.standard_normal(size))
+    cells = (x0, x1, m0, m1, d0, d1)
+    assert np.array_equal(_remez._hermite_start(*cells), reference(*cells))
+    linear = (np.zeros(1), np.full(1, 3.0), np.zeros(1), np.zeros(1), np.ones(1), -np.ones(1))
+    assert _remez._hermite_slope(*linear)[0][0] == 0.0  # a = 0: M' is linear, 1 - 2s
+    assert _remez._hermite_start(*linear)[0] == 1.5
