@@ -142,7 +142,8 @@ def cheb_T(k: int, x):
 
 
 def compose_T(k: int, p: Polynomial) -> Polynomial:
-    """Monomial coefficients of T_k(p(x)).
+    """Monomial coefficients of T_k(p(x)), by the recurrence
+    T_{j+1}(p) = 2 p T_j(p) - T_{j-1}(p) on coefficient arrays.
 
     Leading coefficient is 2^(k-1) * leading(p)^k, which is what makes composed
     sequences of minimal polynomials work out.
@@ -151,13 +152,15 @@ def compose_T(k: int, p: Polynomial) -> Polynomial:
         raise InvalidInputError("compose_T requires k >= 1")
     if k * p.degree > DEGREE_CAP:
         raise DegreeCapError(f"composition degree {k * p.degree} exceeds cap {DEGREE_CAP}")
-    prev = Polynomial((1.0,))
-    cur = p
+    c = np.array(p.coeffs)
+    prev, cur = np.ones(1), c
     for _ in range(k - 1):
-        prev, cur = cur, 2.0 * (p * cur) - prev
-    if not all(math.isfinite(c) for c in cur.coeffs):
+        nxt = 2.0 * np.convolve(c, cur)
+        nxt[:len(prev)] -= prev
+        prev, cur = cur, nxt
+    if not np.all(np.isfinite(cur)):
         raise InvalidInputError("coefficient overflow in Chebyshev composition")
-    return cur
+    return Polynomial(tuple(cur))
 
 
 def to_cheb(p: Polynomial) -> ChebExpansion:

@@ -4,13 +4,19 @@ The solve runs on the hull normalized to [-1, 1]; deviations are affinely
 covariant, L_n(s E + t) = |s|^n L_n(E), which is how results return to the
 original frame.  Each iterate is the leveled interpolant on the reference,
 in the barycentric form of `leveled`, whose evaluation error on the set does
-not grow with the size of M in the gaps; its extrema are refined together by
-one Newton refine, plain passes first and a bracketed loop for the cells they
-leave open, which also finds the blow-up set's critical points and level
-crossings.  Monomial coefficients of near-minimal
-polynomials grow exponentially with the degree, so `poly` is for reporting
-only; the Chebyshev coefficients `cheb` of the final reference serve only
-`poly`.
+not grow with the size of M in the gaps.  Its extrema are sought from the
+reference nodes first (`_node_extrema`) where they are expected to be close:
+in the first iteration on a set whose equilibrium masses are multiples of
+1/n, as on inverse images, and once the previous leveling gap is below
+NODE_GAP.  M' has one zero between consecutive zeros of M, so |M| has one
+peak near each node, which Newton from the node finds, or the search
+declines and the grid search runs (`_leveled_extrema`): a grid at quantiles
+of the equilibrium measure, built once per solve when first needed, and one
+Newton refine of its cells, plain passes first and a bracketed loop for the
+cells they leave open, which also finds the blow-up set's critical points
+and level crossings.  Monomial coefficients of near-minimal polynomials
+grow exponentially with the degree, so `poly` is for reporting only; the
+Chebyshev coefficients `cheb` of the final reference serve only `poly`.
 """
 
 from __future__ import annotations
@@ -37,6 +43,11 @@ LEVEL_TOL = 1e-12
 # a reference whose Lebesgue function on the set amplifies rounding beyond it.
 STALL_ACCEPT = 1e-6
 STALL_COUNT = 10
+# A quantile within this of 0 or 1 is its interval's end: a rounded j/n at an
+# interval's cumulative mass is a few ulps off, and the point is then some
+# rad (c q)^2 / 2 from the end (c = d angle / dq, pi on one interval), far
+# below an ulp of the radius.
+END_SNAP = 1e-12
 # Cells of the extremum grid per expected reference point.
 GRID_PER_POINT = 4
 # The grid's angle series drop their trailing coefficients below this: the
@@ -44,6 +55,19 @@ GRID_PER_POINT = 4
 GRID_CHOP = 1e-7
 # Newton steps on each cell's cubic for the start of a level-crossing refine.
 CROSS_START_STEPS = 3
+# The first iterate's extrema are sought from its nodes when every n times an
+# interval's equilibrium mass is within this (times n) of an integer: the
+# masses of an inverse image P^{-1}([-1, 1]) are multiples of 1/deg P, and
+# the quantiles j/n are its minimizer's extrema at multiples of deg P.
+MASS_TOL = 1e-9
+# Later iterates are sought from their nodes once the previous leveling gap
+# is below this: the exchange converges quadratically, so their extrema are
+# then within a small fraction of a node spacing of the nodes.
+NODE_GAP = 1e-4
+# A node's first Newton step toward its extremum must be within this
+# fraction of the smaller neighbouring node spacing; the second step is then
+# of order NODE_STEP^2 of it, and must change M by under an ulp of h.
+NODE_STEP = 1e-3
 # Points of the grid on which the witness takes the sup of |M|.
 WITNESS_GRID = 2000
 
@@ -181,12 +205,18 @@ def _init_reference(e: IntervalUnion, n: int) -> np.ndarray:
     inverted there, all at once.  On an inverse image P^{-1}([-1, 1]) the
     measure is the pullback of the arcsine measure, so at multiples of deg P
     these are the minimizer's extrema to rounding, and the first iterate is
-    leveled; on a single interval they are the Chebyshev-Lobatto points."""
+    leveled; on a single interval they are the Chebyshev-Lobatto points.
+    A q within END_SNAP of 0 or 1 is the interval's end exactly: mid + rad
+    may round to one ulp inside it, and a rounded j/n short of an interval's
+    cumulative mass gives a point a few ulps inside."""
     eq = _equilibrium_arrays(e.endpoints)
     targets = np.arange(n + 1) * (eq.cum[-1] / n)
     targets[-1] = eq.cum[-1]  # exactly, so every target has an interval
     piece = np.searchsorted(eq.cum, targets)
-    return _quantile_points(eq, eq.theta, piece, (targets - eq.start[piece]) / eq.mass[piece])
+    q = (targets - eq.start[piece]) / eq.mass[piece]
+    lo, hi = eq.lo[piece], eq.hi[piece]
+    x = _quantile_points(eq, eq.theta, piece, q)
+    return np.where(q <= END_SNAP, lo, np.where(q >= 1.0 - END_SNAP, hi, x))
 
 
 def _solve_on_reference(u: np.ndarray, n: int):
@@ -296,12 +326,79 @@ def _grid_critical_points(u, w, h, grid):
 
 def _leveled_extrema(u, w, h, grid) -> list:
     """Interval endpoints plus interior critical points of the leveled
-    interpolant, with M values, ascending and without points within 1e-14 of
-    the one before."""
+    interpolant, with M values, from the grid search."""
     xs, ends, _ = grid
     vals, d1, crit, crit_vals = _grid_critical_points(u, w, h, grid)
     keep = ends | (d1 == 0.0)
-    out = sorted(zip(xs[keep].tolist() + crit.tolist(), vals[keep].tolist() + crit_vals.tolist()))
+    return _candidates(np.concatenate((xs[keep], crit)), np.concatenate((vals[keep], crit_vals)))
+
+
+def _node_extrema(ends: np.ndarray, u, w, h):
+    """The candidates of `_leveled_extrema` found from the reference nodes
+    alone, on the union with the endpoints `ends`, or None where they cannot
+    be certified that way.
+
+    M(u_j) = s_j h alternates in sign, so the degree-n M has one zero z_j in
+    each (u_j, u_{j+1}), and M' has one zero c_j in each window
+    (z_{j-1}, z_j), j = 1..n-1, and none outside them: |M| is unimodal on
+    each window, with its peak at c_j, and monotone beyond z_0 and z_{n-1}.
+    So the interior critical points on the set are the c_j that lie inside
+    an interval, and each is sought from u_j alone.
+
+    A node inside an interval takes one Newton step on M', with M' and M''
+    from `leveled._node_derivatives`.  The step must be within NODE_STEP of
+    the smaller neighbouring node spacing, M'' must make the point a peak of
+    |M|, and the point must stay inside the interval.  One batched
+    `leveled.evaluate` at the Newton points and all interval ends (an end on
+    a node takes s_j h there exactly) then gives a second step; M must have
+    the node's sign there, the point must still be inside the interval, and
+    M' times the step must be within an ulp of h, so the second-order Taylor
+    value taken there is off by far less (M'' at the node is within about
+    NODE_STEP of M'' at the point).  The point has the node's sign and lies
+    within a small part of a node spacing of u_j, so it is c_j.
+
+    A node on an interval end is certified when |M| grows out of the set
+    there, so c_j lies beyond it, and at the gap's other end a' either M has
+    the other sign (a' is past z_j, as a node there is) or |M| falls into
+    a''s interval (c_j lies in the gap).  The end nodes u_0 and u_n need
+    nothing.  The candidates are the interval ends and the c_j found, with
+    their values.
+    """
+    n = len(u) - 1
+    inner = u[1:-1]
+    pos = np.searchsorted(ends, inner)  # inner lies in (ends[pos - 1], ends[pos]]
+    edge = ends[pos] == inner
+    out = 2.0 * (pos % 2) - 1.0  # on an end, the direction out of the set
+    s = np.sign(w[1:-1])
+    d1, d2 = leveled._node_derivatives(u, w, h, np.arange(1, n))
+    if not np.where(edge, s * d1 * out > 0.0, s * d2 < 0.0).all():
+        return None  # |M| grows into the set at an end, or no peak at an inner node
+    k = np.flatnonzero(~edge)
+    x = inner[k] - d1[k] / d2[k]
+    lo, hi = ends[pos[k] - 1], ends[pos[k]]
+    du = np.diff(u)
+    short = np.abs(x - inner[k]) <= NODE_STEP * np.minimum(du[k], du[k + 1])
+    if not (short & (x > lo) & (x < hi)).all():
+        return None
+    m, dm = leveled.evaluate(np.concatenate((x, ends)), u, w, h, 1)
+    m_k, dm_k = m[:len(k)], dm[:len(k)]
+    step = -dm_k / d2[k]
+    x = x + step
+    below_ulp = np.abs(step * dm_k) <= np.spacing(h)
+    if not ((s[k] * m_k > 0.0) & below_ulp & (x > lo) & (x < hi)).all():
+        return None
+    e = np.flatnonzero(edge)
+    far = len(k) + pos[e] + out[e].astype(int)  # the gap's other end a' in the evaluation
+    if not ((s[e] * m[far] < 0.0) | (s[e] * dm[far] * out[e] < 0.0)).all():
+        return None
+    crit_vals = m_k + 0.5 * step * dm_k
+    return _candidates(np.concatenate((ends, x)), np.concatenate((m[len(k):], crit_vals)))
+
+
+def _candidates(xs: np.ndarray, vals: np.ndarray) -> list:
+    """The points xs with their M values, ascending and without points within
+    1e-14 of the one before."""
+    out = sorted(zip(xs.tolist(), vals.tolist()))
     dedup = []
     for x, v in out:
         if not dedup or x - dedup[-1][0] > 1e-14:
@@ -374,16 +471,25 @@ def minimal_polynomial(c: IntervalUnion, n: int) -> MinimalPolyResult:
     hull_scale = rad**n
 
     u = _init_reference(cn, n)
-    grid = _extremum_grid(cn, n)
+    ends = np.array(cn.endpoints)
+    eq = _equilibrium_arrays(cn.endpoints)
+    counts = (eq.mass * (n / eq.cum[-1])).tolist()  # n times each interval's mass
+    on_nodes = all(abs(k - round(k)) <= MASS_TOL * n for k in counts)
+    grid = None
     best = None
     best_gap = math.inf
     stall = 0
     for it in range(1, MAX_ITER + 1):
         w, h = leveled.weights_and_level(u)
-        cands = _leveled_extrema(u, w, h, grid)
+        cands = _node_extrema(ends, u, w, h) if on_nodes else None
+        if cands is None:
+            if grid is None:
+                grid = _extremum_grid(cn, n)
+            cands = _leveled_extrema(u, w, h, grid)
         emax = max(abs(v) for _, v in cands)
         gap = max(emax - h, 0.0)
         gap_rel = gap / emax if emax > 0 else 0.0
+        on_nodes = gap_rel <= NODE_GAP
         if gap_rel < best_gap:
             best_gap, best, stall = gap_rel, (u, w, h, emax, gap, it), 0
         else:
@@ -434,8 +540,10 @@ def _leveled_values(result: MinimalPolyResult, t: np.ndarray) -> np.ndarray:
     nodes, weights = np.array(result.nodes), np.array(result.weights)
     far = np.abs(t) > 1.0
     out = np.empty(len(t))
-    out[far] = leveled.outer_values(t[far], nodes, weights)
-    out[~far] = leveled.evaluate(t[~far], nodes, weights, result.level, 0)[0]
+    if far.any():  # an empty call costs as much as a small one
+        out[far] = leveled.outer_values(t[far], nodes, weights)
+    if not far.all():
+        out[~far] = leveled.evaluate(t[~far], nodes, weights, result.level, 0)[0]
     return out
 
 

@@ -85,6 +85,23 @@ def test_compose_T_nests_chebyshev():
         compose_T(60, t3)
 
 
+def _compose_T_objects(k, p):
+    # The recurrence on Polynomial objects, each step trimmed: the reference
+    # for compose_T's array recurrence.
+    prev, cur = Polynomial((1.0,)), p
+    for _ in range(k - 1):
+        prev, cur = cur, 2.0 * (p * cur) - prev
+    return cur
+
+
+@pytest.mark.parametrize("c", [1.2, 1.25, 1.3])
+def test_compose_T_on_arrays_matches_the_object_recurrence_bit_for_bit(c):
+    for m in (3, 4):
+        p = Polynomial(tuple(c * np.polynomial.chebyshev.cheb2poly([0] * m + [1])))
+        for k in range(1, 9):
+            assert compose_T(k, p).coeffs == _compose_T_objects(k, p).coeffs, (c, m, k)
+
+
 def test_cheb_monomial_roundtrip():
     rng = np.random.RandomState(4)
     for _ in range(30):

@@ -603,17 +603,41 @@ def _count_refine_evaluations(monkeypatch, k):
     return counts
 
 
+def _exchange_references(e, n):
+    """The references of the iterations of minimal_polynomial(e, n), in the
+    normalized frame it solves in."""
+    refs = []
+    weights = leveled.weights_and_level
+    leveled.weights_and_level = lambda u: refs.append(u) or weights(u)
+    try:
+        minimal_polynomial(e, n)
+    finally:
+        leveled.weights_and_level = weights
+    return refs
+
+
+def _grid_search(e, n, refs):
+    """`_leveled_extrema`, the exchange's grid search, on each reference."""
+    cn, _ = normalize(e)
+    grid = _extremum_grid(cn, n)
+    for u in refs:
+        _remez._leveled_extrema(u, *weights_and_level(u), grid)
+
+
 def test_refine_on_a_critical_point_at_a_grid_node(monkeypatch):
     # On the interval at n = 11k the grid holds the Chebyshev-Lobatto points,
     # where M' is zero up to a rounding-level value of either sign; the same
     # happens on triple at n = 56.  The cell's regula falsi start lands on
-    # that node, which is the critical point: no bisection tail.
+    # that node, which is the critical point: no bisection tail.  The grid
+    # search runs on the exchange's references, which the exchange itself
+    # certifies from the nodes.
+    solves = [(e, n, _exchange_references(e, n))
+              for e, ns in ((FULL, range(11, 100, 11)), (TRIPLE, (56,))) for n in ns]
     counts = _count_refine_evaluations(monkeypatch, 1)
-    for e, ns in ((FULL, range(11, 100, 11)), (TRIPLE, (56,))):
-        for n in ns:
-            counts.clear()
-            minimal_polynomial(e, n)
-            assert counts and max(counts) <= 4, (n, counts)
+    for e, n, refs in solves:
+        counts.clear()
+        _grid_search(e, n, refs)
+        assert counts and max(counts) <= 4, (n, counts)
 
 
 @pytest.mark.parametrize("name", ["interval", "e_0.3", "e_0.6", "triple", "quad"])
@@ -719,15 +743,16 @@ def test_grid_series_chop_moves_grid_points_within_their_cells():
 
 
 def test_plain_newton_phase_ends_the_exchange_refines(monkeypatch):
-    # Two plain Newton passes end every cell of every refine on the 21
-    # frontier solves and the 360 sweep solves: none reaches the bracketed
-    # phase.
+    # Two plain Newton passes end every cell of every refine of the grid
+    # search on the references of the 21 frontier solves and the 360 sweep
+    # solves: none reaches the bracketed phase.
+    solves = [(e, n, _exchange_references(e, n)) for e, n in _frontier_solves() + _sweep_solves()]
     entered, calls = [], []
     refine, bracketed = leveled.refine, leveled._bracketed
     monkeypatch.setattr(leveled, "refine", lambda *a, **k: calls.append(1) or refine(*a, **k))
     monkeypatch.setattr(leveled, "_bracketed", lambda *a: entered.append(len(a[0])) or bracketed(*a))
-    for e, n in _frontier_solves() + _sweep_solves():
-        minimal_polynomial(e, n)
+    for e, n, refs in solves:
+        _grid_search(e, n, refs)
     assert len(calls) > 1000 and entered == []
 
 
@@ -857,3 +882,111 @@ def test_hermite_start_picks_the_root_inside_the_cell():
     linear = (np.zeros(1), np.full(1, 3.0), np.zeros(1), np.zeros(1), np.ones(1), -np.ones(1))
     assert _remez._hermite_slope(*linear)[0][0] == 0.0  # a = 0: M' is linear, 1 - 2s
     assert _remez._hermite_start(*linear)[0] == 1.5
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.6])
+def test_init_reference_puts_end_quantiles_on_the_interval_ends(alpha):
+    # The quantiles q = 0 and q = 1 of an interval are its ends exactly: at
+    # -alpha, mid + rad rounds to one ulp inside the end, and a node there
+    # would read as interior to the node search.
+    e = e_alpha(alpha)
+    for n in range(32, 101):
+        u = _init_reference(e, n)
+        assert u[0] == -1.0 and u[-1] == 1.0, n
+        assert (n % 2 == 1) or -alpha in u.tolist(), n  # q = 1 of [-1, -alpha] at j = n/2
+
+
+NODE_SETS = {**{f"e_{a}": e_alpha(a) for a in (0.3, 0.5, 0.6, 0.7)},
+             "triple": TRIPLE, "quad": QUAD, "asym": IntervalUnion((-1.0, 0.0, 0.5, 1.0))}
+
+
+@pytest.mark.parametrize("name", sorted(NODE_SETS))
+def test_node_search_matches_the_grid_search_on_converged_references(name):
+    # On the final reference of each solve the node search returns the grid
+    # search's candidates: the same points, values within 1e-15 h, positions
+    # within the refine's REFINE_TOL of the node spacing.  Its own points are
+    # within 1e-12 of the spacing of three more order-2 Newton steps.  It
+    # certifies all but a few references (2 of the 693 here).
+    cn, _ = normalize(NODE_SETS[name])
+    ends = np.array(cn.endpoints)
+    refused = 0
+    for n in range(2, 101):
+        r = minimal_polynomial(cn, n)
+        u, w, h = np.array(r.nodes), np.array(r.weights), r.level
+        got = _remez._node_extrema(ends, u, w, h)
+        if got is None:
+            refused += 1
+            continue
+        want = _remez._leveled_extrema(u, w, h, _extremum_grid(cn, n))
+        assert len(got) == len(want), (n, len(got), len(want))
+        (x, v), (x_grid, v_grid) = np.array(got).T, np.array(want).T
+        spacing = np.min(np.diff(u))
+        assert np.max(np.abs(v - v_grid)) <= 1e-15 * h, n
+        assert np.max(np.abs(x - x_grid)) <= leveled.REFINE_TOL * spacing, n
+        crit = ~np.isin(x, ends)
+        polished = x[crit]
+        for _ in range(3):
+            _, d1, d2 = evaluate(polished, u, w, h, 2)
+            polished = polished - d1 / d2
+        assert np.max(np.abs(x[crit] - polished), initial=0.0) <= 1e-12 * spacing, n
+    assert refused <= 2, refused
+
+
+def _quadratic_reference(u1, a):
+    """The degree-2 reference -1 < u1 < 1 on [-1, u1] u [a, 1]: M = x^2 -
+    (1 + u1^2)/2 has its extremum at 0 and takes M(a) < 0 for |a| < 1."""
+    u = np.array([-1.0, u1, 1.0])
+    return np.array([-1.0, u1, a, 1.0]), u, *weights_and_level(u)
+
+
+def test_node_search_certifies_an_extremum_in_the_gap():
+    # u1 = -0.1 on the right end of [-1, u1]: |M| grows out of the set, and
+    # from a = 0.05, past the extremum at 0, |M| falls into [a, 1].
+    ends, u, w, h = _quadratic_reference(-0.1, 0.05)
+    got = _remez._node_extrema(ends, u, w, h)
+    want = _remez._leveled_extrema(u, w, h, _extremum_grid(IntervalUnion(tuple(ends)), 2))
+    assert got is not None and len(got) == len(want) == 4
+    assert np.allclose(got, want, rtol=0.0, atol=1e-15)
+    assert got[2][1] == pytest.approx(0.05**2 - 0.505, rel=1e-14)
+
+
+@pytest.mark.parametrize("u1, a", [(0.1, 0.3), (-0.1, -0.05)],
+                         ids=["rises_into_the_set", "same_window_rising"])
+def test_node_search_refuses_what_it_cannot_certify(u1, a):
+    # At u1 = 0.1 on the right end of [-1, u1], |M| rises into the set: the
+    # extremum at 0 lies inside it.  At u1 = -0.1 it grows out of the set,
+    # but a = -0.05 lies in the same window before the extremum at 0, where
+    # |M| rises into [a, 1]: the extremum may lie in that interval.
+    assert _remez._node_extrema(*_quadratic_reference(u1, a)) is None
+
+
+def test_one_iteration_frontier_solves_build_no_extremum_grid(monkeypatch):
+    # The 15 frontier solves on inverse images (the interval, e_0.3, e_0.6,
+    # 1.25*T_3 and 1.25*T_4 at n = 32/40/48) end in their first iteration,
+    # certified from the nodes; the grid is built only when it is needed.
+    built = []
+    monkeypatch.setattr(_remez, "_extremum_grid", lambda *a: built.append(a) or _extremum_grid(*a))
+    solves = _frontier_solves()[:15]
+    assert [minimal_polynomial(e, n).iterations for e, n in solves] == [1] * 15
+    assert built == []
+    minimal_polynomial(TRIPLE, 32)
+    assert len(built) == 1
+
+
+def test_witness_makes_no_empty_outer_value_calls(monkeypatch):
+    # Every point the witness and the blow-up set evaluate on e_0.6 lies on
+    # the hull, so the first barycentric form is never called, and the
+    # values on a mixed set of points are the two forms' values.
+    e = e_alpha(0.6)
+    r = minimal_polynomial(e, 24)
+    calls = []
+    outer = leveled.outer_values
+    monkeypatch.setattr(leveled, "outer_values", lambda *a: calls.append(1) or outer(*a))
+    assert minimality_witness(e, r).passed
+    assert calls == []
+    t = np.array([-1.5, -0.8, 0.0, 0.7, 1.2])
+    u, w = np.array(r.nodes), np.array(r.weights)
+    want = np.concatenate((outer(t[:1], u, w), evaluate(t[1:4], u, w, r.level, 0)[0],
+                           outer(t[4:], u, w)))
+    assert np.array_equal(_remez._leveled_values(r, t), want)
+    assert len(calls) == 1
