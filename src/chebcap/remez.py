@@ -14,9 +14,10 @@ declines and the grid search runs (`_leveled_extrema`): a grid at quantiles
 of the equilibrium measure, built once per solve when first needed, and one
 Newton refine of its cells, plain passes first and a bracketed loop for the
 cells they leave open, which also finds the blow-up set's critical points
-and level crossings.  Monomial coefficients of near-minimal polynomials
-grow exponentially with the degree, so `poly` is for reporting only; the
-Chebyshev coefficients `cheb` of the final reference serve only `poly`.
+and level crossings.  Both searches hand their candidates to
+`_next_reference`, which keeps one extremum per sign run of M and so enforces
+the alternation.  Monomial coefficients of near-minimal polynomials grow
+exponentially with the degree, so `poly` is for reporting only.
 """
 
 from __future__ import annotations
@@ -82,10 +83,8 @@ class MinimalPolyResult:
     `residual` is the leveling gap sup|M| - min leveled |M| at acceptance, in
     original-frame units; the reported deviation is the actual sup of M on
     the set, so the true minimum deviation lies within residual below it.
-    The coefficient forms are computed from the reference on first read:
-    `cheb`, the Chebyshev coefficients on the normalized hull (`frame`,
-    `hull_scale`), and `poly`, the monomial coefficients in the original
-    frame, for reporting.
+    `poly`, the monomial coefficients in the original frame, for reporting,
+    is computed from the reference on first read.
     """
 
     deviation: float
@@ -103,12 +102,9 @@ class MinimalPolyResult:
         return len(self.nodes) - 1
 
     @functools.cached_property
-    def cheb(self) -> ChebExpansion:
-        return ChebExpansion(tuple(_solve_on_reference(np.array(self.nodes), self.degree)[0]))
-
-    @functools.cached_property
     def poly(self) -> Polynomial:
-        mono = (self.hull_scale * to_monomial(self.cheb).compose_affine(self.frame)).coeffs
+        cheb = ChebExpansion(tuple(_solve_on_reference(np.array(self.nodes), self.degree)[0]))
+        mono = (self.hull_scale * to_monomial(cheb).compose_affine(self.frame)).coeffs
         return Polynomial(tuple(mono[:-1]) + (1.0,))  # snap the monic lead exactly
 
     def evaluate(self, x):
@@ -324,13 +320,13 @@ def _grid_critical_points(u, w, h, grid):
     return (vals, d1) + leveled.refine(lo, hi, d_lo, d_hi, u, w, h, start=start)
 
 
-def _leveled_extrema(u, w, h, grid) -> list:
+def _leveled_extrema(u, w, h, grid):
     """Interval endpoints plus interior critical points of the leveled
-    interpolant, with M values, from the grid search."""
+    interpolant, and M at them, from the grid search: two arrays, unsorted."""
     xs, ends, _ = grid
     vals, d1, crit, crit_vals = _grid_critical_points(u, w, h, grid)
     keep = ends | (d1 == 0.0)
-    return _candidates(np.concatenate((xs[keep], crit)), np.concatenate((vals[keep], crit_vals)))
+    return np.concatenate((xs[keep], crit)), np.concatenate((vals[keep], crit_vals))
 
 
 def _node_extrema(ends: np.ndarray, u, w, h):
@@ -361,8 +357,17 @@ def _node_extrema(ends: np.ndarray, u, w, h):
     there, so c_j lies beyond it, and at the gap's other end a' either M has
     the other sign (a' is past z_j, as a node there is) or |M| falls into
     a''s interval (c_j lies in the gap).  The end nodes u_0 and u_n need
-    nothing.  The candidates are the interval ends and the c_j found, with
-    their values.
+    nothing.  The candidates are the interval ends and the c_j found, and
+    M at them, as two arrays.
+
+    The same windows give every reference that follows n + 1 sign runs.
+    The window of u_j holds a candidate of u_j's sign with |M| >= h: c_j if
+    it lies in the set, else the end of u_j's interval between u_j and c_j,
+    up to which |M| grows from h.  Beyond z_0 and z_{n-1} that candidate is
+    the hull's end.  The windows are disjoint and ordered, so these n + 1
+    candidates alternate in sign, and `_next_reference` finds at least
+    n + 1 runs among the candidates of either search, as long as it finds
+    every critical point on the set.
     """
     n = len(u) - 1
     inner = u[1:-1]
@@ -392,66 +397,43 @@ def _node_extrema(ends: np.ndarray, u, w, h):
     if not ((s[e] * m[far] < 0.0) | (s[e] * dm[far] * out[e] < 0.0)).all():
         return None
     crit_vals = m_k + 0.5 * step * dm_k
-    return _candidates(np.concatenate((ends, x)), np.concatenate((m[len(k):], crit_vals)))
+    return np.concatenate((ends, x)), np.concatenate((m[len(k):], crit_vals))
 
 
-def _candidates(xs: np.ndarray, vals: np.ndarray) -> list:
-    """The points xs with their M values, ascending and without points within
-    1e-14 of the one before."""
-    out = sorted(zip(xs.tolist(), vals.tolist()))
-    dedup = []
-    for x, v in out:
-        if not dedup or x - dedup[-1][0] > 1e-14:
-            dedup.append((x, v))
-    return dedup
+def _next_reference(xs: np.ndarray, vals: np.ndarray, m: int) -> np.ndarray:
+    """The next reference from the candidate points xs with their M values
+    vals: in ascending order, a point within 1e-14 of the last one kept and
+    a zero of M are skipped, each run of one sign keeps its largest |M|
+    (the leftmost on ties), and the run at whichever end has the smaller
+    |M| (the left on ties) is dropped until m remain.
 
-
-def _collapse_sign_runs(cands: list) -> list:
-    runs = []
-    for x, v in cands:
+    Fewer than m sign runs cannot happen in exact arithmetic (see
+    `_node_extrema`), so it raises ConvergenceError rather than exchange a
+    reference that does not alternate.
+    """
+    runs = []  # (x, M) of the largest |M| in each sign run so far
+    last = -math.inf
+    for x, v in sorted(zip(xs.tolist(), vals.tolist())):
+        if x - last <= 1e-14:
+            continue
+        last = x
         if v == 0.0:
             continue
-        s = 1 if v > 0 else -1
-        if runs and runs[-1][0] == s:
-            if abs(v) > abs(runs[-1][2]):  # strict: leftmost wins ties
-                runs[-1] = (s, x, v)
+        if runs and (v > 0.0) == (runs[-1][1] > 0.0):
+            if abs(v) > abs(runs[-1][1]):  # strict: the leftmost wins ties
+                runs[-1] = (x, v)
         else:
-            runs.append((s, x, v))
-    return [(x, v) for _, x, v in runs]
-
-
-def _single_point_exchange(u: np.ndarray, vals: np.ndarray, cands: list) -> np.ndarray:
-    x_star, v_star = max(cands, key=lambda c: abs(c[1]))
-    new = list(u)
-    sign = 1 if v_star > 0 else -1
-    if x_star < u[0]:
-        if (1 if vals[0] > 0 else -1) == sign:
-            new[0] = x_star
+            runs.append((x, v))
+    if len(runs) < m:
+        raise ConvergenceError(f"the extremum search found {len(runs)} sign runs of M, "
+                               f"fewer than the n + 1 = {m} a reference alternates over")
+    lo, hi = 0, len(runs)
+    while hi - lo > m:
+        if abs(runs[lo][1]) <= abs(runs[hi - 1][1]):
+            lo += 1
         else:
-            new = [x_star] + new[:-1]
-    elif x_star > u[-1]:
-        if (1 if vals[-1] > 0 else -1) == sign:
-            new[-1] = x_star
-        else:
-            new = new[1:] + [x_star]
-    else:
-        j = int(np.searchsorted(u, x_star))
-        j = j - 1 if j > 0 and (1 if vals[j - 1] > 0 else -1) == sign else j
-        new[j] = x_star
-    return np.array(sorted(new))
-
-
-def _select_reference(cands: list, m: int, u: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Next reference from the candidates; vals are M's values on u."""
-    pts = _collapse_sign_runs(cands)
-    if len(pts) < m:
-        return _single_point_exchange(u, vals, cands)
-    while len(pts) > m:
-        if abs(pts[0][1]) <= abs(pts[-1][1]):
-            pts.pop(0)
-        else:
-            pts.pop()
-    return np.array([x for x, _ in pts])
+            hi -= 1
+    return np.array([x for x, _ in runs[lo:hi]])
 
 
 def minimal_polynomial(c: IntervalUnion, n: int) -> MinimalPolyResult:
@@ -460,7 +442,10 @@ def minimal_polynomial(c: IntervalUnion, n: int) -> MinimalPolyResult:
     Convergence is a relative leveling gap below LEVEL_TOL within MAX_ITER
     iterations; iterations that stall above it are accepted at the best
     iterate once the gap is below STALL_ACCEPT, and the achieved gap is
-    reported in `residual`.  Degrees above DEGREE_CAP are refused.
+    reported in `residual`.  Degrees above DEGREE_CAP are refused.  An
+    extremum search that leaves fewer than n + 1 sign runs of M, which
+    cannot happen in exact arithmetic (see `_node_extrema`), raises
+    ConvergenceError with the run count, carrying the best iterate so far.
     """
     if n < 1:
         raise InvalidInputError("degree must be at least 1")
@@ -486,7 +471,7 @@ def minimal_polynomial(c: IntervalUnion, n: int) -> MinimalPolyResult:
             if grid is None:
                 grid = _extremum_grid(cn, n)
             cands = _leveled_extrema(u, w, h, grid)
-        emax = max(abs(v) for _, v in cands)
+        emax = float(np.max(np.abs(cands[1])))
         gap = max(emax - h, 0.0)
         gap_rel = gap / emax if emax > 0 else 0.0
         on_nodes = gap_rel <= NODE_GAP
@@ -498,7 +483,11 @@ def minimal_polynomial(c: IntervalUnion, n: int) -> MinimalPolyResult:
             break
         if stall >= STALL_COUNT and best_gap <= STALL_ACCEPT:
             break
-        u = _select_reference(cands, n + 1, u, np.sign(w) * h)
+        try:
+            u = _next_reference(*cands, n + 1)
+        except ConvergenceError as exc:
+            exc.last_iterate = _finalize(best, fwd, hull_scale) if best else None
+            raise
     else:
         last = _finalize(best, fwd, hull_scale) if best else None
         raise ConvergenceError(

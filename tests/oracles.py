@@ -65,6 +65,48 @@ def grid_sup_norm(coeffs, intervals, density: int = 20001) -> float:
     return best
 
 
+def _candidates(xs: np.ndarray, vals: np.ndarray) -> list:
+    """The points xs with their M values, ascending and without points within
+    1e-14 of the one before."""
+    out = sorted(zip(xs.tolist(), vals.tolist()))
+    dedup = []
+    for x, v in out:
+        if not dedup or x - dedup[-1][0] > 1e-14:
+            dedup.append((x, v))
+    return dedup
+
+
+def _collapse_sign_runs(cands: list) -> list:
+    runs = []
+    for x, v in cands:
+        if v == 0.0:
+            continue
+        s = 1 if v > 0 else -1
+        if runs and runs[-1][0] == s:
+            if abs(v) > abs(runs[-1][2]):  # strict: leftmost wins ties
+                runs[-1] = (s, x, v)
+        else:
+            runs.append((s, x, v))
+    return [(x, v) for _, x, v in runs]
+
+
+def next_reference_oracle(xs, vals, m: int):
+    """The exchange's next reference from candidate points xs with M values
+    vals, as a list, or None where they hold fewer than m sign runs: sort and
+    drop near-duplicates, keep the largest |M| of each sign run (leftmost on
+    ties), then pop the end with the smaller |M| (the left on ties) until m
+    remain, one step at a time on lists of tuples."""
+    pts = _collapse_sign_runs(_candidates(xs, vals))
+    if len(pts) < m:
+        return None
+    while len(pts) > m:
+        if abs(pts[0][1]) <= abs(pts[-1][1]):
+            pts.pop(0)
+        else:
+            pts.pop()
+    return [x for x, _ in pts]
+
+
 def _leveled_interpolant(nodes):
     """x -> M(x) at the working precision of mpmath, for the monic degree-n
     M with M(nodes[j]) = (-1)^(n-j) h, taken exactly from the float nodes."""

@@ -8,12 +8,20 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as npcheb
 
-from oracles import blow_up_oracle, grid_sup_norm, leveled_value_oracle, minimax_deviation_oracle
+from oracles import (
+    _candidates,
+    _collapse_sign_runs,
+    blow_up_oracle,
+    grid_sup_norm,
+    leveled_value_oracle,
+    minimax_deviation_oracle,
+    next_reference_oracle,
+)
 
 from chebcap import leveled
 from chebcap import remez as _remez
 from chebcap.chebpoly import Polynomial
-from chebcap.cli import _random_union, _verify_fixtures
+from chebcap.cli import _random_union, _verify_fixtures, main
 from chebcap.errors import ConvergenceError, DegreeCapError, InvalidInputError
 from chebcap.intervals import IntervalUnion, is_subset, normalize
 from chebcap.inverse_image import e_alpha, inverse_image, symmetric_two_interval_minpoly
@@ -534,7 +542,7 @@ def test_first_reference_is_nearly_leveled_on_inverse_images(name, e, ns):
     for n in ns:
         u = _init_reference(cn, n)
         w, h = weights_and_level(u)
-        emax = max(abs(v) for _, v in _remez._leveled_extrema(u, w, h, _extremum_grid(cn, n)))
+        emax = np.max(np.abs(_remez._leveled_extrema(u, w, h, _extremum_grid(cn, n))[1]))
         assert (emax - h) / emax <= 1e-12, (name, n, (emax - h) / emax)
         assert minimal_polynomial(e, n).iterations == 1, (name, n)
 
@@ -900,6 +908,12 @@ NODE_SETS = {**{f"e_{a}": e_alpha(a) for a in (0.3, 0.5, 0.6, 0.7)},
              "triple": TRIPLE, "quad": QUAD, "asym": IntervalUnion((-1.0, 0.0, 0.5, 1.0))}
 
 
+def _sorted_candidates(xs, vals):
+    """A search's candidate arrays in ascending order of x."""
+    order = np.argsort(xs, kind="stable")
+    return xs[order], vals[order]
+
+
 @pytest.mark.parametrize("name", sorted(NODE_SETS))
 def test_node_search_matches_the_grid_search_on_converged_references(name):
     # On the final reference of each solve the node search returns the grid
@@ -918,8 +932,8 @@ def test_node_search_matches_the_grid_search_on_converged_references(name):
             refused += 1
             continue
         want = _remez._leveled_extrema(u, w, h, _extremum_grid(cn, n))
-        assert len(got) == len(want), (n, len(got), len(want))
-        (x, v), (x_grid, v_grid) = np.array(got).T, np.array(want).T
+        (x, v), (x_grid, v_grid) = _sorted_candidates(*got), _sorted_candidates(*want)
+        assert len(x) == len(x_grid), (n, len(x), len(x_grid))
         spacing = np.min(np.diff(u))
         assert np.max(np.abs(v - v_grid)) <= 1e-15 * h, n
         assert np.max(np.abs(x - x_grid)) <= leveled.REFINE_TOL * spacing, n
@@ -944,10 +958,13 @@ def test_node_search_certifies_an_extremum_in_the_gap():
     # from a = 0.05, past the extremum at 0, |M| falls into [a, 1].
     ends, u, w, h = _quadratic_reference(-0.1, 0.05)
     got = _remez._node_extrema(ends, u, w, h)
-    want = _remez._leveled_extrema(u, w, h, _extremum_grid(IntervalUnion(tuple(ends)), 2))
-    assert got is not None and len(got) == len(want) == 4
+    assert got is not None
+    got = _sorted_candidates(*got)
+    want = _sorted_candidates(*_remez._leveled_extrema(u, w, h,
+                                                       _extremum_grid(IntervalUnion(tuple(ends)), 2)))
+    assert len(got[0]) == len(want[0]) == 4
     assert np.allclose(got, want, rtol=0.0, atol=1e-15)
-    assert got[2][1] == pytest.approx(0.05**2 - 0.505, rel=1e-14)
+    assert got[1][2] == pytest.approx(0.05**2 - 0.505, rel=1e-14)
 
 
 @pytest.mark.parametrize("u1, a", [(0.1, 0.3), (-0.1, -0.05)],
@@ -990,3 +1007,85 @@ def test_witness_makes_no_empty_outer_value_calls(monkeypatch):
                            outer(t[4:], u, w)))
     assert np.array_equal(_remez._leveled_values(r, t), want)
     assert len(calls) == 1
+
+
+def _random_candidates(rng):
+    """Candidate arrays in random order with the cases the selection must
+    agree on: repeated x, near-duplicates 5e-15 and 2e-14 apart, |M| drawn
+    from three values so that runs and ends tie, and zeros."""
+    k = rng.randint(1, 16)
+    xs = np.sort(rng.uniform(-1.0, 1.0, k))
+    signs = np.cumprod(np.where(rng.uniform(size=k) < 0.6, -1.0, 1.0))
+    vals = signs * rng.choice([0.5, 1.0, 2.0], k)
+    vals[rng.uniform(size=k) < 0.1] = 0.0
+    pick = rng.randint(0, k, rng.randint(0, 4))
+    offsets = rng.choice([0.0, 5e-15, 2e-14], len(pick))
+    xs = np.concatenate((xs, xs[pick] + offsets))
+    vals = np.concatenate((vals, rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0], len(pick))))
+    order = rng.permutation(len(xs))
+    return xs[order], vals[order]
+
+
+def test_next_reference_matches_the_list_oracle():
+    # The one-pass selection returns the points of the list-of-tuples code it
+    # replaced, and raises wherever that code found fewer than m sign runs.
+    # The draws trim from either end, tie the ends' |M| while trimming, and
+    # ask for more runs than there are.
+    rng = np.random.RandomState(16)
+    seen = dict.fromkeys(("raised", "left", "right", "tie"), 0)
+    for _ in range(1000):
+        xs, vals = _random_candidates(rng)
+        runs = _collapse_sign_runs(_candidates(xs, vals))
+        m = rng.randint(1, len(runs) + 3)
+        want = next_reference_oracle(xs, vals, m)
+        if want is None:
+            seen["raised"] += 1
+            with pytest.raises(ConvergenceError, match=f"{len(runs)} sign runs"):
+                _remez._next_reference(xs, vals, m)
+            continue
+        assert _remez._next_reference(xs, vals, m).tolist() == want, (xs, vals, m)
+        seen["left"] += want[0] != runs[0][0]
+        seen["right"] += want[-1] != runs[-1][0]
+        seen["tie"] += len(runs) > m and abs(runs[0][1]) == abs(runs[-1][1])
+    assert min(seen.values()) >= 50, seen
+
+
+def _drop_the_middle_candidate(monkeypatch):
+    """Patches both extremum searches to lose the interior candidate nearest
+    0, and starts the exchange from equispaced points, which are not leveled
+    (the Chebyshev-Lobatto start on the interval is, and ends the exchange
+    before any selection).  Returns the list of search calls."""
+    calls = []
+
+    def dropping(search):
+        def patched(*args):
+            cands = search(*args)
+            if cands is None:
+                return None
+            calls.append(1)
+            xs, vals = cands
+            inner = np.flatnonzero(np.abs(xs) < 1.0)
+            k = inner[np.argmin(np.abs(xs[inner]))]
+            return np.delete(xs, k), np.delete(vals, k)
+        return patched
+
+    monkeypatch.setattr(_remez, "_init_reference", lambda e, n: np.linspace(-1.0, 1.0, n + 1))
+    monkeypatch.setattr(_remez, "_leveled_extrema", dropping(_remez._leveled_extrema))
+    monkeypatch.setattr(_remez, "_node_extrema", dropping(_remez._node_extrema))
+    return calls
+
+
+def test_missing_sign_run_raises_at_the_first_selection(monkeypatch):
+    # Without the middle window's peak the candidates hold 5 sign runs, not
+    # n + 1 = 7: no reference alternates over them, and the exchange stops
+    # at its first selection with the best iterate so far.
+    calls = _drop_the_middle_candidate(monkeypatch)
+    with pytest.raises(ConvergenceError, match="5 sign runs") as info:
+        minimal_polynomial(FULL, 6)
+    assert len(calls) == 1
+    assert info.value.last_iterate.iterations == 1
+
+
+def test_missing_sign_run_exits_as_non_convergence(monkeypatch):
+    _drop_the_middle_candidate(monkeypatch)
+    assert main(["minpoly", "--intervals", "-1 1", "--degree", "6"]) == 3
