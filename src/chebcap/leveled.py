@@ -10,10 +10,14 @@ factor) and h = e^(-m)/sum|w~_j|, so nothing underflows at degree 100.  M, M'
 and M'' come from the second barycentric form and the Schneider-Werner
 divided differences.  Their error grows with the Lebesgue function of the
 reference on the set, not with the peak of |M| in its gaps as a
-Chebyshev-basis Clenshaw sum's does.  Since it does grow with the Lebesgue
-function, the first reference follows the set's equilibrium measure, which
-the minimizer's extrema approach: a reference off by a few points per
-interval at degree 100 has a Lebesgue function beyond 1e16.
+Chebyshev-basis Clenshaw sum's does.  The exchange finds the extrema of M
+from its nodes, from the zeros of M' (`critical_points`: the eigenvalues of
+M''s barycentric companion pencil, backward stable by Lawrence & Corless,
+Numer. Algorithms 2014) up to `remez.EIG_MAX`, or by a Newton refine on a
+grid (`refine`) above it.  Since the evaluation error does grow with the
+Lebesgue function, the first reference follows the set's equilibrium
+measure, which the minimizer's extrema approach: a reference off by a few
+points per interval at degree 100 has a Lebesgue function beyond 1e16.
 """
 
 from __future__ import annotations
@@ -142,6 +146,39 @@ def _node_derivatives(u, w, h, k):
     t = (f[None, :] - f[k][:, None]) * (w[None, :] / w[k][:, None]) * inv
     d2 = 2.0 * (t * (inv.sum(axis=1)[:, None] - inv)).sum(axis=1)
     return t.sum(axis=1), d2
+
+
+def critical_points(u, w, h):
+    """The n - 1 zeros of M' in ascending order, from one eigenvalue solve,
+    or None where the solve does not give n - 1 real ones.
+
+    M' has degree n - 1, so its values d_j = M'(u_j) at the n + 1 nodes
+    (from `_node_derivatives`) give it exactly in barycentric form on the
+    same nodes and weights, and its zeros are the finite eigenvalues of the
+    companion pencil A = [[0, -d^T], [w, diag(u)]], B = diag(0, 1, ..., 1),
+    which Lawrence & Corless ("Stability of rootfinding for barycentric
+    Lagrange interpolants", Numer. Algorithms 65, 2014) show to be backward
+    stable in the values d.  numpy has no generalized eigenvalue solver, so
+    the pencil is shift-inverted at s = 3, outside the hull [-1, 1]: the
+    eigenvalues mu of (A - s B)^(-1) B give lambda = s + 1/mu.  That matrix
+    has a zero first column, and its trailing block is the diagonal
+    D^(-1) = diag(1/(u - s)) minus the rank-one D^(-1) w d^T D^(-1) over
+    d^T D^(-1) w, so only the block is formed.  The three infinite
+    eigenvalues form a Jordan block: one is the dropped first column, and
+    the other two come out as a pair of modulus near 1e-8, while a zero in
+    [-1, 1] has |mu| >= 1/4; mu of modulus 1e-3 or less are dropped.  A real
+    matrix's real eigenvalues come out of LAPACK with a zero imaginary part;
+    a complex pair means two zeros of M' that rounding cannot separate.
+    """
+    n = len(u) - 1
+    d = _node_derivatives(u, w, h, np.arange(n + 1))[0]
+    r = 1.0 / (u - 3.0)
+    rw = r * w
+    mu = np.linalg.eigvals(np.diag(r) - np.outer(rw / (rw @ d), d * r))
+    mu = mu[np.abs(mu) > 1e-3]
+    if len(mu) != n - 1 or np.imag(mu).any():
+        return None
+    return np.sort(3.0 + 1.0 / mu.real)
 
 
 @lru_cache(maxsize=128)

@@ -920,7 +920,8 @@ def test_node_search_matches_the_grid_search_on_converged_references(name):
     # search's candidates: the same points, values within 1e-15 h, positions
     # within the refine's REFINE_TOL of the node spacing.  Its own points are
     # within 1e-12 of the spacing of three more order-2 Newton steps.  It
-    # certifies all but a few references (2 of the 693 here).
+    # certifies every one of the 693 references, those with a peak on an
+    # interval end (asym at n = 2, 3 and 4, e_0.5 at n = 3) included.
     cn, _ = normalize(NODE_SETS[name])
     ends = np.array(cn.endpoints)
     refused = 0
@@ -943,7 +944,7 @@ def test_node_search_matches_the_grid_search_on_converged_references(name):
             _, d1, d2 = evaluate(polished, u, w, h, 2)
             polished = polished - d1 / d2
         assert np.max(np.abs(x[crit] - polished), initial=0.0) <= 1e-12 * spacing, n
-    assert refused <= 2, refused
+    assert refused == 0, refused
 
 
 def _quadratic_reference(u1, a):
@@ -975,6 +976,134 @@ def test_node_search_refuses_what_it_cannot_certify(u1, a):
     # but a = -0.05 lies in the same window before the extremum at 0, where
     # |M| rises into [a, 1]: the extremum may lie in that interval.
     assert _remez._node_extrema(*_quadratic_reference(u1, a)) is None
+
+
+@pytest.mark.parametrize("u1", [0.0, -2.0**-52], ids=["edge_node", "inner_node"])
+def test_node_search_certifies_a_peak_on_an_interval_end(u1):
+    # M = x^2 - (1 + u1^2)/2 peaks at 0, the right end of [-1, 0].  On the
+    # edge node u1 = 0, M'(0) = 0 exactly and M'' < 0 makes it a peak of |M|;
+    # from the inner node u1 = -2^-52, Newton lands on the end to rounding.
+    # Either way the end is the window's candidate, as in the grid search.
+    ends, u = np.array([-1.0, 0.0, 0.5, 1.0]), np.array([-1.0, u1, 1.0])
+    w, h = weights_and_level(u)
+    got = _remez._node_extrema(ends, u, w, h)
+    assert got is not None
+    got = _sorted_candidates(*got)
+    want = _sorted_candidates(*_remez._leveled_extrema(u, w, h,
+                                                       _extremum_grid(IntervalUnion(tuple(ends)), 2)))
+    assert got[0].tolist() == want[0].tolist() == ends.tolist()
+    assert np.allclose(got[1], want[1], rtol=0.0, atol=1e-15)
+
+
+def _pencil_sets():
+    rng = np.random.RandomState(7)
+    return {**NODE_SETS, **{f"random-{i}": _random_union(rng) for i in range(20)}}
+
+
+PENCIL_SETS = _pencil_sets()
+
+
+def _merged_candidates(xs, vals):
+    """A search's candidates in ascending order of x, less each point within
+    1e-14 of the last one kept, as `_next_reference` reads them."""
+    x, v = _sorted_candidates(xs, vals)
+    keep, last = [], -math.inf
+    for i, xi in enumerate(x.tolist()):
+        if xi - last > 1e-14:
+            keep.append(i)
+            last = xi
+    return x[keep], v[keep]
+
+
+@pytest.mark.parametrize("name", sorted(PENCIL_SETS))
+def test_pencil_search_matches_the_grid_search_on_the_references_it_visits(name):
+    # On every reference that the solves at n = 1..EIG_MAX visit, the pencil
+    # search returns the grid search's candidates: as many once points within
+    # 1e-14 merge, as `_next_reference` merges them (a zero of M' on an
+    # interval end comes out of either search on it or a few ulps to either
+    # side), values within 1e-15 of the largest |M| (the rounding of M grows
+    # with |M|, up to 1.7 h on the early references), and zeros of M' within
+    # 1e-10 of the node spacing of three more order-2 Newton steps.
+    cn, _ = normalize(PENCIL_SETS[name])
+    ends = np.array(cn.endpoints)
+    for n in range(1, _remez.EIG_MAX + 1):
+        grid = _extremum_grid(cn, n)
+        for u in _exchange_references(cn, n):
+            w, h = weights_and_level(u)
+            got = _remez._pencil_extrema(ends, u, w, h)
+            assert got is not None, n
+            x, v = _merged_candidates(*got)
+            x_grid, v_grid = _merged_candidates(*_remez._leveled_extrema(u, w, h, grid))
+            assert len(x) == len(x_grid), (n, len(x), len(x_grid))
+            assert np.max(np.abs(v - v_grid)) <= 1e-15 * np.max(np.abs(v_grid)), n
+            crit = x[~np.isin(x, ends)]
+            polished = crit
+            for _ in range(3):
+                _, d1, d2 = evaluate(polished, u, w, h, 2)
+                polished = polished - d1 / d2
+            assert np.max(np.abs(crit - polished), initial=0.0) <= 1e-10 * np.min(np.diff(u)), n
+
+
+def test_pencil_at_degrees_one_and_two():
+    # At n = 1 M' is a nonzero constant, all of the pencil's eigenvalues are
+    # infinite, and the candidates are the interval ends, where M = x on the
+    # reference [-1, 1].  At n = 2, M = x^2 - (1 + u1^2)/2 on [-1, u1, 1] has
+    # its critical point at 0, a candidate where 0 lies in the set.
+    u = np.array([-1.0, 1.0])
+    w, h = weights_and_level(u)
+    assert leveled.critical_points(u, w, h).tolist() == []
+    ends = np.array([-1.0, -0.2, 0.3, 1.0])
+    xs, vals = _remez._pencil_extrema(ends, u, w, h)
+    assert xs.tolist() == ends.tolist() and np.allclose(vals, ends, rtol=0.0, atol=1e-15)
+    for u1 in (-0.5, 0.1, 0.25):
+        u = np.array([-1.0, u1, 1.0])
+        w, h = weights_and_level(u)
+        crit = leveled.critical_points(u, w, h)
+        assert len(crit) == 1 and abs(crit[0]) <= 1e-14, (u1, crit)
+        assert len(_remez._pencil_extrema(ends, u, w, h)[0]) == 4  # 0 lies in the gap
+        xs, vals = _remez._pencil_extrema(np.array([-1.0, 0.1, 0.3, 1.0]), u, w, h)
+        assert len(xs) == 5 and vals[-1] == pytest.approx(-(1.0 + u1 * u1) / 2.0, rel=1e-14)
+
+
+def test_pencil_search_runs_up_to_eig_max_and_the_grid_search_above(monkeypatch):
+    # At EIG_MAX the iterations that the node search does not certify take
+    # the pencil, and no extremum grid is built; at EIG_MAX + 1 the grid
+    # search runs and no pencil is solved.
+    built, solved = [], []
+    monkeypatch.setattr(_remez, "_extremum_grid", lambda *a: built.append(a) or _extremum_grid(*a))
+    crit = leveled.critical_points
+    monkeypatch.setattr(leveled, "critical_points", lambda *a: solved.append(1) or crit(*a))
+    assert minimal_polynomial(QUAD, _remez.EIG_MAX).iterations > 1
+    assert solved and built == []
+    solved.clear()
+    assert minimal_polynomial(QUAD, _remez.EIG_MAX + 1).iterations > 1
+    assert built and solved == []
+
+
+def test_pencil_with_a_complex_pair_falls_back_to_the_grid_search(monkeypatch):
+    # A pencil whose eigenvalue solve returns a complex pair gives no zeros
+    # of M'; the iteration runs the grid search instead, so a solve in which
+    # every pencil does returns the grid search's result, and the pencil
+    # search's deviation to rounding.
+    pencil = minimal_polynomial(QUAD, 12)
+    monkeypatch.setattr(_remez, "EIG_MAX", 0)
+    grid = minimal_polynomial(QUAD, 12)
+    monkeypatch.undo()
+    eigvals = np.linalg.eigvals
+
+    def paired(a):
+        mu = eigvals(a).astype(complex)
+        k = np.flatnonzero(np.abs(mu) > 1e-3)[:2]
+        mu[k] = mu[k].real.mean() + np.array([1e-3j, -1e-3j])
+        return mu
+
+    built = []
+    monkeypatch.setattr(np.linalg, "eigvals", paired)
+    monkeypatch.setattr(_remez, "_extremum_grid", lambda *a: built.append(a) or _extremum_grid(*a))
+    got = minimal_polynomial(QUAD, 12)
+    assert len(built) == 1
+    assert got.nodes == grid.nodes and got.deviation == grid.deviation
+    assert got.deviation == pytest.approx(pencil.deviation, rel=1e-14)
 
 
 def test_one_iteration_frontier_solves_build_no_extremum_grid(monkeypatch):
@@ -1051,8 +1180,8 @@ def test_next_reference_matches_the_list_oracle():
 
 
 def _drop_the_middle_candidate(monkeypatch):
-    """Patches both extremum searches to lose the interior candidate nearest
-    0, and starts the exchange from equispaced points, which are not leveled
+    """Patches the three extremum searches to lose the interior candidate
+    nearest 0, and starts the exchange from equispaced points, which are not leveled
     (the Chebyshev-Lobatto start on the interval is, and ends the exchange
     before any selection).  Returns the list of search calls."""
     calls = []
@@ -1072,6 +1201,7 @@ def _drop_the_middle_candidate(monkeypatch):
     monkeypatch.setattr(_remez, "_init_reference", lambda e, n: np.linspace(-1.0, 1.0, n + 1))
     monkeypatch.setattr(_remez, "_leveled_extrema", dropping(_remez._leveled_extrema))
     monkeypatch.setattr(_remez, "_node_extrema", dropping(_remez._node_extrema))
+    monkeypatch.setattr(_remez, "_pencil_extrema", dropping(_remez._pencil_extrema))
     return calls
 
 
