@@ -18,6 +18,10 @@ grid (`refine`) above it.  Since the evaluation error does grow with the
 Lebesgue function, the first reference follows the set's equilibrium
 measure, which the minimizer's extrema approach: a reference off by a few
 points per interval at degree 100 has a Lebesgue function beyond 1e16.
+Deep in a gap that function is huge and the second form is noise, so
+values for callers (`first_form`) and the blow-up set's searches in the
+gaps (`gap_terms`) come from the first barycentric form, whose error is a
+small multiple of n eps |M| away from a zero of M.
 """
 
 from __future__ import annotations
@@ -35,9 +39,6 @@ REFINE_TOL = 1e-8
 NEWTON_PASSES = 2
 # Newton steps that may pass before the refine's bracket has to halve.
 NEWTON_RUN = 4
-# A level crossing is done at a Newton step whose own error, from M'', is
-# below this many ulps of it.
-CROSS_ULPS = 4
 # A refined point this close to the refine's last evaluation, as a fraction
 # of its starting bracket, takes M from that evaluation's Taylor expansion,
 # whose error is then far below an ulp of M.
@@ -49,6 +50,8 @@ EQ_GRID = 64
 EQ_CHOP = 1e-14
 # Newton steps of the inversion, at most; each one squares the table's error.
 EQ_NEWTON = 8
+_LN2 = math.log(2.0)
+_EPS = np.finfo(float).eps
 _EQ_MID = (np.arange(EQ_GRID) + 0.5) * (math.pi / EQ_GRID)
 _EQ_TABLE = np.linspace(0.0, math.pi, EQ_GRID + 1)  # ends of the midpoint cells
 # Samples at _EQ_MID -> cosine coefficients (DCT-II), and values at the
@@ -251,58 +254,83 @@ def evaluate(x, u, w, h, order: int):
     return out
 
 
-def outer_values(x, u, w):
-    """M at points x outside [u_0, u_n] by the first barycentric form
+def first_form(x, u, w, h):
+    """M at the points x by the first barycentric form
     M = l(x) sum_j |w_j|/(x - u_j) / sum_j |w_j| (every w_j f_j is |w_j| h),
-    l(x) = prod_j (x - u_j).  Every x - u_j has one sign there, so nothing
-    cancels; l is kept as a product of mantissas and a power of 2."""
-    d = np.subtract.outer(x, u)
+    l(x) = prod_j (x - u_j), forward stable wherever it is evaluated (Higham,
+    IMA J. Numer. Anal. 24, 2004): its error is a small multiple of n eps |M|
+    except next to a zero of M, on the set, in its gaps and outside the hull.
+    l is a product of mantissas and a power of 2, so a value beyond the float
+    range is inf.  A point on a node takes s_j h."""
+    d = x - u[:, None]  # nodes along the first axis: the reductions run over whole rows
     a = np.abs(w)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = a @ (1.0 / d)
+        expo = np.empty(d.shape, dtype=np.int32)
+        np.frexp(d, out=(d, expo))
+        m = np.ldexp(np.prod(d, axis=0) * s / a.sum(), expo.sum(axis=0, dtype=np.int32))
+    k = np.minimum(np.searchsorted(u, x), len(u) - 1)
+    on = u[k] == x
+    m[on] = np.sign(w[k[on]]) * h
+    return m
+
+
+def gap_terms(x, u, w):
+    """At points x off the nodes, by the first barycentric form M = l S / sum|w|
+    with S = sum_j |w_j|/(x - u_j): log|M|, g = M'/M = sum_j 1/(x - u_j) + S'/S,
+    g' = S''/S - (S'/S)^2 - sum_j 1/(x - u_j)^2, log|M'| (from l (S sum_j
+    1/(x - u_j) + S'), finite on M's zero, where g is not), S, -S', and the
+    bound (n + 5) eps sum_j |w_j/(x - u_j)| / |S| on M's relative rounding
+    error.  S is the only sum with terms of both signs; next to M's zero it
+    cancels, and the bound reaches 1 where M is rounding noise."""
+    d = np.subtract.outer(x, u)
     mant, expo = np.frexp(d)
-    with np.errstate(over="ignore"):
-        return np.ldexp(np.prod(mant, axis=1) * (a / d).sum(axis=1) / a.sum(), expo.sum(axis=1))
+    terms = np.empty((5,) + d.shape)
+    np.divide(1.0, d, out=terms[0])
+    np.multiply(terms[0], terms[0], out=terms[1])
+    np.multiply(terms[1], terms[0], out=terms[2])
+    np.abs(terms[0], out=terms[3])
+    terms[4] = expo
+    weights = np.ones((len(u), 2))
+    a = np.abs(w, out=weights[:, 0])
+    sums = (terms.reshape(-1, len(u)) @ weights).reshape(5, len(x), 2)
+    (s0, s1, s2, s_abs), (a1, a2) = sums[:4, :, 0], sums[:2, :, 1]
+    log_l = np.log(np.abs(np.prod(mant, axis=1))) + _LN2 * sums[4, :, 1] - math.log(a.sum())
+    q = s1 / s0
+    return (log_l + np.log(np.abs(s0)), a1 - q, 2.0 * s2 / s0 - q * q - a2,
+            log_l + np.log(np.abs(a1 * s0 - s1)), s0, s1, (len(u) + 4) * _EPS * s_abs / np.abs(s0))
 
 
-def _newton(x, f, df, d2, k, width, newton_tol):
-    """The Newton point of f = M' (k = 1) or M - level (k = 0) from its
-    derivatives df and d2, whether the step is shorter than `width` (x
-    itself where it is not), and whether the cell is done on it: f = 0, or a
-    short step within newton_tol (k = 1) or whose own error, d2 corr^2 / 2df,
-    is below CROSS_ULPS ulps (k = 0)."""
+def _newton(x, f, df, width, newton_tol):
+    """The Newton point of f = M' from its derivative df, whether the step is
+    shorter than `width` (x itself where it is not), and whether the cell is
+    done on it: f = 0, or a short step within newton_tol."""
     ok = np.abs(f) < np.abs(df) * width
     nxt = x - np.where(ok, f, 0.0) / np.where(ok, df, 1.0)
-    corr = np.abs(nxt - x)
-    if k:
-        small = corr <= newton_tol
-    else:
-        small = np.abs(d2) * corr * corr <= (2.0 * CROSS_ULPS) * np.spacing(np.abs(nxt)) * np.abs(df)
-    return nxt, ok, (ok & small) | (f == 0.0)
+    return nxt, ok, (ok & (np.abs(nxt - x) <= newton_tol)) | (f == 0.0)
 
 
-def refine(lo, hi, f_lo, f_hi, u, w, h, k=1, level=0.0, start=None):
-    """Zeros of M' (k = 1) or of M - level (k = 0; level a scalar or one per
-    cell) in the brackets (lo, hi), where it has the values f_lo and f_hi of
-    opposite signs, all cells at once, and M at them.
+def refine(lo, hi, f_lo, f_hi, u, w, h, start=None):
+    """Zeros of M' in the brackets (lo, hi), where it has the values f_lo and
+    f_hi of opposite signs, all cells at once, and M at them: the exchange's
+    grid search.
 
-    Newton with M^(k+1) from `start` (a point inside each bracket) or else
-    the regula falsi point.  A zero of M' fixes M to second order, so its
-    cell is done on a Newton correction below sqrt(REFINE_TOL) of its
-    bracket.  A level crossing is wanted to the last bits: its cell is done
-    once the Newton step's own error, M'' corr^2 / 2M', is below CROSS_ULPS
-    ulps, which in rounding noise holds at once.  Both hold inside the
-    bracket or not: next to a zero on the bracket's end (a Chebyshev-Lobatto
-    point on the grid of one interval) the sign of f there is rounding
-    noise, and the zero would otherwise be bisected for some 27 rounds.  A
-    cell done on a Newton correction takes that step, clipped to the
-    bracket.  A cell with f = 0 keeps its point, and a regula falsi point on
-    an end is that end: its f is rounding noise against the other's, and the
-    cell is done before any Newton step.
+    Newton with M'' from `start` (a point inside each bracket) or else the
+    regula falsi point.  A zero of M' fixes M to second order, so its cell
+    is done on a Newton correction below sqrt(REFINE_TOL) of its bracket,
+    inside the bracket or not: next to a zero on the bracket's end (a
+    Chebyshev-Lobatto point on the grid of one interval) the sign of M'
+    there is rounding noise, and the zero would otherwise be bisected for
+    some 27 rounds.  A cell done on a Newton correction takes that step,
+    clipped to the bracket.  A cell with M' = 0 keeps its point, and a
+    regula falsi point on an end is that end: its M' is rounding noise
+    against the other's, and the cell is done before any Newton step.
 
     The refine runs in two phases.  The plain phase takes up to
     NEWTON_PASSES full Newton steps on every cell, each clipped to its
     bracket, with no bracket bookkeeping; on the exchange's cells it ends
     every cell.  The cells still open after it go on, alone, to the
-    bracketed phase (`_bracketed`), whose brackets the signs of f narrow and
+    bracketed phase (`_bracketed`), whose brackets the signs of M' narrow and
     where a step that would leave the bracket, or any step after the bracket
     has failed to halve in NEWTON_RUN evaluations, is a bisection, so every
     cell converges, at the latest when its bracket collapses to adjacent
@@ -321,8 +349,7 @@ def refine(lo, hi, f_lo, f_hi, u, w, h, k=1, level=0.0, start=None):
     for _ in range(NEWTON_PASSES):
         x = end  # done cells stay on their points
         vals = evaluate(x, u, w, h, 2)
-        f, df = vals[1:] if k else (vals[0] - level, vals[1])
-        nxt, _, small = _newton(x, f, df, vals[2], k, width0, newton_tol)
+        nxt, _, small = _newton(x, vals[1], vals[2], width0, newton_tol)
         end = np.where(done, x, np.minimum(np.maximum(nxt, lo), hi))
         done |= small
         if done.all():
@@ -331,7 +358,7 @@ def refine(lo, hi, f_lo, f_hi, u, w, h, k=1, level=0.0, start=None):
         open_ = np.flatnonzero(~done)
         end[open_], x[open_], *rows = _bracketed(
             lo[open_], hi[open_], f_lo[open_], x[open_], [v[open_] for v in vals],
-            u, w, h, k, level[open_] if np.ndim(level) else level, width0[open_])
+            u, w, h, width0[open_])
         for v, row in zip(vals, rows):
             v[open_] = row
     dx = end - x
@@ -342,29 +369,27 @@ def refine(lo, hi, f_lo, f_hi, u, w, h, k=1, level=0.0, start=None):
     return end, m
 
 
-def _bracketed(lo, hi, f_lo, x, vals, u, w, h, k, level, width0):
+def _bracketed(lo, hi, f_lo, x, vals, u, w, h, width0):
     """The bracketed phase of `refine` on the cells that the plain phase left
     open, from their last points x and the evaluation there (vals): each
-    evaluation's sign of f narrows the bracket, whose end x then is; a
+    evaluation's sign of M' narrows the bracket, whose end x then is; a
     Newton step that would leave it, and every step after it has failed to
     halve in NEWTON_RUN evaluations, is a bisection.  Besides `refine`'s
-    rules a zero of M' is done once its bracket is below REFINE_TOL of its
-    starting width, and any cell once its bracket is two adjacent floats.
-    Returns the done points, the last evaluated points and that evaluation
-    (M, M', M'')."""
-    tol = REFINE_TOL * width0 if k else 0.0
+    rules a cell is done once its bracket is below REFINE_TOL of its
+    starting width, or two adjacent floats.  Returns the done points, the
+    last evaluated points and that evaluation (M, M', M'')."""
+    tol = REFINE_TOL * width0
     newton_tol = math.sqrt(REFINE_TOL) * width0
     slo = np.sign(f_lo)
     live = np.ones(len(x), dtype=bool)
     last_width = width0
     run = np.zeros(len(x), dtype=int)
     while True:
-        f, df = vals[1:] if k else (vals[0] - level, vals[1])
-        right = np.sign(f) != slo
+        right = np.sign(vals[1]) != slo
         lo = np.where(right, lo, x)  # x is now an end of its bracket
         hi = np.where(right, x, hi)
         width = hi - lo
-        nxt, ok, small = _newton(x, f, df, vals[2], k, width, newton_tol)
+        nxt, ok, small = _newton(x, vals[1], vals[2], width, newton_tol)
         mid = 0.5 * (lo + hi)
         ending = live & (small | (width <= tol) | (mid == lo) | (mid == hi))
         end = np.where(ending & small, np.minimum(np.maximum(nxt, lo), hi), x)

@@ -18,10 +18,12 @@ with no grid and no Newton polish.  Above EIG_MAX, and where the pencil does
 not give n - 1 real zeros, the grid search runs (`_leveled_extrema`): a grid
 at quantiles of the equilibrium measure, built once per solve when first
 needed, and one Newton refine of its cells, plain passes first and a
-bracketed loop for the cells they leave open, which also finds the blow-up
-set's critical points and level crossings.  Each search hands its
+bracketed loop for the cells they leave open.  Each search hands its
 candidates to `_next_reference`, which keeps one extremum per sign run of M
-and so enforces the alternation.  Monomial coefficients of near-minimal polynomials grow
+and so enforces the alternation.  `blow_up_set` reads C' gap by gap from the
+same interlacing structure, with no grid, through the first barycentric
+form (`leveled.gap_terms`), and `evaluate` reads M through that form
+everywhere.  Monomial coefficients of near-minimal polynomials grow
 exponentially with the degree, so `poly` is for reporting only.
 """
 
@@ -59,8 +61,6 @@ GRID_PER_POINT = 4
 # The grid's angle series drop their trailing coefficients below this: the
 # grid only brackets the extrema, and its points move by under 1e-2 of a cell.
 GRID_CHOP = 1e-7
-# Newton steps on each cell's cubic for the start of a level-crossing refine.
-CROSS_START_STEPS = 3
 # The first iterate's extrema are sought from its nodes when every n times an
 # interval's equilibrium mass is within this (times n) of an integer: the
 # masses of an inverse image P^{-1}([-1, 1]) are multiples of 1/deg P, and
@@ -82,6 +82,12 @@ NODE_STEP = 1e-3
 EIG_MAX = 30
 # Points of the grid on which the witness takes the sup of |M|.
 WITNESS_GRID = 2000
+# A peak of |M| in a gap is found once a Newton step on M'/M would move
+# log|M| by less than this; |M| is stationary there.
+PEAK_TOL = 1e-14
+# Passes of a blow-up set's gap search before it is a numerical failure; on
+# the fixtures none takes more than 8.
+GAP_PASSES = 100
 
 
 @dataclass(frozen=True)
@@ -119,12 +125,10 @@ class MinimalPolyResult:
         return Polynomial(tuple(mono[:-1]) + (1.0,))  # snap the monic lead exactly
 
     def evaluate(self, x):
-        """M_n(x) from the barycentric form of the final reference.
-
-        Accurate on the set, where its error grows with the reference's
-        Lebesgue function, and outside the hull, where the first barycentric
-        form has no cancellation (a value beyond the float range is inf);
-        deep in the gaps it loses digits as |M| grows past the deviation.
+        """M_n(x) from the first barycentric form of the final reference
+        (`leveled.first_form`), whose error is a small multiple of n eps |M|
+        everywhere but next to a zero of M: on the set, deep in its gaps and
+        outside the hull, where a value beyond the float range is inf.
         """
         t = self.frame(np.asarray(x, dtype=float))
         return (self.hull_scale * _leveled_values(self, t.ravel()).reshape(t.shape))[()]
@@ -297,23 +301,6 @@ def _hermite_start(x0, x1, m0, m1, d0, d1):
     s = np.where(up, d0, r) / np.where(up, r, a)
     s = np.where((s > 0.0) & (s < 1.0), s, d0 / (d0 - d1))
     return x0 + s * (x1 - x0)
-
-
-def _hermite_crossing(x0, x1, f0, f1, d0, d1):
-    """In each cell (x0, x1), the zero of the cubic that matches f (f0, f1
-    of opposite signs) and f' (d0, d1) at its ends, by CROSS_START_STEPS
-    Newton steps from the regula falsi point; a step that would leave the
-    cell is not taken.  A Newton start for f that is a few steps ahead of
-    regula falsi."""
-    width = x1 - x0
-    a, b = _hermite_slope(x0, x1, f0, f1, d0, d1)
-    c0, b, a3 = f0 / width, 0.5 * b, a / 3.0  # the cubic / width: c0 + d0 s + b s^2 + a3 s^3
-    s = f0 / (f0 - f1)
-    for _ in range(CROSS_START_STEPS):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = s - (c0 + s * (d0 + s * (b + s * a3))) / (d0 + s * (2.0 * b + s * a))
-        s = np.where((t > 0.0) & (t < 1.0), t, s)
-    return x0 + s * width
 
 
 def _grid_critical_points(u, w, h, grid):
@@ -561,59 +548,168 @@ def _normalized_endpoints(c: IntervalUnion, result: MinimalPolyResult) -> list:
 
 
 def _leveled_values(result: MinimalPolyResult, t: np.ndarray) -> np.ndarray:
-    """M at normalized-frame points t, from the result's leveled interpolant:
-    its second barycentric form on the hull [-1, 1], its first outside."""
-    nodes, weights = np.array(result.nodes), np.array(result.weights)
-    far = np.abs(t) > 1.0
-    out = np.empty(len(t))
-    if far.any():  # an empty call costs as much as a small one
-        out[far] = leveled.outer_values(t[far], nodes, weights)
-    if not far.all():
-        out[~far] = leveled.evaluate(t[~far], nodes, weights, result.level, 0)[0]
-    return out
+    """M at normalized-frame points t, from the result's leveled interpolant."""
+    return leveled.first_form(t, np.array(result.nodes), np.array(result.weights), result.level)
+
+
+def _gap_search(cells, u, w, loglev):
+    """The searches of `blow_up_set`, one `leveled.gap_terms` pass over all
+    open cells at a time.  A cell is [kind, key, lo, hi, x, side, u_lo, u_hi]:
+    kind 0 seeks a point of z's band, 1 and 2 the peak on b's and on a's side
+    of z (or a point past the level), 3 and 4 a crossing with its end below
+    the level at lo or at hi; side is whether S > 0 on b's side of z, and
+    u_lo, u_hi are the nodes around the gap.  Each evaluation moves one end of
+    the bracket to it, and a step that would leave the bracket is a
+    bisection.  Returns {key: (point, value, log|M'|)}, the value being M/M'
+    for kind 0 and log|M| - loglev less its rounding bound for 1 and 2.  The
+    brackets are kept in a Python pass: on so few cells numpy's per-call cost
+    is most of the work (on arrays the blow-up set took 1.3x as long).
+    """
+    for cell in cells:
+        if not cell[2] < cell[4] < cell[3]:  # also a nan start
+            cell[4] = 0.5 * (cell[2] + cell[3])
+    found = {}
+    for _ in range(GAP_PASSES):
+        if not cells:
+            return found
+        x, u_lo, u_hi = np.array([cell[4:5] + cell[6:] for cell in cells]).T
+        logm, g, dg, log_dm, s0, s1, noise = leveled.gap_terms(x, u, w)
+        if np.isnan(logm).any():
+            raise ConvergenceError("the gap search of the blow-up set read M as nan")
+        f = logm - loglev
+        if cells[0][0] < 3:  # the zero and peak searches; the crossings run after them
+            is_z = np.array([cell[0] == 0 for cell in cells])
+            steps = np.where(is_z, s0 / (s1 - s0 * (1.0 / (x - u_lo) + 1.0 / (x - u_hi))), -g / dg)
+            small = np.zeros_like(is_z)
+        else:
+            steps = -2.0 * f / (g + np.copysign(np.sqrt(np.maximum(g * g - 2.0 * f * dg, 0.0)), g))
+            small = np.abs(dg) * steps * steps <= 8.0 * np.spacing(np.abs(x + steps)) * np.abs(g)
+        rows = zip(cells, *(v.tolist() for v in (f, g, dg, log_dm, s0, noise, steps, small)))
+        cells = []
+        for cell, fx, gx, dgx, ldm, sx, nz, step, sm in rows:
+            kind, key, lo, hi, xx, side = cell[:6]
+            near = (sx > 0.0) == side  # on b's side of z
+            if kind == 0:
+                below = near
+                done = (fx < -1.0 and near != (gx > 0.0)) or nz >= 1.0
+            elif kind < 3:
+                below = near and gx > 0.0 if kind == 1 else near or gx > 0.0
+                past = fx > nz
+                done = past or abs(gx * step) <= PEAK_TOL
+            else:
+                below = (fx <= 0.0) == (kind == 3)
+                done = nz >= 1.0 or abs(fx) <= nz or sm
+            lo, hi = (xx, hi) if below else (lo, xx)
+            nxt, mid = xx + step, 0.5 * (lo + hi)
+            ok = lo < nxt < hi
+            if not (done or mid == lo or mid == hi):
+                cell[2:5] = lo, hi, nxt if ok else mid
+                cells.append(cell)
+            elif kind == 0:  # on noise, xx is z as far as M can tell
+                found[key] = xx, 1.0 / gx if nz < 1.0 and gx else 0.0, ldm
+            elif kind < 3:
+                peak = ok and not past  # the peak's log|M| up to g' step^2 / 2
+                found[key] = (nxt if peak else xx, fx - nz + (0.5 * gx * step if peak else 0.0),
+                              (0.0 if peak else gx, dgx))
+            else:
+                found[key] = xx if nz >= 1.0 else min(max(nxt, lo), hi), fx, ldm
+    raise ConvergenceError(f"the gap search of the blow-up set took {GAP_PASSES} passes")
+
+
+def _gap_cuts(ends: np.ndarray, u, w, h, level: float) -> list:
+    """The ends of C' inside the hull, in ascending order, for the gaps of E
+    with endpoints `ends` (the hull's ends left out); see `blow_up_set`."""
+    loglev = math.log(level)
+    m, d1, d2 = leveled.evaluate(ends, u, w, h, 2)
+    g = d1 / m
+    dg = d2 / m - g * g
+    f = np.log(np.abs(m)) - loglev
+    step = -2.0 * f / (g + np.copysign(np.sqrt(np.maximum(g * g - 2.0 * f * dg, 0.0)), g))
+    into = np.where(f < 0.0, ends + step, ends).tolist()  # each end's crossing start
+    rise = (g * np.resize([1.0, -1.0], len(ends)) > 0.0) & ~(g * g <= PEAK_TOL * -dg)
+    k = np.minimum(np.searchsorted(u, ends[1::2]), len(u) - 1)  # u[k - 1] <= b < a <= u[k]
+    w_lo, w_hi = np.abs(w[k - 1]), np.abs(w[k])
+    has_z = np.sign(m[0::2]) * np.sign(m[1::2]) < 0.0
+    runs = np.stack((has_z, rise[0::2] & (has_z | rise[1::2]), has_z & rise[1::2]))
+    starts = np.stack(((w_lo * u[k] + w_hi * u[k - 1]) / (w_lo + w_hi),
+                       (ends - g / dg)[0::2], (ends - g / dg)[1::2])).tolist()
+    gaps = list(zip(ends[0::2].tolist(), ends[1::2].tolist(),
+                    (np.sign(m[0::2]) * np.sign(w[k - 1]) > 0).tolist(), u[k - 1].tolist(), u[k].tolist()))
+    found = _gap_search([[kind, (kind, i), *gaps[i][:2], starts[kind][i], *gaps[i][2:]]
+                         for kind, i in np.argwhere(runs).tolist()], u, w, loglev)
+    cuts, cells = {}, []
+    for i, (b, a, side, u_lo, u_hi) in enumerate(gaps):
+        z, ratio, log_dm = found.get((0, i), (math.nan, 0.0, math.nan))
+        reach = math.exp(loglev - log_dm)  # the tangent's run from z's band point to the level
+        below_z = (z, min(z - reach - ratio, math.nextafter(z, -math.inf)))
+        above_z = (z, max(z + reach - ratio, math.nextafter(z, math.inf)))
+        from_b, from_a = (b, into[2 * i]), (a, into[2 * i + 1])
+        # Each peak above the level: the (inner end, start) of its crossings below and above it.
+        for kind, low, up in ((1, from_b, below_z if has_z[i] else from_a), (2, above_z, from_a)):
+            p, value, (g_p, dg_p) = found.get((kind, i), (math.nan, -math.inf, (0.0, 0.0)))
+            if value <= 0.0:
+                continue
+            for slot, (inner, start), search, lo, hi in ((2 * kind - 2, low, 3, low[0], p),
+                                                          (2 * kind - 1, up, 4, p, up[0])):
+                if start == inner:  # a gap end with |M| at the level already is its own crossing
+                    cuts[i, slot] = inner
+                    continue
+                # The crossing of the second-order expansion at p, toward inner, where that is
+                # nearer p than the start is to inner: a peak barely above the level.
+                if dg_p < 0.0:
+                    step_p = (g_p + math.copysign(math.sqrt(g_p * g_p - 2.0 * value * dg_p),
+                                                  inner - p)) / -dg_p
+                    start = p + step_p if abs(step_p) < abs(start - inner) else start
+                cells.append([search, (i, slot), lo, hi, start, side, u_lo, u_hi])
+    cuts.update((key, x) for key, (x, _, _) in _gap_search(cells, u, w, loglev).items())
+    return [cuts[key] for key in sorted(cuts)]
 
 
 def blow_up_set(c: IntervalUnion, result: MinimalPolyResult) -> BlowUpResult:
     """C' = M_n^{-1}([-L, L]), the largest set on which M_n stays minimal.
 
-    Read from the result's leveled interpolant in the normalized frame, where
-    |M| exceeds L outside the hull.  Critical points of M split the cells of
-    the gaps' `_extremum_grid` into monotone pieces; piece-end values within
-    LEVEL_TOL of +-L are snapped to it, and the crossings of M = +-L inside
-    the pieces are refined together, each from the `_hermite_crossing` of
-    its piece, where M' is known at both ends (zero at a critical point).
-    They cut the gaps, which may hold whole bands of C'; a level test at
-    each cell's midpoint keeps the cells of C'.
-    Cuts within 1e-12 merge, so narrower bands are dropped: on e_alpha at odd
-    n, where M is odd, the central band is lost from n = 93 at alpha = 0.3,
-    55 at 0.5, 43 at 0.6 and 35 at 0.7.
+    Read gap by gap from the result's leveled interpolant in the normalized
+    frame, with no grid, by the interlacing argument of `_node_extrema`.  The
+    n zeros of M are real and interlace the nodes, which lie in E, so a gap
+    (b, a) holds at most one zero z, exactly where M(b) and M(a) differ in
+    sign: the zero of S = sum_j |w_j|/(x - u_j), which falls between the
+    nodes u_lo <= b and u_hi >= a.  And log|M| = sum_i log|x - z_i| is strictly
+    concave between zeros, so |M| has at most one peak on each piece of the
+    gap between an end and z (the whole gap without z), only where it rises
+    into the piece from both ends, and each side of a peak above L holds one
+    crossing of |M| = L, which Newton on log|M| - log L approaches from
+    below L without passing it.  So C' is E plus every monotone piece up to
+    its crossing: its ends inside the hull are the crossings in order, with
+    no merge tolerance and no level test.
+
+    The searches (`_gap_search`): z by Newton on S (x - u_lo)(u_hi - x) from
+    the zero of its two-pole part |w_lo| (u_hi - x) - |w_hi| (x - u_lo),
+    stopped in z's band (|M| < L/e and falling toward z) or where M is
+    rounding noise; each peak by Newton on g = M'/M from its gap end,
+    stopped within PEAK_TOL of the peak's log|M| or past L; then each
+    crossing by the root of the second-order Taylor expansion of
+    log|M| - log L, quadratic also next to a peak barely above L, from its
+    gap end (which is the crossing where |M| is not below L there) or from
+    where the tangent at z's band point reaches L, at least a float from it
+    (z lies in C' whatever the rounding), or from the crossing of the peak's
+    own expansion where that is nearer.  A crossing stops on its step within
+    M's rounding bound or once the step's own error is a few ulps.  Inside
+    the gaps M is read from the first barycentric form, which is forward
+    stable there (Higham, IMA J. Numer. Anal. 2004), where the second is
+    noise: in a gap of 10 T_3 at n = 40 it has the wrong sign at 116 of 399
+    points; at the gap ends, on E, from the second.
     """
     n = result.degree
-    dev = result.deviation / result.hull_scale
-    pts = _normalized_endpoints(c, result)
-    cuts = [np.array(pts)]
+    pts = np.array(_normalized_endpoints(c, result))
+    edges = pts[[0, -1]]
     if len(pts) > 2:
-        u, w, h = np.array(result.nodes), np.array(result.weights), result.level
-        grid = _extremum_grid(IntervalUnion(tuple(pts[1:-1])), n)
-        vals, d1, crit, crit_vals = _grid_critical_points(u, w, h, grid)
-        pos = np.searchsorted(grid[0], crit)
-        xs, inner = np.insert(grid[0], pos, crit), np.insert(grid[2], pos, True)
-        d1 = np.insert(d1, pos, 0.0)
-        f = np.insert(vals, pos, crit_vals) - np.array([[dev], [-dev]])  # M - L, M + L
-        f[np.abs(f) <= LEVEL_TOL * dev] = 0.0  # as close to +-L as L is to L_n
-        row, cell = np.nonzero(inner & (f[:, :-1] * f[:, 1:] < 0.0))
-        lo, hi, f_lo, f_hi = xs[cell], xs[cell + 1], f[row, cell], f[row, cell + 1]
-        start = _hermite_crossing(lo, hi, f_lo, f_hi, d1[cell], d1[cell + 1])
-        cuts += [xs[(f == 0.0).any(axis=0)],
-                 leveled.refine(lo, hi, f_lo, f_hi, u, w, h, 0, np.where(row == 0, dev, -dev),
-                                start)[0]]
-    cuts = np.sort(np.concatenate(cuts))
-    cuts = cuts[np.append(True, np.diff(cuts) > 1e-12)]
-    inside = np.abs(_leveled_values(result, 0.5 * (cuts[:-1] + cuts[1:]))) <= dev * (1.0 + 1e-9)
-    if not inside.any():
-        raise ConvergenceError("empty blow-up set; level classification failed")
-    edges = cuts[np.diff(np.concatenate(([False], inside, [False])))]  # where the test switches
-    c_prime = IntervalUnion(tuple(result.frame.inverse()(edges).tolist()))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cuts = _gap_cuts(pts[1:-1], np.array(result.nodes), np.array(result.weights),
+                             result.level, result.deviation / result.hull_scale)
+        edges = np.concatenate((pts[:1], cuts, pts[-1:]))
+    ends = result.frame.inverse()(edges)
+    keep = ends[0::2] < ends[1::2]  # a band around z narrower than an ulp of the original frame
+    c_prime = IntervalUnion(tuple(ends.reshape(-1, 2)[keep].ravel().tolist()))
     if not is_subset(c, c_prime, tol=1e-8):
         raise ConvergenceError("blow-up set does not contain the input set", last_iterate=c_prime)
     if not 1 <= c_prime.ell <= n:

@@ -134,6 +134,28 @@ def leveled_value_oracle(nodes, x: float, dps: int = 50) -> float:
         return float(_leveled_interpolant(nodes)(mpmath.mpf(x)))
 
 
+def _crossing(f, x0, x1, f0):
+    """The zero of f in (x0, x1), where f changes sign and f(x0) = f0: by
+    findroot's Anderson iteration, or by bisection down to the working
+    precision where that iteration stops short of findroot's own check, as
+    at a crossing where f is nearly flat (asym at n = 2, where |M| peaks on
+    a gap end 4e-31 above the level)."""
+    import mpmath
+
+    try:
+        return mpmath.findroot(f, (x0, x1), solver="anderson")
+    except ValueError:
+        pass
+    while True:
+        mid = (x0 + x1) / 2
+        if mid in (x0, x1):
+            return mid
+        if (f(mid) < 0) == (f0 < 0):
+            x0 = mid
+        else:
+            x1 = mid
+
+
 def blow_up_oracle(nodes, level, endpoints, scan: int = 400, dps: int = 50) -> list:
     """C' = E u {x in the gaps of E : |M(x)| <= level} as a list of (lo, hi),
     where M is the leveled interpolant on nodes, evaluated at dps digits, and
@@ -156,8 +178,7 @@ def blow_up_oracle(nodes, level, endpoints, scan: int = 400, dps: int = 50) -> l
             for x0, x1, v0, v1 in zip(xs, xs[1:], vs, vs[1:]):
                 for t in (lev, -lev):
                     if (v0 - t) * (v1 - t) < 0:
-                        cuts.append(mpmath.findroot(lambda x: m(x) - t, (x0, x1),
-                                                    solver="anderson"))
+                        cuts.append(_crossing(lambda x: m(x) - t, x0, x1, v0 - t))
             cuts.sort()
             pieces += [(p, q) for p, q in zip(cuts, cuts[1:]) if abs(m((p + q) / 2)) <= lev]
         pieces.sort()
