@@ -25,8 +25,11 @@ from .remez import minimal_polynomial
 # Ascent keeps this far inside the feasible box, where a sine factor would
 # otherwise degenerate to zero.
 BOUNDARY_MARGIN = 1e-9
-SWEEP_TOL = 1e-13
-MAX_SWEEPS = 500
+# Newton steps of the ascent, at most, and the step below which it has
+# converged: a step moves the angles by some eps / |H| of rounding, and the
+# Hessian's smallest eigenvalue is down to about 1e-3.
+NEWTON_STEPS = 100
+STEP_TOL = 1e-12
 RATIO_K_MAX = 50
 
 
@@ -186,54 +189,123 @@ def golden_max(f, lo: float, hi: float, tol: float) -> tuple:
     return 0.5 * (a + b), max(f1, f2)
 
 
-def solynin_optimized_bound(angles: AngleCoordinates) -> tuple:
-    """Best capacity lower bound found by deterministic coordinate ascent.
+def _log_factor(num: float, den: float) -> tuple:
+    """The log of `_sine_factor(num, den)`, g = (2 den^2 / pi^2) log sin t with
+    t = pi num / (2 den), and its derivatives in (num, den) = (N, D): g_D,
+    g_S = g_N + g_D along (1, 1), g_DD, g_SD = g_ND + g_DD and
+    g_SS = g_NN + 2 g_ND + g_DD.  For 0 < num <= den."""
+    t = 0.5 * math.pi * num / den
+    sin, cos = math.sin(t), math.cos(t)
+    log_sin, cot, csc2 = math.log(sin), cos / sin, 1.0 / (sin * sin)
+    c = 2.0 / (math.pi * math.pi)
+    k = 0.5 * math.pi
+    g_n = c * k * den * cot
+    g_d = c * den * (2.0 * log_sin - t * cot)
+    g_nn = -c * k * k * csc2
+    g_nd = c * k * (cot + t * csc2)
+    g_dd = c * (2.0 * (log_sin - t * cot) - t * t * csc2)
+    return (c * den * den * log_sin, g_d, g_n + g_d, g_dd, g_nd + g_dd,
+            g_nn + 2.0 * g_nd + g_dd)
 
-    Starts from the midpoint parameters and line-searches each free angle in
-    turn (gamma[1..ell-2] and every delta) inside its constraint box, kept a
-    margin away from the boundary where factors degenerate.  An angle enters
-    two sine factors only, gamma[j] the gap-side factor of gap j-1 and the
-    arc-side factor of gap j, delta[j] both factors of gap j, so each line
-    search maximizes the product of those two; the full bound, with its
-    parameter checks, is evaluated once per sweep.  The ascent stops when a
-    sweep gains less than SWEEP_TOL, or after MAX_SWEEPS sweeps.  Returns
-    (value, params); the value never falls below the midpoint bound.
+
+def _log_bound(phi, psi, z: list, order: int) -> tuple:
+    """The log of the bound's product at the free angles z = (delta[0],
+    gamma[1], delta[1], ..., gamma[ell-2], delta[ell-2]), and with order 2
+    its gradient and tridiagonal Hessian (diagonal, superdiagonal) in z.
+
+    Gap j has the arc-side factor in (num, den) = (psi_j - gamma_j, delta_j -
+    gamma_j) and the gap-side one in (gamma_{j+1} - phi_{j+1}, gamma_{j+1} -
+    delta_j); gamma_0 = 0 and gamma_{ell-1} = pi are fixed.  gamma_j moves
+    num and den together, delta_j den alone, and each factor couples two
+    neighbours in z, so the Hessian is tridiagonal."""
+    m = len(z)
+    grad, diag, sup = [0.0] * m, [0.0] * m, [0.0] * (m - 1)
+    total = 0.0
+    for j in range(len(phi) - 1):
+        i = 2 * j  # delta_j; gamma_j is at i - 1 and gamma_{j+1} at i + 1
+        g_lo = z[i - 1] if j else 0.0
+        g_hi = z[i + 1] if i + 1 < m else math.pi
+        a, a_d, a_s, a_dd, a_sd, a_ss = _log_factor(psi[j] - g_lo, z[i] - g_lo)
+        b, b_d, b_s, b_dd, b_sd, b_ss = _log_factor(g_hi - phi[j + 1], g_hi - z[i])
+        total += a + b
+        if order < 2:
+            continue
+        grad[i] += a_d - b_d
+        diag[i] += a_dd + b_dd
+        if j:
+            grad[i - 1] -= a_s
+            diag[i - 1] += a_ss
+            sup[i - 1] -= a_sd
+        if i + 1 < m:
+            grad[i + 1] += b_s
+            diag[i + 1] += b_ss
+            sup[i] -= b_sd
+    return total, grad, diag, sup
+
+
+def _newton_step(grad: list, diag: list, sup: list):
+    """The Newton step -H^(-1) grad for the tridiagonal H (diag, sup), by the
+    LDL^T factorization of -H, or None where -H is not positive definite."""
+    m = len(grad)
+    piv, y = [-diag[0]], [grad[0]]
+    for i in range(1, m):
+        ratio = -sup[i - 1] / piv[i - 1]
+        piv.append(-diag[i] + ratio * sup[i - 1])
+        y.append(grad[i] - ratio * y[i - 1])
+    if min(piv) <= 0.0:
+        return None
+    step = [0.0] * m
+    step[-1] = y[-1] / piv[-1]
+    for i in range(m - 2, -1, -1):
+        step[i] = (y[i] + sup[i] * step[i + 1]) / piv[i]
+    return step
+
+
+def solynin_optimized_bound(angles: AngleCoordinates) -> tuple:
+    """Best capacity lower bound found by a deterministic Newton ascent.
+
+    Starts from the midpoint parameters and takes Newton steps on the log of
+    the bound in all free angles at once (every delta and gamma[1..ell-2])
+    inside their constraint box, kept a margin away from the boundary where
+    factors degenerate.  Each log factor is concave in its (num, den), so
+    the log-bound is concave and -H positive definite away from num = den;
+    its Hessian is tridiagonal (`_log_bound`), and one LDL^T pass solves
+    for the step (`_newton_step`); where rounding leaves -H not positive
+    definite the step is the gradient.  The step is halved until it stays
+    in the box and the log-bound rises; the ascent stops once no step of
+    more than STEP_TOL in any angle does, or after NEWTON_STEPS steps.  The
+    full bound, with its parameter checks, is evaluated at the end.
+    Returns (value, params); the value never falls below the midpoint
+    bound.
     """
     phi, psi = angles.phi, angles.psi
     ell = len(phi)
     start = _midpoint_params(angles)
-    gamma = list(start.gamma)
-    delta = list(start.delta)
-
-    def value() -> float:
-        return solynin_bound(
-            angles, SolyninParams(gamma=tuple(gamma), delta=tuple(delta))
-        )
-
-    def box(lo: float, hi: float) -> tuple:
-        m = min(BOUNDARY_MARGIN, 0.25 * (hi - lo))
-        return lo + m, hi - m
-
-    best = value()
-    for _ in range(MAX_SWEEPS):
-        previous = best
-        for j in range(1, ell - 1):
-            def f(x, j=j):
-                return (_sine_factor(x - phi[j], x - delta[j - 1])
-                        * _sine_factor(psi[j] - x, delta[j] - x))
-
-            gamma[j] = golden_max(f, *box(phi[j], psi[j]), 1e-12)[0]
-        for j in range(ell - 1):
-            def f(x, j=j):
-                return (_sine_factor(psi[j] - gamma[j], x - gamma[j])
-                        * _sine_factor(gamma[j + 1] - phi[j + 1], gamma[j + 1] - x))
-
-            delta[j] = golden_max(f, *box(psi[j], phi[j + 1]), 1e-12)[0]
-        best = value()
-        if best - previous < SWEEP_TOL:
+    z, box = [start.delta[0]], [(psi[0], phi[1])]
+    for j in range(1, ell - 1):
+        z += [start.gamma[j], start.delta[j]]
+        box += [(phi[j], psi[j]), (psi[j], phi[j + 1])]
+    margin = [min(BOUNDARY_MARGIN, 0.25 * (b - a)) for a, b in box]
+    lo = [a + m for (a, _), m in zip(box, margin)]
+    hi = [b - m for (_, b), m in zip(box, margin)]
+    f, grad, diag, sup = _log_bound(phi, psi, z, 2)
+    for _ in range(NEWTON_STEPS):
+        step = _newton_step(grad, diag, sup) or grad
+        size = max(map(abs, step))
+        alpha = 1.0
+        while alpha * size > STEP_TOL:  # halve until inside the box and rising
+            trial = [x + alpha * s for x, s in zip(z, step)]
+            if all(a <= x <= b for a, x, b in zip(lo, trial, hi)) and \
+                    _log_bound(phi, psi, trial, 0)[0] > f:
+                break
+            alpha *= 0.5
+        else:
             break
+        z = trial
+        f, grad, diag, sup = _log_bound(phi, psi, z, 2)
 
-    params = SolyninParams(gamma=tuple(gamma), delta=tuple(delta))
+    params = SolyninParams(gamma=(0.0, *z[1::2], math.pi), delta=tuple(z[0::2]))
+    best = solynin_bound(angles, params)
     midpoint = solynin_midpoint_bound(angles)
     if best < midpoint:
         return midpoint, start

@@ -6,15 +6,20 @@ degree n with M(u_j) = s_j h, s_j = (-1)^(n-j) (Berrut & Trefethen, SIAM Rev.
 monicity reads sum_j w_j s_j h = 1, and every s_j w_j is positive, so
 h = 1/sum|w_j| has no cancellation.  The weights are kept scaled by their
 largest modulus e^m (the second barycentric form is invariant to a common
-factor) and h = e^(-m)/sum|w~_j|, so nothing underflows at degree 100.  M, M'
-and M'' come from the second barycentric form and the Schneider-Werner
-divided differences.  Their error grows with the Lebesgue function of the
-reference on the set, not with the peak of |M| in its gaps as a
-Chebyshev-basis Clenshaw sum's does.  The exchange finds the extrema of M
-from its nodes, from the zeros of M' (`critical_points`: the eigenvalues of
-M''s barycentric companion pencil, backward stable by Lawrence & Corless,
-Numer. Algorithms 2014) up to `remez.EIG_MAX`, or by a Newton refine on a
-grid (`refine`) above it.  Since the evaluation error does grow with the
+factor) and h = e^(-m)/sum|w~_j|, so nothing underflows at degree 100.  Each
+exchange iteration makes one pass over its reference (`leveled`): the node
+differences give the weights and level, and inverted in place, M' at every
+node and M'' at the interior ones, to the order its search needs.  Between
+the nodes, M, M' and M'' come from the second barycentric form and the
+Schneider-Werner divided differences (`evaluate`).  Their error grows with
+the Lebesgue function of the reference on the set, not with the peak of |M|
+in its gaps as a Chebyshev-basis Clenshaw sum's does.  The exchange finds
+the extrema of M from its nodes, from the zeros of M' (`critical_points`:
+the eigenvalues of the barycentric companion pencil of M' on n of its node
+values, backward stable by Lawrence & Corless, Numer. Algorithms 2014) up to
+`remez.EIG_MAX`, or by a Newton refine on a grid (`refine`) above it.  The
+equilibrium measure raises ConvergenceError on a component too narrow for
+its midpoint sums.  Since the evaluation error does grow with the
 Lebesgue function, the first reference follows the set's equilibrium
 measure, which the minimizer's extrema approach: a reference off by a few
 points per interval at degree 100 has a Lebesgue function beyond 1e16.
@@ -28,9 +33,12 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
+
+from .errors import ConvergenceError
 
 # A refined critical point is accepted once it is within about this fraction
 # of the grid cell it started in.
@@ -97,7 +105,8 @@ def equilibrium(ends: tuple) -> tuple:
     ends = np.array(ends)
     a, b = ends[:-1, None], ends[1:, None]  # intervals and gaps alternate
     x = 0.5 * (a + b) - 0.5 * (b - a) * np.cos(_EQ_MID)
-    r = np.prod(x[:, :, None] - ends, axis=2) / ((x - a) * (x - b))
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on a too narrow component
+        r = np.prod(x[:, :, None] - ends, axis=2) / ((x - a) * (x - b))
     g = (1.0 / m) / np.sqrt(np.abs(r))
     v = npcheb.chebvander(x, k)
     top = 2.0 ** (1 - k)
@@ -105,6 +114,11 @@ def equilibrium(ends: tuple) -> tuple:
     q = np.append(np.linalg.solve(gap_sums[:, :k], -top * gap_sums[:, k]), top)
     dens = g[0::2] * np.abs(v[0::2] @ q)
     mass = dens.sum(axis=1)
+    if not np.isfinite(mass).all():
+        width = float(np.min(ends[1::2] - ends[0::2]))
+        raise ConvergenceError(f"the equilibrium measure is not finite: the narrowest component, "
+                               f"{width:.3g} wide on the hull [-1, 1], is too narrow for its "
+                               f"midpoint sums")
     cos_coef = _chop((dens @ _EQ_DCT) / mass[:, None], 1.0)[:, 1:, None]
     sin_coef = cos_coef / np.arange(1, cos_coef.shape[1] + 1)[:, None]
     cdf = np.zeros((len(dens), m + 1))
@@ -126,62 +140,118 @@ def equilibrium(ends: tuple) -> tuple:
 def weights_and_level(u: np.ndarray):
     """Scaled barycentric weights s_j |w_j| e^(-m) and the level h of the
     monic leveled interpolant on the reference u."""
+    return leveled(u, 0)[:2]
+
+
+class NodePass(NamedTuple):
+    """The leveled interpolant on a reference from one pass over its nodes
+    (`leveled`): the weights and level, M' at every node (to order 1) and
+    M'' at the interior nodes u_1..u_{n-1} (to order 2), else None."""
+
+    w: np.ndarray
+    h: float
+    d1: Optional[np.ndarray]
+    d2: Optional[np.ndarray]
+
+
+def leveled(u: np.ndarray, order: int = 2) -> NodePass:
+    """The scaled barycentric weights s_j |w_j| e^(-m) and the level h of the
+    monic leveled interpolant on the reference u and, to `order` 1 or 2, M'
+    at every node and M'' at the interior nodes: one pass over the node
+    differences u_k - u_j, which give the weights by their log-sums and are
+    then inverted in place for the rows of the differentiation matrices
+    (`_slope_terms`, `_second_derivative`).  M' and M'' are the term sums
+    of `_node_derivatives` bit for bit: summed by sign instead, M' at a node
+    where it vanishes comes out as a rounding-level value of either sign,
+    and the node search reads that sign on an interval end."""
     n = len(u) - 1
-    diff = u[:, None] - u[None, :]
-    np.fill_diagonal(diff, 1.0)
-    logw = -np.log(np.abs(diff)).sum(axis=1)
+    inv = np.subtract.outer(u, u)
+    diag = inv.reshape(-1)[::n + 2]  # a view of the diagonal
+    diag[:] = 1.0
+    logw = -np.log(np.abs(inv)).sum(axis=1)
     m = float(logw.max())
-    mag = np.exp(logw - m)
-    s = np.where((n - np.arange(n + 1)) % 2 == 0, 1.0, -1.0)
-    return s * mag, math.exp(-m) / float(mag.sum())
+    w = np.exp(logw - m)
+    h = math.exp(-m) / float(w.sum())
+    w[(n + 1) % 2::2] *= -1.0  # s_j = -1 where n - j is odd
+    if not order:
+        return NodePass(w, h, None, None)
+    np.divide(1.0, inv, out=inv)
+    diag[:] = 0.0
+    t = _slope_terms(inv, w, h, slice(None))
+    d1 = t.sum(axis=1)
+    if order < 2:
+        return NodePass(w, h, d1, None)
+    return NodePass(w, h, d1, _second_derivative(t[1:-1], inv[1:-1]))
+
+
+def _slope_terms(inv, w, h, k):
+    """The terms D_kj (f_j - f_k) of M' at the nodes u[k] (an index array or
+    a slice), from their rows inv of the reciprocal node differences
+    1/(u_k - u_j), 0 at j = k: the barycentric differentiation matrix
+    D_kj = (w_j / w_k) / (u_k - u_j) applied to f_j = s_j h."""
+    f = np.sign(w) * h
+    return (f[None, :] - f[k][:, None]) * (w[None, :] / w[k][:, None]) * inv
+
+
+def _second_derivative(t, inv):
+    """M'' at the nodes of the rows t of `_slope_terms` and inv, from
+    D2_kj = 2 D_kj (sum_{i!=k} 1/(u_k - u_i) - 1/(u_k - u_j))."""
+    return 2.0 * (t * (inv.sum(axis=1)[:, None] - inv)).sum(axis=1)
 
 
 def _node_derivatives(u, w, h, k):
     """M' and M'' at the nodes u[k], from the barycentric differentiation
-    matrix: D_kj = (w_j / w_k) / (u_k - u_j) and
-    D2_kj = 2 D_kj (sum_{i!=k} 1/(u_k - u_i) - 1/(u_k - u_j))."""
+    matrices (`_slope_terms`, `_second_derivative`)."""
     rows = np.arange(len(k))
     dd = u[k][:, None] - u[None, :]
     dd[rows, k] = 1.0
     inv = 1.0 / dd
     inv[rows, k] = 0.0
-    f = np.sign(w) * h
-    t = (f[None, :] - f[k][:, None]) * (w[None, :] / w[k][:, None]) * inv
-    d2 = 2.0 * (t * (inv.sum(axis=1)[:, None] - inv)).sum(axis=1)
-    return t.sum(axis=1), d2
+    t = _slope_terms(inv, w, h, k)
+    return t.sum(axis=1), _second_derivative(t, inv)
 
 
-def critical_points(u, w, h):
+def critical_points(u, w, h, d1=None):
     """The n - 1 zeros of M' in ascending order, from one eigenvalue solve,
-    or None where the solve does not give n - 1 real ones.
+    or None where the solve does not give n - 1 real ones.  d1 is M' at the
+    nodes, from `leveled` where not given.
 
-    M' has degree n - 1, so its values d_j = M'(u_j) at the n + 1 nodes
-    (from `_node_derivatives`) give it exactly in barycentric form on the
-    same nodes and weights, and its zeros are the finite eigenvalues of the
-    companion pencil A = [[0, -d^T], [w, diag(u)]], B = diag(0, 1, ..., 1),
-    which Lawrence & Corless ("Stability of rootfinding for barycentric
-    Lagrange interpolants", Numer. Algorithms 65, 2014) show to be backward
-    stable in the values d.  numpy has no generalized eigenvalue solver, so
-    the pencil is shift-inverted at s = 3, outside the hull [-1, 1]: the
-    eigenvalues mu of (A - s B)^(-1) B give lambda = s + 1/mu.  That matrix
-    has a zero first column, and its trailing block is the diagonal
-    D^(-1) = diag(1/(u - s)) minus the rank-one D^(-1) w d^T D^(-1) over
-    d^T D^(-1) w, so only the block is formed.  The three infinite
-    eigenvalues form a Jordan block: one is the dropped first column, and
-    the other two come out as a pair of modulus near 1e-8, while a zero in
-    [-1, 1] has |mu| >= 1/4; mu of modulus 1e-3 or less are dropped.  A real
-    matrix's real eigenvalues come out of LAPACK with a zero imaginary part;
-    a complex pair means two zeros of M' that rounding cannot separate.
+    M' has degree n - 1, so its values d_j = M'(u_j) at the first n nodes
+    give it exactly in barycentric form on those nodes, whose weights are
+    w_j (u_j - u_n), and its zeros are the finite eigenvalues of the
+    companion pencil A = [[0, -d^T], [w, diag(u)]], B = diag(0, 1, ..., 1)
+    of size n + 1, which Lawrence & Corless ("Stability of rootfinding for
+    barycentric Lagrange interpolants", Numer. Algorithms 65, 2014) show to
+    be backward stable in the values d.  numpy has no generalized eigenvalue
+    solver, so the pencil is shift-inverted at s = 3, outside the hull
+    [-1, 1]: the eigenvalues mu of (A - s B)^(-1) B give lambda = s + 1/mu.
+    That matrix has a zero first column, and its trailing n x n block is the
+    diagonal D^(-1) = diag(1/(u - s)) minus the rank-one D^(-1) w d^T D^(-1)
+    over d^T D^(-1) w, formed in place.  The two infinite eigenvalues are
+    the dropped first column and one exact zero of the block, whose null
+    vector is w; it comes out below 1e-14 (on all n + 1 values the block
+    has a Jordan pair there instead, which LAPACK splits to modulus 1e-8),
+    while a zero in [-1, 1] has |mu| >= 1/4, so mu of modulus 1e-3 or less
+    are dropped.  The zeros are within 1e-11 of the node spacing of those
+    of the pencil on all n + 1 values.  A real matrix's real eigenvalues
+    come out of LAPACK with a zero imaginary part; a complex pair means two
+    zeros of M' that rounding cannot separate.
     """
+    if d1 is None:
+        d1 = leveled(u, 1).d1
     n = len(u) - 1
-    d = _node_derivatives(u, w, h, np.arange(n + 1))[0]
-    r = 1.0 / (u - 3.0)
-    rw = r * w
-    mu = np.linalg.eigvals(np.diag(r) - np.outer(rw / (rw @ d), d * r))
+    v, d = u[:-1], d1[:-1]
+    r = 1.0 / (v - 3.0)
+    rw = r * w[:-1] * (v - u[-1])
+    block = np.multiply.outer(rw / -(rw @ d), d * r)
+    block.reshape(-1)[::n + 1] += r
+    mu = np.linalg.eigvals(block)
     mu = mu[np.abs(mu) > 1e-3]
-    if len(mu) != n - 1 or np.imag(mu).any():
+    if len(mu) != n - 1 or mu.imag.any():
         return None
-    return np.sort(3.0 + 1.0 / mu.real)
+    crit = 3.0 + 1.0 / mu.real
+    crit.sort()
+    return crit
 
 
 @lru_cache(maxsize=128)
@@ -231,26 +301,26 @@ def evaluate(x, u, w, h, order: int):
     total = sums[..., 0] + sums[..., 1]
     rest = np.where(plus, sums[..., 1], sums[..., 0])  # over the other sign
     den = total[0]
-    gone = den == 0.0
-    if gone.any():  # cancelled to zero: take it from sum_j w_j/(x - u_j) = 1/l(x)
+    if not den.all():  # cancelled to zero: take it from sum_j w_j/(x - u_j) = 1/l(x)
+        gone = den == 0.0
         rz = r[gone]
         log_r = np.log(np.abs(rz)).sum(axis=1)  # -log|l(x)|
         den[gone] = np.prod(np.sign(rz), axis=1) * np.exp(math.log(h * np.abs(w).sum()) + log_r)
     jump = np.where(plus, -2.0 * h, 2.0 * h)  # f_j - f_k at the nodes of the other sign
     mk = jump * rest[0] / den
-    out = [mk - 0.5 * jump]
+    f_near = -0.5 * jump  # f_k = s_k h
+    out = [mk + f_near]
     if order >= 1:
         d1 = (mk * total[1] - jump * rest[1]) / den
         out.append(d1)
     if order >= 2:
         out.append(2.0 * (d1 * total[1] - mk * total[2] + jump * rest[2]) / den)
     if some_hit:
-        k = near[hit]
-        out[0][hit] = np.sign(w[k]) * h
+        out[0][hit] = f_near[hit]
         if order == 1:
-            out[1][hit] = jump[hit] * rest[0][hit] / w[k]
+            out[1][hit] = jump[hit] * rest[0][hit] / w[near[hit]]
         elif order == 2:
-            out[1][hit], out[2][hit] = _node_derivatives(u, w, h, k)
+            out[1][hit], out[2][hit] = _node_derivatives(u, w, h, near[hit])
     return out
 
 

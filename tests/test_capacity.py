@@ -8,8 +8,6 @@ import pytest
 from chebcap import capacity as _capacity
 from chebcap.capacity import (
     BOUNDARY_MARGIN,
-    MAX_SWEEPS,
-    SWEEP_TOL,
     SolyninParams,
     capacity_bracket,
     capacity_lower_bound,
@@ -262,7 +260,10 @@ def test_one_lower_bound_behind_bracket_and_ratios():
 
 def _full_product_ascent(ang):
     """Reference: the coordinate ascent that evaluates the whole bound, with
-    its parameter checks, at every probe of every line search."""
+    its parameter checks, at every probe of every line search.  It stops
+    when a sweep gains less than SWEEP_TOL, or after MAX_SWEEPS sweeps."""
+    SWEEP_TOL = 1e-13
+    MAX_SWEEPS = 500
     ell = ang.ell
     gamma = [0.0] + [0.5 * (ang.phi[j] + ang.psi[j]) for j in range(1, ell - 1)] + [math.pi]
     delta = [0.5 * (ang.psi[j] + ang.phi[j + 1]) for j in range(ell - 1)]
@@ -315,6 +316,26 @@ def test_ascent_on_its_own_factors_matches_full_product_ascent():
         assert val == pytest.approx(_full_product_ascent(ang), rel=1e-13, abs=0.0)
         assert val >= solynin_midpoint_bound(ang)
         assert solynin_bound(ang, params) == pytest.approx(val, rel=1e-15, abs=1e-13)
+
+
+def test_newton_ascent_takes_few_steps(monkeypatch):
+    # The Newton ascent makes at most 12 Newton solves per call (6.0 on
+    # average, the last one's step below STEP_TOL) on the sets of the two
+    # ascent tests above: the verify fixtures and 250 random unions of 2 to
+    # 5 intervals.
+    solves = []
+    newton_step = _capacity._newton_step
+    monkeypatch.setattr(_capacity, "_newton_step",
+                        lambda *a: solves.__setitem__(-1, solves[-1] + 1) or newton_step(*a))
+    sets = [e for _, e in _verify_fixtures() if e.ell > 1]
+    rng = np.random.RandomState(41)
+    sets += [random_union(rng, ell_max=5) for _ in range(150)]
+    rng = np.random.RandomState(37)
+    sets += [random_union(rng) for _ in range(100)]
+    for e in sets:
+        solves.append(0)
+        solynin_optimized_bound(to_angles(e))
+    assert max(solves) <= 12 and sum(solves) <= 6.5 * len(solves), (max(solves), np.mean(solves))
 
 
 def test_midpoint_paths_disagreeing_is_numerical(monkeypatch):

@@ -198,6 +198,16 @@ def test_verify_rejects_bad_numeric_options(capsys, option):
     assert err.startswith("error:")
 
 
+def test_component_too_narrow_for_the_equilibrium_exits_numerical(capsys):
+    # A component one ulp wide leaves the equilibrium measure's midpoint
+    # samples at its ends: a numerical failure, not a traceback.
+    code, out, err = run_cli(capsys, "minpoly", "--intervals",
+                             "-1 -0.6; 0.3 0.3000000000000001; 0.6 1", "--degree", "3")
+    assert code == cli.EXIT_NO_CONVERGENCE == 3
+    assert out == ""
+    assert err.startswith("error: ") and "narrowest component" in err
+
+
 def test_empty_image_exit_code(capsys):
     code, _, err = run_cli(capsys, "inverse-image", "--coeffs", "5 0 1")
     assert code == 2

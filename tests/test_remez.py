@@ -638,12 +638,12 @@ def _exchange_references(e, n):
     """The references of the iterations of minimal_polynomial(e, n), in the
     normalized frame it solves in."""
     refs = []
-    weights = leveled.weights_and_level
-    leveled.weights_and_level = lambda u: refs.append(u) or weights(u)
+    node_pass = leveled.leveled
+    leveled.leveled = lambda u, *order: refs.append(u) or node_pass(u, *order)
     try:
         minimal_polynomial(e, n)
     finally:
-        leveled.weights_and_level = weights
+        leveled.leveled = node_pass
     return refs
 
 
@@ -976,6 +976,42 @@ def test_node_search_matches_the_grid_search_on_converged_references(name):
     assert refused == 0, refused
 
 
+def _weights_reference(u):
+    """The scaled weights s_j |w_j| e^(-m) and the level h formed on their
+    own: the node differences with a unit diagonal, log-sums, signs by
+    index."""
+    n = len(u) - 1
+    diff = u[:, None] - u[None, :]
+    np.fill_diagonal(diff, 1.0)
+    logw = -np.log(np.abs(diff)).sum(axis=1)
+    m = float(logw.max())
+    mag = np.exp(logw - m)
+    s = np.where((n - np.arange(n + 1)) % 2 == 0, 1.0, -1.0)
+    return s * mag, math.exp(-m) / float(mag.sum())
+
+
+@pytest.mark.parametrize("name", sorted(NODE_SETS))
+def test_node_pass_matches_the_weights_and_the_differentiation_matrix(name):
+    # One pass over the reciprocal node differences gives the weights and
+    # level bit for bit, and M' at every node and M'' at the interior ones
+    # bit for bit as the differentiation matrix's term sums
+    # (`_node_derivatives`), on a seeded sample of the references the
+    # solves visit at n <= 30 and above it; order 1 stops before M'', and
+    # order 0, `weights_and_level`, before M'.
+    rng = np.random.RandomState(22)
+    cn, _ = normalize(NODE_SETS[name])
+    for n in sorted(set(rng.randint(1, 31, 4).tolist() + rng.randint(31, 101, 3).tolist())):
+        for u in _exchange_references(cn, n):
+            w, h, d1, d2 = leveled.leveled(u)
+            w_ref, h_ref = _weights_reference(u)
+            assert np.array_equal(w, w_ref) and h == h_ref, n
+            want1, want2 = leveled._node_derivatives(u, w, h, np.arange(n + 1))
+            assert np.array_equal(d1, want1) and np.array_equal(d2, want2[1:-1]), n
+            assert np.array_equal(leveled.leveled(u, 1).d1, d1) and leveled.leveled(u, 1).d2 is None
+            assert leveled.leveled(u, 0)[2:] == (None, None)
+            assert np.array_equal(weights_and_level(u)[0], w) and weights_and_level(u)[1] == h
+
+
 def _quadratic_reference(u1, a):
     """The degree-2 reference -1 < u1 < 1 on [-1, u1] u [a, 1]: M = x^2 -
     (1 + u1^2)/2 has its extremum at 0 and takes M(a) < 0 for |a| < 1."""
@@ -1071,6 +1107,42 @@ def test_pencil_search_matches_the_grid_search_on_the_references_it_visits(name)
                 _, d1, d2 = evaluate(polished, u, w, h, 2)
                 polished = polished - d1 / d2
             assert np.max(np.abs(crit - polished), initial=0.0) <= 1e-10 * np.min(np.diff(u)), n
+
+
+def _pencil_on_all_values(u, w, h, eigvals):
+    """The zeros of M' from the companion pencil on all n + 1 node values of
+    M': the shift-inverted block of size n + 1, sorted, or None where it
+    does not give n - 1 real ones."""
+    n = len(u) - 1
+    d = leveled._node_derivatives(u, w, h, np.arange(n + 1))[0]
+    r = 1.0 / (u - 3.0)
+    rw = r * w
+    mu = eigvals(np.diag(r) - np.outer(rw / (rw @ d), d * r))
+    mu = mu[np.abs(mu) > 1e-3]
+    if len(mu) != n - 1 or np.imag(mu).any():
+        return None
+    return np.sort(3.0 + 1.0 / mu.real)
+
+
+@pytest.mark.parametrize("name", sorted(PENCIL_SETS))
+def test_pencil_on_n_values_matches_the_pencil_on_all_of_them(monkeypatch, name):
+    # On every reference that the solves at n = 1..EIG_MAX visit, the block
+    # on the first n values of M' has one exact zero eigenvalue, which comes
+    # out below 1e-14 (the block on all n + 1 values has a Jordan pair near
+    # 1e-8 there), and exactly n - 1 kept; its zeros are within 1e-11 of the
+    # node spacing of those of the pencil on all n + 1 values.
+    cn, _ = normalize(PENCIL_SETS[name])
+    refs = [(n, u) for n in range(1, _remez.EIG_MAX + 1) for u in _exchange_references(cn, n)]
+    eigvals, solved = np.linalg.eigvals, []
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: solved.append(eigvals(a)) or solved[-1])
+    for n, u in refs:
+        w, h = weights_and_level(u)
+        want = _pencil_on_all_values(u, w, h, eigvals)
+        got = leveled.critical_points(u, w, h)
+        mu = np.sort(np.abs(solved[-1]))
+        assert len(mu) == n and mu[0] <= 1e-14 and (n == 1 or mu[1] > 1e-3), (n, mu[:2])
+        assert got is not None and want is not None and len(got) == n - 1, n
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-11 * np.min(np.diff(u)), n
 
 
 def test_pencil_at_degrees_one_and_two():
@@ -1266,6 +1338,25 @@ def test_missing_sign_run_raises_at_the_first_selection(monkeypatch):
         minimal_polynomial(FULL, 6)
     assert len(calls) == 1
     assert info.value.last_iterate.iterations == 1
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_component_too_narrow_for_the_equilibrium_raises_convergence_error(n):
+    # The middle component is one ulp wide: the equilibrium's midpoint
+    # samples sit on its ends and its masses are nan.
+    e = IntervalUnion((-1.0, -0.6, 0.3, 0.3000000000000001, 0.6, 1.0))
+    with pytest.raises(ConvergenceError, match="narrowest component, 1.11e-16 wide"):
+        minimal_polynomial(e, n)
+
+
+@pytest.mark.parametrize("alpha, n, width", [(0.6, 93, "6.06e-28"), (0.7, 73, "2.5e-27")])
+def test_resolve_on_a_central_band_too_narrow_raises_convergence_error(alpha, n, width):
+    # C' of e_alpha at odd n holds a central band around 0, here far below
+    # an ulp of the hull: the re-solve on it is a numerical failure.
+    e = e_alpha(alpha)
+    c_prime = blow_up_set(e, minimal_polynomial(e, n)).c_prime
+    with pytest.raises(ConvergenceError, match=f"narrowest component, {width} wide"):
+        minimal_polynomial(c_prime, n)
 
 
 def test_missing_sign_run_exits_as_non_convergence(monkeypatch):
