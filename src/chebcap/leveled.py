@@ -17,7 +17,8 @@ in its gaps as a Chebyshev-basis Clenshaw sum's does.  The exchange finds
 the extrema of M from its nodes, from the zeros of M' (`critical_points`:
 the eigenvalues of the barycentric companion pencil of M' on n of its node
 values, backward stable by Lawrence & Corless, Numer. Algorithms 2014) up to
-`remez.EIG_MAX`, or by a Newton refine on a grid (`refine`) above it.  The
+`remez.EIG_MAX`, or by Newton on a grid above it (`remez._leveled_extrema`,
+with `evaluate`), each search declining where it cannot certify them.  The
 equilibrium measure raises ConvergenceError on a component too narrow for
 its midpoint sums.  Since the evaluation error does grow with the
 Lebesgue function, the first reference follows the set's equilibrium
@@ -40,17 +41,6 @@ from numpy.polynomial import chebyshev as npcheb
 
 from .errors import ConvergenceError
 
-# A refined critical point is accepted once it is within about this fraction
-# of the grid cell it started in.
-REFINE_TOL = 1e-8
-# Plain Newton passes of the refine before its open cells are bracketed.
-NEWTON_PASSES = 2
-# Newton steps that may pass before the refine's bracket has to halve.
-NEWTON_RUN = 4
-# A refined point this close to the refine's last evaluation, as a fraction
-# of its starting bracket, takes M from that evaluation's Taylor expansion,
-# whose error is then far below an ulp of M.
-TAYLOR_REACH = 1e-6
 # Midpoint angles of the equilibrium density's samples; Chebyshev-Lobatto
 # points in q of each interval's inverse distribution function.
 EQ_GRID = 64
@@ -135,12 +125,6 @@ def equilibrium(ends: tuple) -> tuple:
     theta[:, 0], theta[:, -1] = math.pi, 0.0  # q = 1 and q = 0 exactly
     coef = _chop(theta @ _EQ_ICT.T, math.pi)
     return tuple((float(mi), tuple(ci.tolist())) for mi, ci in zip(mass, coef))
-
-
-def weights_and_level(u: np.ndarray):
-    """Scaled barycentric weights s_j |w_j| e^(-m) and the level h of the
-    monic leveled interpolant on the reference u."""
-    return leveled(u, 0)[:2]
 
 
 class NodePass(NamedTuple):
@@ -369,106 +353,3 @@ def gap_terms(x, u, w):
     q = s1 / s0
     return (log_l + np.log(np.abs(s0)), a1 - q, 2.0 * s2 / s0 - q * q - a2,
             log_l + np.log(np.abs(a1 * s0 - s1)), s0, s1, (len(u) + 4) * _EPS * s_abs / np.abs(s0))
-
-
-def _newton(x, f, df, width, newton_tol):
-    """The Newton point of f = M' from its derivative df, whether the step is
-    shorter than `width` (x itself where it is not), and whether the cell is
-    done on it: f = 0, or a short step within newton_tol."""
-    ok = np.abs(f) < np.abs(df) * width
-    nxt = x - np.where(ok, f, 0.0) / np.where(ok, df, 1.0)
-    return nxt, ok, (ok & (np.abs(nxt - x) <= newton_tol)) | (f == 0.0)
-
-
-def refine(lo, hi, f_lo, f_hi, u, w, h, start=None):
-    """Zeros of M' in the brackets (lo, hi), where it has the values f_lo and
-    f_hi of opposite signs, all cells at once, and M at them: the exchange's
-    grid search.
-
-    Newton with M'' from `start` (a point inside each bracket) or else the
-    regula falsi point.  A zero of M' fixes M to second order, so its cell
-    is done on a Newton correction below sqrt(REFINE_TOL) of its bracket,
-    inside the bracket or not: next to a zero on the bracket's end (a
-    Chebyshev-Lobatto point on the grid of one interval) the sign of M'
-    there is rounding noise, and the zero would otherwise be bisected for
-    some 27 rounds.  A cell done on a Newton correction takes that step,
-    clipped to the bracket.  A cell with M' = 0 keeps its point, and a
-    regula falsi point on an end is that end: its M' is rounding noise
-    against the other's, and the cell is done before any Newton step.
-
-    The refine runs in two phases.  The plain phase takes up to
-    NEWTON_PASSES full Newton steps on every cell, each clipped to its
-    bracket, with no bracket bookkeeping; on the exchange's cells it ends
-    every cell.  The cells still open after it go on, alone, to the
-    bracketed phase (`_bracketed`), whose brackets the signs of M' narrow and
-    where a step that would leave the bracket, or any step after the bracket
-    has failed to halve in NEWTON_RUN evaluations, is a bisection, so every
-    cell converges, at the latest when its bracket collapses to adjacent
-    floats.
-
-    Each point is at most one Newton step from its last evaluation.  Within
-    TAYLOR_REACH of its starting bracket, M there is the evaluation's
-    second-order Taylor expansion; further away it is evaluated directly.
-    """
-    width0 = hi - lo
-    newton_tol = math.sqrt(REFINE_TOL) * width0
-    x = lo - f_lo * (width0 / (f_hi - f_lo))
-    done = (x <= lo) | (x >= hi)  # off an end: that end's f is rounding noise
-    x = np.where(done, np.where(np.abs(f_lo) < np.abs(f_hi), lo, hi), x if start is None else start)
-    end = np.where(np.isnan(x), 0.5 * (lo + hi), x)
-    for _ in range(NEWTON_PASSES):
-        x = end  # done cells stay on their points
-        vals = evaluate(x, u, w, h, 2)
-        nxt, _, small = _newton(x, vals[1], vals[2], width0, newton_tol)
-        end = np.where(done, x, np.minimum(np.maximum(nxt, lo), hi))
-        done |= small
-        if done.all():
-            break
-    else:
-        open_ = np.flatnonzero(~done)
-        end[open_], x[open_], *rows = _bracketed(
-            lo[open_], hi[open_], f_lo[open_], x[open_], [v[open_] for v in vals],
-            u, w, h, width0[open_])
-        for v, row in zip(vals, rows):
-            v[open_] = row
-    dx = end - x
-    m = vals[0] + dx * (vals[1] + 0.5 * dx * vals[2])
-    far = np.abs(dx) > TAYLOR_REACH * width0
-    if far.any():
-        m[far] = evaluate(end[far], u, w, h, 0)[0]
-    return end, m
-
-
-def _bracketed(lo, hi, f_lo, x, vals, u, w, h, width0):
-    """The bracketed phase of `refine` on the cells that the plain phase left
-    open, from their last points x and the evaluation there (vals): each
-    evaluation's sign of M' narrows the bracket, whose end x then is; a
-    Newton step that would leave it, and every step after it has failed to
-    halve in NEWTON_RUN evaluations, is a bisection.  Besides `refine`'s
-    rules a cell is done once its bracket is below REFINE_TOL of its
-    starting width, or two adjacent floats.  Returns the done points, the
-    last evaluated points and that evaluation (M, M', M'')."""
-    tol = REFINE_TOL * width0
-    newton_tol = math.sqrt(REFINE_TOL) * width0
-    slo = np.sign(f_lo)
-    live = np.ones(len(x), dtype=bool)
-    last_width = width0
-    run = np.zeros(len(x), dtype=int)
-    while True:
-        right = np.sign(vals[1]) != slo
-        lo = np.where(right, lo, x)  # x is now an end of its bracket
-        hi = np.where(right, x, hi)
-        width = hi - lo
-        nxt, ok, small = _newton(x, vals[1], vals[2], width, newton_tol)
-        mid = 0.5 * (lo + hi)
-        ending = live & (small | (width <= tol) | (mid == lo) | (mid == hi))
-        end = np.where(ending & small, np.minimum(np.maximum(nxt, lo), hi), x)
-        live &= ~ending
-        if not live.any():
-            return [end, x] + vals
-        ok &= (nxt > lo) & (nxt < hi)
-        halved = width <= 0.5 * last_width
-        run = np.where(halved, 0, run + 1)
-        last_width = np.where(halved, width, last_width)
-        x = np.where(live, np.where(ok & (run < NEWTON_RUN), nxt, mid), end)
-        vals = evaluate(x, u, w, h, 2)

@@ -18,16 +18,18 @@ zeros of M' from one eigenvalue solve of its barycentric companion pencil on
 n of the node values of M' (`leveled.critical_points`, after Pachon &
 Trefethen's barycentric Remez, BIT 2009, and Lawrence & Corless, Numer.
 Algorithms 2014), with no grid and no Newton polish.  Above EIG_MAX, and
-where the pencil does
-not give n - 1 real zeros, the grid search runs (`_leveled_extrema`): a grid
-at quantiles of the equilibrium measure, built once per solve when first
-needed, and one Newton refine of its cells, plain passes first and a
-bracketed loop for the cells they leave open.  Each search hands its
-candidates to `_next_reference`, which keeps one extremum per sign run of M
-and so enforces the alternation.  `blow_up_set` reads C' gap by gap from the
-same interlacing structure, with no grid, through the first barycentric
-form (`leveled.gap_terms`), and `evaluate` reads M through that form
-everywhere.  Monomial coefficients of near-minimal polynomials grow
+where the pencil does not give n - 1 real zeros, the grid search runs
+(`_leveled_extrema`): a grid at quantiles of the equilibrium measure, built
+once per solve when first needed, and at most GRID_PASSES plain Newton
+passes on M' from a Hermite start in each cell where M' changes sign,
+which must end every cell by the node search's rule, or the search
+declines.  Above EIG_MAX the pencil then takes the iteration; where all
+three searches decline, the solve raises ConvergenceError.  Each search
+hands its candidates to `_next_reference`, which keeps one extremum per
+sign run of M and so enforces the alternation.  `blow_up_set` reads C' gap
+by gap from the same interlacing structure, with no grid, through the first
+barycentric form (`leveled.gap_terms`), and `evaluate` reads M through that
+form everywhere.  Monomial coefficients of near-minimal polynomials grow
 exponentially with the degree, so `poly` is for reporting only.
 """
 
@@ -84,6 +86,12 @@ NODE_STEP = 1e-3
 # n = 24, 1.07x at 28, 1.02x at 30 and 32, and 0.88x at 34 and 40 (medians
 # of 21 interleaved rounds over 11 sets, 2-core x86-64 VM).
 EIG_MAX = 30
+# Newton passes of the grid search before it declines.  Three end every cell
+# on the fixtures above EIG_MAX; a fourth ends the cells in the 2e-6 wide
+# components of the 1e5*T_3 image at n = 90..98, where the pencil, which
+# takes a declined iteration, ends at gaps up to 2.7e-12 with deviations
+# 4e-8 off.
+GRID_PASSES = 4
 # Points of the grid on which the witness takes the sup of |M|.
 WITNESS_GRID = 2000
 # A peak of |M| in a gap is found once a Newton step on M'/M would move
@@ -310,29 +318,47 @@ def _hermite_start(x0, x1, m0, m1, d0, d1):
     return x0 + s * (x1 - x0)
 
 
-def _grid_critical_points(u, w, h, grid):
-    """M and M' on a grid of `_extremum_grid`, and the zeros of M' in its
-    cells inside an interval, refined together from the cells'
-    `_hermite_start`, with M at them."""
-    xs, _, inner = grid
+def _leveled_extrema(u, w, h, grid):
+    """Interval endpoints plus interior critical points of the leveled
+    interpolant, and M at them, from the grid search on a grid of
+    `_extremum_grid`: two arrays, unsorted, or None where the search
+    cannot certify them.
+
+    M and M' come from one evaluation on the grid.  Each cell inside an
+    interval where M' changes sign holds a zero of M', sought by plain
+    Newton on M' from the cell's `_hermite_start`, every step clipped to
+    the cell, all cells at once with one order-2 `leveled.evaluate` per
+    pass.  Once every cell's step is short by `_node_extrema`'s rule,
+    |M' step| <= ulp(h), the points are the steps' ends and M there is the
+    pass's second-order Taylor value, off by far less than an ulp of h (M
+    is stationary there).  A zero of M' on a cell's end (a Chebyshev-Lobatto
+    point on the grid of one interval, where the sign of M' is rounding
+    noise) ends its cell in the first pass.  Where some cell is still open
+    after GRID_PASSES passes the search declines, as the node and pencil
+    searches do.
+    """
+    xs, ends, inner = grid
     vals, d1 = leveled.evaluate(xs, u, w, h, 1)
     sd = np.sign(d1)
     cells = np.flatnonzero(inner & (sd[:-1] * sd[1:] < 0.0))
-    if not len(cells):  # spares small solves the fixed cost of an empty call
-        return vals, d1, xs[cells], vals[cells]
-    lo, hi, d_lo, d_hi = xs[cells], xs[cells + 1], d1[cells], d1[cells + 1]
-    start = _hermite_start(lo, hi, vals[cells], vals[cells + 1], d_lo, d_hi)
-    return (vals, d1) + leveled.refine(lo, hi, d_lo, d_hi, u, w, h, start=start)
-
-
-def _leveled_extrema(u, w, h, grid):
-    """Interval endpoints plus interior critical points of the leveled
-    interpolant, and M at them, from the grid search: two arrays, unsorted."""
-    xs, ends, _ = grid
-    vals, d1, crit, crit_vals = _grid_critical_points(u, w, h, grid)
     keep = ends | (d1 == 0.0)
-    inside = ~(crit[:, None] == xs[ends]).any(axis=1)  # a point on an end is that end's candidate
-    return np.concatenate((xs[keep], crit[inside])), np.concatenate((vals[keep], crit_vals[inside]))
+    if not len(cells):  # spares small solves the fixed cost of an empty pass
+        return xs[keep], vals[keep]
+    lo, hi = xs[cells], xs[cells + 1]
+    x = _hermite_start(lo, hi, vals[cells], vals[cells + 1], d1[cells], d1[cells + 1])
+    ulp_h = math.ulp(h)
+    for _ in range(GRID_PASSES):
+        m, dm, d2m = leveled.evaluate(x, u, w, h, 2)
+        with np.errstate(divide="ignore", invalid="ignore"):  # M'' = 0: a step to the cell's end
+            step = np.where(dm == 0.0, 0.0, -dm / d2m)
+        end = np.minimum(np.maximum(x + step, lo), hi)
+        if (np.abs(dm * step) <= ulp_h).all():
+            dx = end - x
+            crit = ~(end[:, None] == xs[ends]).any(axis=1)  # a point on an end is that end's candidate
+            return (np.concatenate((xs[keep], end[crit])),
+                    np.concatenate((vals[keep], (m + dx * (dm + 0.5 * dx * d2m))[crit])))
+        x = end
+    return None
 
 
 def _pencil_extrema(ends: np.ndarray, u, w, h, d1=None):
@@ -488,7 +514,9 @@ def minimal_polynomial(c: IntervalUnion, n: int) -> MinimalPolyResult:
     reported in `residual`.  Degrees above DEGREE_CAP are refused.  An
     extremum search that leaves fewer than n + 1 sign runs of M, which
     cannot happen in exact arithmetic (see `_node_extrema`), raises
-    ConvergenceError with the run count, carrying the best iterate so far.
+    ConvergenceError with the run count, carrying the best iterate so far,
+    and so does an iteration whose node, pencil and grid searches all
+    decline.
     """
     if n < 1:
         raise InvalidInputError("degree must be at least 1")
@@ -517,6 +545,12 @@ def minimal_polynomial(c: IntervalUnion, n: int) -> MinimalPolyResult:
             if grid is None:
                 grid = _extremum_grid(cn, n)
             cands = _leveled_extrema(u, w, h, grid)
+        if cands is None and n > EIG_MAX:
+            cands = _pencil_extrema(ends, u, w, h, d1)
+        if cands is None:
+            raise ConvergenceError(f"no extremum search certified the candidates of iteration {it} "
+                                   f"(degree {n})",
+                                   last_iterate=_finalize(best, fwd, hull_scale) if best else None)
         emax = float(np.abs(cands[1]).max())
         gap = max(emax - h, 0.0)
         gap_rel = gap / emax if emax > 0 else 0.0
