@@ -14,16 +14,18 @@ the nodes, M, M' and M'' come from the second barycentric form and the
 Schneider-Werner divided differences (`evaluate`).  Their error grows with
 the Lebesgue function of the reference on the set, not with the peak of |M|
 in its gaps as a Chebyshev-basis Clenshaw sum's does.  The exchange finds
-the extrema of M from its nodes, from the zeros of M' (`critical_points`:
-the eigenvalues of the barycentric companion pencil of M' on n of its node
-values, backward stable by Lawrence & Corless, Numer. Algorithms 2014) up to
-`remez.EIG_MAX`, or by Newton on a grid above it (`remez._leveled_extrema`,
-with `evaluate`), each search declining where it cannot certify them.  The
-equilibrium measure raises ConvergenceError on a component too narrow for
-its midpoint sums.  Since the evaluation error does grow with the
-Lebesgue function, the first reference follows the set's equilibrium
-measure, which the minimizer's extrema approach: a reference off by a few
-points per interval at degree 100 has a Lebesgue function beyond 1e16.
+the extrema of M from its nodes, then up to `remez.EIG_MAX` from the zeros
+of M' (`critical_points`: the eigenvalues of the barycentric companion
+pencil of M' on n of its node values, backward stable by Lawrence &
+Corless, Numer. Algorithms 2014), each declining where it cannot certify
+them, and otherwise from the zeros of M' by the interlacing
+(`interlaced_zeros`: two symmetric eigenvalue solves) with one Newton step
+on `evaluate`.  The equilibrium measure raises ConvergenceError on a
+component too narrow for its midpoint sums.  Since the evaluation error
+does grow with the Lebesgue function, the first reference follows the
+set's equilibrium measure, which the minimizer's extrema approach: a
+reference off by a few points per interval at degree 100 has a Lebesgue
+function beyond 1e16.
 Deep in a gap that function is huge and the second form is noise, so
 values for callers (`first_form`) and the blow-up set's searches in the
 gaps (`gap_terms`) come from the first barycentric form, whose error is a
@@ -236,6 +238,34 @@ def critical_points(u, w, h, d1=None):
     crit = 3.0 + 1.0 / mu.real
     crit.sort()
     return crit
+
+
+def _compressed(d, v):
+    """The eigenvalues, ascending, of diag(d) compressed to the complement of
+    the unit vector v, the zeros of sum_j v_j^2/(x - d_j), for d in [-1, 1]:
+    with D = diag(d - 3) and a = (v^T D v / 2) v - D v, D's compression is
+    D + v a^T + a v^T, with eigenvalues in [-4, -2] and 0 on v, the largest,
+    which is dropped before 3 is added back."""
+    shifted = d - 3.0
+    dv = shifted * v
+    a = (0.5 * (v @ dv)) * v - dv
+    mat = np.multiply.outer(v, a)
+    mat += mat.T
+    mat.reshape(-1)[::len(d) + 1] += shifted
+    return np.linalg.eigvalsh(mat)[:-1] + 3.0
+
+
+def interlaced_zeros(u, w):
+    """The n zeros z of M and the n - 1 zeros of M', ascending, from two
+    backward stable symmetric eigenvalue solves.  M = h l(x) sum_j |w_j| /
+    (x - u_j), l(x) = prod_j (x - u_j), so z are the eigenvalues of diag(u)
+    compressed to the complement of sqrt|w| / ||sqrt|w|||; M is a multiple
+    of prod_i (x - z_i), so the zeros of M' are those of diag(z) compressed
+    to the complement of the constant unit vector.  Both come out real and
+    interlaced: z_j in [u_j, u_{j+1}], each zero of M' between consecutive z."""
+    root = np.sqrt(np.abs(w))
+    z = _compressed(u, root / np.linalg.norm(root))
+    return z, _compressed(z, np.full(len(z), 1.0 / math.sqrt(len(z))))
 
 
 @lru_cache(maxsize=128)

@@ -10,21 +10,19 @@ iteration's search needs them, M' at every node and M'' at the interior
 ones.  The extrema are sought from the reference nodes first
 (`_node_extrema`) where they are expected to be close: in the first
 iteration on a set whose equilibrium masses are multiples of 1/n, as on
-inverse images, and once the previous leveling gap is below NODE_GAP.  M'
-has one zero between consecutive zeros of M, so |M| has one peak near each
-node, which Newton from the node finds, or the search declines.  Up to
-degree EIG_MAX the pencil search (`_pencil_extrema`) then takes all n - 1
-zeros of M' from one eigenvalue solve of its barycentric companion pencil on
-n of the node values of M' (`leveled.critical_points`, after Pachon &
-Trefethen's barycentric Remez, BIT 2009, and Lawrence & Corless, Numer.
-Algorithms 2014), with no grid and no Newton polish.  Above EIG_MAX, and
-where the pencil does not give n - 1 real zeros, the grid search runs
-(`_leveled_extrema`): a grid at quantiles of the equilibrium measure, built
-once per solve when first needed, and at most GRID_PASSES plain Newton
-passes on M' from a Hermite start in each cell where M' changes sign,
-which must end every cell by the node search's rule, or the search
-declines.  Above EIG_MAX the pencil then takes the iteration; where all
-three searches decline, the solve raises ConvergenceError.  Each search
+inverse images, and once the previous leveling gap is below NODE_GAP.  M
+has one zero between consecutive nodes and M' one between consecutive
+zeros of M, so |M| has one peak near each node, which Newton from the node
+finds, or the search declines.  Up to degree EIG_MAX the pencil search
+(`_pencil_extrema`) then takes all n - 1 zeros of M' from one eigenvalue
+solve of its barycentric companion pencil on n of the node values of M'
+(`leveled.critical_points`, after Pachon & Trefethen's barycentric Remez,
+BIT 2009, and Lawrence & Corless, Numer. Algorithms 2014), with no Newton
+polish, or declines where it does not give n - 1 real zeros.  Above
+EIG_MAX, and where the pencil declines, the interlaced search
+(`_interlaced_extrema`) takes the zeros of M, then of M', from two
+symmetric eigenvalue solves (`leveled.interlaced_zeros`), always real, and
+polishes those in the set by one Newton step; it never declines.  Each search
 hands its candidates to `_next_reference`, which keeps one extremum per
 sign run of M and so enforces the alternation.  `blow_up_set` reads C' gap
 by gap from the same interlacing structure, with no grid, through the first
@@ -38,14 +36,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
 from . import leveled
 from .chebpoly import DEGREE_CAP, ChebExpansion, Polynomial, to_monomial
-from .errors import ConvergenceError, DegreeCapError, InvalidInputError
+from .errors import ChebcapError, ConvergenceError, DegreeCapError, InvalidInputError
 from .intervals import AffineMap, IntervalUnion, is_subset, normalize
 
 MAX_ITER = 200
@@ -62,11 +60,6 @@ STALL_COUNT = 10
 # rad (c q)^2 / 2 from the end (c = d angle / dq, pi on one interval), far
 # below an ulp of the radius.
 END_SNAP = 1e-12
-# Cells of the extremum grid per expected reference point.
-GRID_PER_POINT = 4
-# The grid's angle series drop their trailing coefficients below this: the
-# grid only brackets the extrema, and its points move by under 1e-2 of a cell.
-GRID_CHOP = 1e-7
 # The first iterate's extrema are sought from its nodes when every n times an
 # interval's equilibrium mass is within this (times n) of an integer: the
 # masses of an inverse image P^{-1}([-1, 1]) are multiples of 1/deg P, and
@@ -80,18 +73,13 @@ NODE_GAP = 1e-4
 # fraction of the smaller neighbouring node spacing; the second step is then
 # of order NODE_STEP^2 of it, and must change M by under an ulp of h.
 NODE_STEP = 1e-3
-# Up to this degree the exchange takes every critical point from one
-# eigenvalue solve (`leveled.critical_points`) instead of the grid search.
-# The measured crossover: the grid search took 1.12x the pencil's time at
-# n = 24, 1.07x at 28, 1.02x at 30 and 32, and 0.88x at 34 and 40 (medians
-# of 21 interleaved rounds over 11 sets, 2-core x86-64 VM).
+# Up to this degree an iteration that the node search does not certify takes
+# its critical points from the companion pencil (`leveled.critical_points`),
+# above it from the interlaced solve (`leveled.interlaced_zeros`).  The
+# interlaced search took 1.06x the pencil's time at n = 24, 1.03x at 28,
+# 1.01x at 30, 1.07x at 32, 1.04x at 36, 1.00x at 40 and 0.92x at 48
+# (medians of 21 interleaved rounds over 11 sets, 2-core x86-64 VM).
 EIG_MAX = 30
-# Newton passes of the grid search before it declines.  Three end every cell
-# on the fixtures above EIG_MAX; a fourth ends the cells in the 2e-6 wide
-# components of the 1e5*T_3 image at n = 90..98, where the pencil, which
-# takes a declined iteration, ends at gaps up to 2.7e-12 with deviations
-# 4e-8 off.
-GRID_PASSES = 4
 # Points of the grid on which the witness takes the sup of |M|.
 WITNESS_GRID = 2000
 # A peak of |M| in a gap is found once a Newton step on M'/M would move
@@ -159,7 +147,8 @@ class BlowUpResult:
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """Grid and re-solve evidence that a result is the minimal polynomial."""
+    """Grid and re-solve evidence that a result is the minimal polynomial;
+    `sandwich_error` names a re-solve's error and C''s narrowest width."""
 
     sup_ok: bool
     alternation_ok: bool
@@ -167,6 +156,7 @@ class WitnessReport:
     sandwich_ok: bool
     sup_excess: float
     sandwich_deviation_diff: float
+    sandwich_error: Optional[str] = None
 
     @property
     def passed(self) -> bool:
@@ -182,7 +172,6 @@ class _EquilibriumArrays(NamedTuple):
     cum: np.ndarray  # cumulative masses
     start: np.ndarray  # cum - mass: exactly 0 for the first interval
     theta: np.ndarray  # inverse-distribution coefficients
-    grid_theta: np.ndarray  # the same chopped at GRID_CHOP, for the grid
     lo: np.ndarray
     hi: np.ndarray
     mid: np.ndarray
@@ -193,45 +182,30 @@ class _EquilibriumArrays(NamedTuple):
 def _equilibrium_arrays(ends: tuple) -> _EquilibriumArrays:
     """The equilibrium measure of the union with these endpoints, cached like
     `leveled.equilibrium` for degree sweeps: the masses and their cumulative
-    sums, the inverse-distribution coefficients (one row per interval), the
-    same chopped at GRID_CHOP for the grid, and the interval ends, midpoints
-    and radii."""
+    sums, the inverse-distribution coefficients (one row per interval), and
+    the interval ends, midpoints and radii."""
     eq = leveled.equilibrium(ends)
     mass = np.array([m for m, _ in eq])
     theta = np.array([c for _, c in eq])
-    keep = 1 + np.flatnonzero((np.abs(theta) > GRID_CHOP).any(axis=0))[-1]
     cum = np.cumsum(mass)
     lo, hi = np.array(ends[0::2]), np.array(ends[1::2])
-    out = _EquilibriumArrays(mass, cum, cum - mass, theta, theta[:, :keep],
-                             lo, hi, 0.5 * (lo + hi), 0.5 * (hi - lo))
+    out = _EquilibriumArrays(mass, cum, cum - mass, theta, lo, hi, 0.5 * (lo + hi), 0.5 * (hi - lo))
     for a in out:
         a.setflags(write=False)
     return out
 
 
-def _quantile_points(eq: _EquilibriumArrays, theta, piece, q: np.ndarray) -> np.ndarray:
-    """The points at the quantiles q of the equilibrium measure on the
-    intervals `piece` (one per point, or one for all) of the union of `eq`:
-    theta holds, one row per interval, the Chebyshev coefficients in 2q - 1
-    of the angle at which its distribution function reaches q (`eq.theta`
-    or `eq.grid_theta`).  The series of every interval is summed at every
-    point by one product, cos(t k) @ theta^T, and each point takes its
-    interval's column.  The points are clipped to their intervals against
-    rounding at the ends."""
-    t = np.arccos(np.minimum(np.maximum(2.0 * q - 1.0, -1.0), 1.0))
-    angles = np.cos(t[:, None] * np.arange(theta.shape[1])) @ theta.T
-    angle = angles[np.arange(len(q)), piece]
-    x = eq.mid[piece] - eq.rad[piece] * np.cos(angle)
-    return np.minimum(np.maximum(x, eq.lo[piece]), eq.hi[piece])
-
-
 def _init_reference(e: IntervalUnion, n: int) -> np.ndarray:
     """n+1 starting points at the quantiles j/n, j = 0..n, of e's equilibrium
-    measure: each goes to the interval whose cumulative mass holds it and is
-    inverted there, all at once.  On an inverse image P^{-1}([-1, 1]) the
-    measure is the pullback of the arcsine measure, so at multiples of deg P
-    these are the minimizer's extrema to rounding, and the first iterate is
-    leveled; on a single interval they are the Chebyshev-Lobatto points.
+    measure, all at once: each goes to the interval whose cumulative mass
+    holds it, where the angle at which the distribution function reaches q
+    is the Chebyshev series in 2q - 1 of its row of eq.theta.  One product,
+    cos(t k) @ theta^T, sums every row at every point, each point takes its
+    interval's column and is clipped to the interval.  On an inverse image
+    P^{-1}([-1, 1]) the measure is the pullback of the arcsine measure, so
+    at multiples of deg P these are the minimizer's extrema to rounding, and
+    the first iterate is leveled; on a single interval they are the
+    Chebyshev-Lobatto points.
     A q within END_SNAP of 0 or 1 is the interval's end exactly: mid + rad
     may round to one ulp inside it, and a rounded j/n short of an interval's
     cumulative mass gives a point a few ulps inside."""
@@ -241,7 +215,9 @@ def _init_reference(e: IntervalUnion, n: int) -> np.ndarray:
     piece = np.searchsorted(eq.cum, targets)
     q = (targets - eq.start[piece]) / eq.mass[piece]
     lo, hi = eq.lo[piece], eq.hi[piece]
-    x = _quantile_points(eq, eq.theta, piece, q)
+    t = np.arccos(np.minimum(np.maximum(2.0 * q - 1.0, -1.0), 1.0))
+    angle = (np.cos(t[:, None] * np.arange(eq.theta.shape[1])) @ eq.theta.T)[np.arange(n + 1), piece]
+    x = np.minimum(np.maximum(eq.mid[piece] - eq.rad[piece] * np.cos(angle), lo), hi)
     return np.where(q <= END_SNAP, lo, np.where(q >= 1.0 - END_SNAP, hi, x))
 
 
@@ -263,112 +239,38 @@ def _solve_on_reference(u: np.ndarray, n: int):
     return coeffs, float(sol[n]), s
 
 
-def _extremum_grid(e: IntervalUnion, n: int):
-    """One grid over all intervals of e for the extremum search, the mask of
-    its interval endpoints and the mask of its cells inside an interval.
-
-    The first reference sits at the quantiles j/n of the equilibrium
-    measure, which the extrema of the iterates approach, and the grid follows
-    the same measure: each interval gets GRID_PER_POINT cells per reference
-    point its mass carries (at least 24 points), at quantiles of the measure,
-    so adjacent critical points stay a few cells apart at every degree, at
-    the ends of the intervals too, where a grid uniform in x loses them like
-    1/n.  Its angle series is the one chopped at GRID_CHOP, about half as
-    long as the first reference's.  The endpoints are exact.
-    """
-    eq = _equilibrium_arrays(e.endpoints)
-    counts = np.maximum(24, (GRID_PER_POINT * (n + 1) * eq.mass / eq.mass.sum()).astype(int) + 8)
-    last = np.cumsum(counts) - 1
-    first = last - counts + 1
-    piece = np.repeat(np.arange(len(counts)), counts)
-    q = (np.arange(last[-1] + 1) - first[piece]) / (counts - 1)[piece]
-    xs = _quantile_points(eq, eq.grid_theta, piece, q)
-    xs[first], xs[last] = eq.lo, eq.hi
-    ends = np.zeros(last[-1] + 1, dtype=bool)
-    ends[first] = ends[last] = True
-    inner = np.ones(last[-1], dtype=bool)
-    inner[last[:-1]] = False
-    return xs, ends, inner
-
-
-def _hermite_slope(x0, x1, m0, m1, d0, d1):
-    """The coefficients a, b of the derivative d0 + b s + a s^2 (s from 0 to
-    1 across each cell (x0, x1)) of the cubic that matches M (m0, m1) and
-    M' (d0, d1) at the cell's ends."""
-    slope = 6.0 * (m1 - m0) / (x1 - x0)
-    return 3.0 * (d0 + d1) - slope, slope - 4.0 * d0 - 2.0 * d1
-
-
-def _hermite_start(x0, x1, m0, m1, d0, d1):
-    """In each cell (x0, x1), the zero of the derivative of the cubic that
-    matches M (m0, m1) and M' (d0, d1 of opposite signs) at its ends, or the
-    regula falsi point of M' where that zero is not inside: a Newton start
-    for M' that is one step ahead of regula falsi.
-
-    The derivative d0 + b s + a s^2 changes sign once in (0, 1), at the root
-    where its slope b + 2 a s has the sign of d1.  Of the roots r / a and
-    d0 / r, r = -(b + sign(b) sqrt(b^2 - 4 a d0)) / 2, that is d0 / r where
-    b has the sign of d1, as it has where a = 0 (b = d1 - d0 there), and
-    r / a elsewhere, so one division picks it and none divides by zero."""
-    a, b = _hermite_slope(x0, x1, m0, m1, d0, d1)
-    r = -0.5 * (b + np.copysign(np.sqrt(np.maximum(b * b - 4.0 * a * d0, 0.0)), b))
-    up = b * d1 > 0.0
-    s = np.where(up, d0, r) / np.where(up, r, a)
-    s = np.where((s > 0.0) & (s < 1.0), s, d0 / (d0 - d1))
-    return x0 + s * (x1 - x0)
-
-
-def _leveled_extrema(u, w, h, grid):
-    """Interval endpoints plus interior critical points of the leveled
-    interpolant, and M at them, from the grid search on a grid of
-    `_extremum_grid`: two arrays, unsorted, or None where the search
-    cannot certify them.
-
-    M and M' come from one evaluation on the grid.  Each cell inside an
-    interval where M' changes sign holds a zero of M', sought by plain
-    Newton on M' from the cell's `_hermite_start`, every step clipped to
-    the cell, all cells at once with one order-2 `leveled.evaluate` per
-    pass.  Once every cell's step is short by `_node_extrema`'s rule,
-    |M' step| <= ulp(h), the points are the steps' ends and M there is the
-    pass's second-order Taylor value, off by far less than an ulp of h (M
-    is stationary there).  A zero of M' on a cell's end (a Chebyshev-Lobatto
-    point on the grid of one interval, where the sign of M' is rounding
-    noise) ends its cell in the first pass.  Where some cell is still open
-    after GRID_PASSES passes the search declines, as the node and pencil
-    searches do.
-    """
-    xs, ends, inner = grid
-    vals, d1 = leveled.evaluate(xs, u, w, h, 1)
-    sd = np.sign(d1)
-    cells = np.flatnonzero(inner & (sd[:-1] * sd[1:] < 0.0))
-    keep = ends | (d1 == 0.0)
-    if not len(cells):  # spares small solves the fixed cost of an empty pass
-        return xs[keep], vals[keep]
-    lo, hi = xs[cells], xs[cells + 1]
-    x = _hermite_start(lo, hi, vals[cells], vals[cells + 1], d1[cells], d1[cells + 1])
-    ulp_h = math.ulp(h)
-    for _ in range(GRID_PASSES):
-        m, dm, d2m = leveled.evaluate(x, u, w, h, 2)
-        with np.errstate(divide="ignore", invalid="ignore"):  # M'' = 0: a step to the cell's end
-            step = np.where(dm == 0.0, 0.0, -dm / d2m)
-        end = np.minimum(np.maximum(x + step, lo), hi)
-        if (np.abs(dm * step) <= ulp_h).all():
-            dx = end - x
-            crit = ~(end[:, None] == xs[ends]).any(axis=1)  # a point on an end is that end's candidate
-            return (np.concatenate((xs[keep], end[crit])),
-                    np.concatenate((vals[keep], (m + dx * (dm + 0.5 * dx * d2m))[crit])))
-        x = end
-    return None
+def _interlaced_extrema(ends: np.ndarray, u, w, h):
+    """The interval ends `ends` and the zeros of M' inside an interval, and M
+    at them, as two arrays, unsorted.  The zeros of `leveled.interlaced_zeros`
+    are real but a few eps off, much of a node spacing in a component a few
+    1e-6 wide, so each takes one Newton step on M', clipped to its interval,
+    from one order-2 `leveled.evaluate` at them and the ends; M there is that
+    pass's Taylor value (M is stationary there).  A zero that the step puts
+    on an end is that end's candidate."""
+    crit = leveled.interlaced_zeros(u, w)[1]
+    piece = np.searchsorted(ends, crit)
+    inside = piece % 2 == 1
+    crit, piece = crit[inside], piece[inside]
+    k = len(crit)
+    m, dm, d2m = leveled.evaluate(np.concatenate((crit, ends)), u, w, h, 2)
+    lo, hi = ends[piece - 1], ends[piece]
+    dm, d2m = dm[:k], d2m[:k]
+    with np.errstate(divide="ignore", invalid="ignore"):  # M'' = 0: a step to an end
+        step = np.where(dm == 0.0, 0.0, -dm / d2m)
+    x = np.minimum(np.maximum(crit + step, lo), hi)
+    dx = x - crit
+    keep = (lo < x) & (x < hi)
+    return (np.concatenate((ends, x[keep])),
+            np.concatenate((m[k:], (m[:k] + dx * (dm + 0.5 * dx * d2m))[keep])))
 
 
 def _pencil_extrema(ends: np.ndarray, u, w, h, d1=None):
-    """The candidates of `_leveled_extrema` from the zeros of M' that
-    `leveled.critical_points` finds from M' at the nodes (d1), on the union
-    with the endpoints `ends`: the interval ends and the zeros inside an
-    interval, and M at them from one order-0 `leveled.evaluate`, as two
-    arrays; None where the pencil does not give n - 1 real zeros.  The zeros need no Newton polish: M is
-    stationary there, and they are within about 1e-11 of the node spacing
-    of the polished ones."""
+    """The candidates of `_interlaced_extrema` from the zeros of M' that
+    `leveled.critical_points` finds from M' at the nodes (d1), and M at
+    them from one order-0 `leveled.evaluate`, as two arrays; None where the
+    pencil does not give n - 1 real zeros.  The zeros need no Newton polish:
+    M is stationary there, and they are within about 1e-11 of the node
+    spacing of the polished ones."""
     crit = leveled.critical_points(u, w, h, d1)
     if crit is None:
         return None
@@ -377,7 +279,7 @@ def _pencil_extrema(ends: np.ndarray, u, w, h, d1=None):
 
 
 def _node_extrema(ends: np.ndarray, u, w, h, d1=None, d2=None):
-    """The candidates of `_leveled_extrema` found from the reference nodes
+    """The candidates of `_interlaced_extrema` found from the reference nodes
     alone, on the union with the endpoints `ends`, or None where they cannot
     be certified that way.  d1 and d2 are M' at every node and M'' at the
     interior ones, from `leveled.leveled` where not given.
@@ -409,7 +311,7 @@ def _node_extrema(ends: np.ndarray, u, w, h, d1=None, d2=None):
     falls into a''s interval (c_j lies in the gap).  The end nodes u_0 and
     u_n need nothing.  The candidates are the interval ends and the c_j
     found inside an interval, and M at them, as two arrays: a c_j on an end
-    is that end's candidate, as in the grid search.
+    is that end's candidate, as in the interlaced search.
 
     The same windows give every reference that follows n + 1 sign runs.
     The window of u_j holds a candidate of u_j's sign with |M| >= h: c_j if
@@ -514,9 +416,7 @@ def minimal_polynomial(c: IntervalUnion, n: int) -> MinimalPolyResult:
     reported in `residual`.  Degrees above DEGREE_CAP are refused.  An
     extremum search that leaves fewer than n + 1 sign runs of M, which
     cannot happen in exact arithmetic (see `_node_extrema`), raises
-    ConvergenceError with the run count, carrying the best iterate so far,
-    and so does an iteration whose node, pencil and grid searches all
-    decline.
+    ConvergenceError with the run count, carrying the best iterate so far.
     """
     if n < 1:
         raise InvalidInputError("degree must be at least 1")
@@ -531,7 +431,6 @@ def minimal_polynomial(c: IntervalUnion, n: int) -> MinimalPolyResult:
     eq = _equilibrium_arrays(cn.endpoints)
     counts = (eq.mass * (n / eq.cum[-1])).tolist()  # n times each interval's mass
     on_nodes = all(abs(k - round(k)) <= MASS_TOL * n for k in counts)
-    grid = None
     best = None
     best_gap = math.inf
     stall = 0
@@ -542,15 +441,7 @@ def minimal_polynomial(c: IntervalUnion, n: int) -> MinimalPolyResult:
         if cands is None and n <= EIG_MAX:
             cands = _pencil_extrema(ends, u, w, h, d1)
         if cands is None:
-            if grid is None:
-                grid = _extremum_grid(cn, n)
-            cands = _leveled_extrema(u, w, h, grid)
-        if cands is None and n > EIG_MAX:
-            cands = _pencil_extrema(ends, u, w, h, d1)
-        if cands is None:
-            raise ConvergenceError(f"no extremum search certified the candidates of iteration {it} "
-                                   f"(degree {n})",
-                                   last_iterate=_finalize(best, fwd, hull_scale) if best else None)
+            cands = _interlaced_extrema(ends, u, w, h)
         emax = float(np.abs(cands[1]).max())
         gap = max(emax - h, 0.0)
         gap_rel = gap / emax if emax > 0 else 0.0
@@ -785,7 +676,8 @@ def minimality_witness(c: IntervalUnion, result: MinimalPolyResult) -> WitnessRe
     polynomial and deviation, up to 1e-8 relative plus the residual of each
     solve (a stall-accepted deviation may sit that far above L_n).  It is
     checked by solving again on C'; a C' that does not contain c to 1e-9 is
-    reported as not applicable rather than a failure.
+    reported as not applicable rather than a failure, and a re-solve that
+    raises is reported in `sandwich_error`, with the sandwich not ok.
     """
     n = result.degree
     dev = result.deviation
@@ -811,11 +703,17 @@ def minimality_witness(c: IntervalUnion, result: MinimalPolyResult) -> WitnessRe
     applicable = is_subset(c, c_prime, tol=1e-9)
     diff = math.inf
     sandwich_ok = False
+    error = None
     if applicable:
-        again = minimal_polynomial(c_prime, n)
-        diff = abs(again.deviation - dev)
-        sandwich_ok = diff <= (1e-8 * max(dev, again.deviation)
-                               + result.residual + again.residual)
+        try:
+            again = minimal_polynomial(c_prime, n)
+        except ChebcapError as exc:
+            width = min(b - a for a, b in c_prime.intervals)
+            error = f"{type(exc).__name__}: narrowest component of C' {width:.3g} wide"
+        else:
+            diff = abs(again.deviation - dev)
+            sandwich_ok = diff <= (1e-8 * max(dev, again.deviation)
+                                   + result.residual + again.residual)
     return WitnessReport(
         sup_ok=sup_ok,
         alternation_ok=alternation_ok,
@@ -823,4 +721,5 @@ def minimality_witness(c: IntervalUnion, result: MinimalPolyResult) -> WitnessRe
         sandwich_ok=sandwich_ok,
         sup_excess=sup_excess,
         sandwich_deviation_diff=diff,
+        sandwich_error=error,
     )

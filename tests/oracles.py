@@ -107,6 +107,62 @@ def next_reference_oracle(xs, vals, m: int):
     return [x for x, _ in pts]
 
 
+def extremum_grid(ends, n: int) -> list:
+    """One grid per interval of the union with endpoints `ends`, each with
+    4 (n + 1) cells, cosine-spaced, the ends exact: its cells shrink toward
+    the interval ends as the critical points of a degree-n minimizer crowd
+    there."""
+    k = 4 * (n + 1)
+    t = 0.5 - 0.5 * np.cos(np.arange(k + 1) * (np.pi / k))
+    grids = []
+    for a, b in zip(ends[0::2], ends[1::2]):
+        x = a + (b - a) * t
+        x[0], x[-1] = a, b
+        grids.append(x)
+    return grids
+
+
+def grid_extrema(ends, u, w, h, evaluate):
+    """The interval ends and every zero of M' inside an interval, with M at
+    them, from a grid search with no eigenvalue solve: each cell of
+    `extremum_grid` where M' changes sign, and each grid point where M' is
+    zero, holds a zero of M', found by Newton on M' kept inside the cell's
+    bracket by bisection, until a step is below 1e-13 of its cell or the
+    bracket is two adjacent floats; a zero within 1e-14 of an interval end
+    is that end's candidate (the exchange merges points that close).
+    `evaluate` is the barycentric evaluation (x, u, w, h, order) -> M and
+    its first `order` derivatives.  Returns two arrays, unsorted."""
+    ends = np.asarray(ends, dtype=float)
+    grid = np.concatenate(extremum_grid(ends, len(u) - 1))
+    inner = ~np.isin(grid[:-1], ends[1::2])  # no cell across a gap
+    d1 = evaluate(grid, u, w, h, 1)[1]
+    s = np.sign(d1)
+    cells = np.flatnonzero(inner & (s[:-1] * s[1:] < 0.0))
+    on = grid[(d1 == 0.0) & ~np.isin(grid, ends)]
+    lo, hi = grid[cells], grid[cells + 1]
+    s_lo, tol = s[cells], 1e-13 * (hi - lo)
+    x = 0.5 * (lo + hi)
+    todo = np.arange(len(x))
+    for _ in range(100):
+        if not len(todo):
+            break
+        xt = x[todo]
+        _, dm, d2m = evaluate(xt, u, w, h, 2)
+        below = np.sign(dm) == s_lo[todo]
+        lo[todo] = np.where(below, xt, lo[todo])
+        hi[todo] = np.where(below, hi[todo], xt)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(dm == 0.0, 0.0, -dm / d2m)
+        nxt, mid = xt + step, 0.5 * (lo[todo] + hi[todo])
+        inside = (nxt > lo[todo]) & (nxt < hi[todo])
+        done = (np.abs(step) <= tol[todo]) | (mid == lo[todo]) | (mid == hi[todo])
+        x[todo] = np.where(inside, nxt, np.where(done, xt, mid))
+        todo = todo[~done]
+    off_end = (np.abs(x[:, None] - ends) > 1e-14).all(axis=1)
+    xs = np.concatenate((ends, on, x[off_end]))
+    return xs, evaluate(xs, u, w, h, 0)[0]
+
+
 def _leveled_interpolant(nodes):
     """x -> M(x) at the working precision of mpmath, for the monic degree-n
     M with M(nodes[j]) = (-1)^(n-j) h, taken exactly from the float nodes."""

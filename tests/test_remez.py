@@ -12,6 +12,8 @@ from oracles import (
     _candidates,
     _collapse_sign_runs,
     blow_up_oracle,
+    extremum_grid,
+    grid_extrema,
     grid_sup_norm,
     leveled_value_oracle,
     minimax_deviation_oracle,
@@ -27,7 +29,6 @@ from chebcap.intervals import IntervalUnion, is_subset, normalize
 from chebcap.inverse_image import e_alpha, inverse_image, symmetric_two_interval_minpoly
 from chebcap.leveled import equilibrium, evaluate
 from chebcap.remez import (
-    _extremum_grid,
     _init_reference,
     _solve_on_reference,
     blow_up_set,
@@ -359,16 +360,16 @@ RESOLUTION_SETS = {
 @pytest.mark.parametrize("name", sorted(RESOLUTION_SETS))
 def test_extremum_grid_resolves_adjacent_critical_points(name, n):
     # Adjacent interior critical points of the final M, located by a fine
-    # cosine-spaced scan of M', lie at least two cells of the extremum grid
-    # apart on every interval.  A grid uniform in x puts the two next to the
-    # end of [-1, 1] 1.2 cells apart at n = 100.
+    # cosine-spaced scan of M', lie at least two cells apart on every
+    # interval of the extremum grid of the tests' grid search
+    # (`oracles.extremum_grid`, the reference for the searches below), and
+    # the interlaced search finds each of them inside its scan cell.
     cn, _ = normalize(RESOLUTION_SETS[name])
     r = minimal_polynomial(cn, n)
     u, w = np.array(r.nodes), np.array(r.weights)
-    xs, ends, _ = _extremum_grid(cn, n)
-    edges = np.flatnonzero(ends)
-    for (a, b), i0, i1 in zip(cn.intervals, edges[0::2], edges[1::2]):
-        grid = xs[i0:i1 + 1]
+    ends = np.array(cn.endpoints)
+    found = np.sort(_remez._interlaced_extrema(ends, u, w, r.level)[0])
+    for (a, b), grid in zip(cn.intervals, extremum_grid(cn.endpoints, n)):
         assert grid[0] == a and grid[-1] == b
         assert np.all(np.diff(grid) > 0.0)
         scan = 0.5 * (a + b) - 0.5 * (b - a) * np.cos(np.linspace(0.0, math.pi, 20001))
@@ -378,6 +379,9 @@ def test_extremum_grid_resolves_adjacent_critical_points(name, n):
         at = np.interp(crit, grid, np.arange(len(grid)))
         assert len(crit) >= 2
         assert np.min(np.diff(at)) >= 2.0, (name, n, a, b)
+        inner = found[(found > a) & (found < b)]
+        assert len(inner) == len(cells), (name, n, a, b)
+        assert np.all((inner >= scan[cells]) & (inner <= scan[cells + 1])), (name, n, a, b)
 
 
 def test_failed_blow_up_search_is_numerical(monkeypatch):
@@ -511,11 +515,10 @@ def test_init_reference_is_an_increasing_reference_in_the_set(name):
 
 
 def test_init_reference_on_one_interval_is_chebyshev_lobatto():
-    eq = _remez._equilibrium_arrays((-1.0, 1.0))
     for n in range(1, 101):
-        want = _remez._quantile_points(eq, eq.theta, 0, np.linspace(0.0, 1.0, n + 1))
-        assert np.array_equal(_init_reference(FULL, n), want)
-        assert np.allclose(want, -np.cos(np.arange(n + 1) * math.pi / n), rtol=0.0, atol=1e-15)
+        u = _init_reference(FULL, n)
+        assert u[0] == -1.0 and u[-1] == 1.0, n
+        assert np.allclose(u, -np.cos(np.arange(n + 1) * math.pi / n), rtol=0.0, atol=1e-15)
 
 
 def _per_point_quantiles(e, n):
@@ -566,7 +569,7 @@ def test_first_reference_is_nearly_leveled_on_inverse_images(name, e, ns):
     for n in ns:
         u = _init_reference(cn, n)
         w, h = leveled.leveled(u, 0)[:2]
-        emax = np.max(np.abs(_remez._leveled_extrema(u, w, h, _extremum_grid(cn, n))[1]))
+        emax = np.max(np.abs(_remez._interlaced_extrema(np.array(cn.endpoints), u, w, h)[1]))
         assert (emax - h) / emax <= 1e-12, (name, n, (emax - h) / emax)
         assert minimal_polynomial(e, n).iterations == 1, (name, n)
 
@@ -610,28 +613,6 @@ def test_init_reference_on_narrow_components():
             assert np.all(((u[:, None] >= lo) & (u[:, None] <= hi)).any(axis=1)), (name, n)
 
 
-def _count_grid_passes(monkeypatch):
-    """Patches the grid search so that each call records how many order-2
-    evaluate calls (Newton passes) it makes and whether it declined;
-    returns the list of (passes, declined)."""
-    search, counts = _remez._leveled_extrema, []
-
-    def counting_evaluate(*args):
-        if args[-1] == 2 and counts:
-            counts[-1][0] += 1
-        return evaluate(*args)
-
-    def counting_search(*args):
-        counts.append([0, False])
-        out = search(*args)
-        counts[-1][1] = out is None
-        return out
-
-    monkeypatch.setattr(leveled, "evaluate", counting_evaluate)
-    monkeypatch.setattr(_remez, "_leveled_extrema", counting_search)
-    return counts
-
-
 def _exchange_references(e, n):
     """The references of the iterations of minimal_polynomial(e, n), in the
     normalized frame it solves in."""
@@ -645,29 +626,23 @@ def _exchange_references(e, n):
     return refs
 
 
-def _grid_search(e, n, refs):
-    """`_leveled_extrema`, the exchange's grid search, on each reference."""
-    cn, _ = normalize(e)
-    grid = _extremum_grid(cn, n)
-    for u in refs:
-        _remez._leveled_extrema(u, *leveled.leveled(u, 0)[:2], grid)
-
-
-def test_refine_on_a_critical_point_at_a_grid_node(monkeypatch):
-    # On the interval at n = 11k the grid holds the Chebyshev-Lobatto points,
-    # where M' is zero up to a rounding-level value of either sign; the same
-    # happens on triple at n = 56.  A cell whose zero of M' sits on its end
-    # ends as the others do: the grid search takes at most three of its
-    # GRID_PASSES passes and never declines.  It runs on the exchange's
-    # references, which the exchange itself certifies from the nodes.
-    solves = [(e, n, _exchange_references(e, n))
-              for e, ns in ((FULL, range(11, 100, 11)), (TRIPLE, (56,))) for n in ns]
-    counts = _count_grid_passes(monkeypatch)
-    for e, n, refs in solves:
-        counts.clear()
-        _grid_search(e, n, refs)
-        assert counts and max(p for p, _ in counts) <= min(3, _remez.GRID_PASSES), (n, counts)
-        assert not any(declined for _, declined in counts), (n, counts)
+def test_interlaced_search_on_critical_points_at_the_nodes():
+    # On the interval the first reference is the Chebyshev-Lobatto points,
+    # and its interior nodes are the zeros of M' = (2^(1-n) T_n)': the
+    # eigenvalue solve puts each one within a few ulps of its node, or on
+    # it, where evaluate takes M' from the node's row of the
+    # differentiation matrix.  The Newton step leaves every candidate within
+    # 8 ulps of the hull's radius of its node (a node is the rounded cosine,
+    # and the critical point of the interpolant on the rounded nodes moves
+    # with it), and M there at +-h to 1e-14 h.
+    ends = np.array(FULL.endpoints)
+    for n in range(1, 101):
+        u = _init_reference(FULL, n)
+        w, h = leveled.leveled(u, 0)[:2]
+        x, v = _merged_candidates(*_remez._interlaced_extrema(ends, u, w, h))
+        assert len(x) == n + 1, n
+        assert np.max(np.abs(x - u)) <= 8.0 * np.finfo(float).eps, n
+        assert np.max(np.abs(v - np.sign(w) * h)) <= 1e-14 * h, n
 
 
 @pytest.mark.parametrize("name", ["interval", "e_0.3", "e_0.6", "triple", "quad"])
@@ -680,19 +655,19 @@ def test_node_slope_from_the_sums_matches_the_differentiation_matrix(name):
         w, h = leveled.leveled(u, 0)[:2]
         got = evaluate(u, u, w, h, 1)[1]
         want = leveled._node_derivatives(u, w, h, np.arange(n + 1))[0]
-        scale = np.max(np.abs(evaluate(_extremum_grid(cn, n)[0], u, w, h, 1)[1]))
+        scale = np.max(np.abs(evaluate(np.concatenate(extremum_grid(cn.endpoints, n)), u, w, h, 1)[1]))
         assert np.max(np.abs(got - want)) <= 4e-15 * scale, (name, n)
 
 
 @pytest.mark.parametrize("name", ["e_0.3", "e_0.6", "triple", "quad", "asym"])
 def test_refine_returns_m_at_its_points(name):
-    # The grid search's values at the critical points come from its last
+    # The interlaced search's values at the critical points come from its
     # Newton pass's Taylor expansion, not from a separate evaluate pass.
     cn, _ = normalize(RESOLUTION_SETS[name])
     for n in range(1, 101):
         u = _init_reference(cn, n)
         w, h = leveled.leveled(u, 0)[:2]
-        xs, vals = _remez._leveled_extrema(u, w, h, _extremum_grid(cn, n))
+        xs, vals = _remez._interlaced_extrema(np.array(cn.endpoints), u, w, h)
         want = evaluate(xs, u, w, h, 0)[0]
         assert np.max(np.abs(vals - want)) <= 1e-14 * h, (name, n)
 
@@ -728,18 +703,15 @@ def _sweep_solves():
     return solves + [(e, n) for e in unions for n in range(1, 11)]
 
 
-@pytest.mark.parametrize("solves, bound", [(_frontier_solves, 3.5), (_sweep_solves, 3.0)],
+@pytest.mark.parametrize("solves, bound", [(_frontier_solves, 1.5), (_sweep_solves, 1.5)],
                          ids=["frontier", "sweep"])
 def test_evaluate_passes_per_exchange_iteration(monkeypatch, solves, bound):
-    # One grid pass and the grid search's Newton passes per iteration, with
-    # the extremum values taken from the last Newton pass: 3.38 per iteration
-    # on the 21 frontier solves (n = 32/40/48) and 2.79 on the sweep solves
-    # when the grid search ran everywhere; with the node and pencil searches
-    # 2.02 and 1.00 on the 360 sweep solves (the verify fixtures at n <= 20,
-    # 20 random unions at n = 1..10 each), and 2.33 on the frontier solves
-    # once the grid search's cells end on |M' step| <= ulp(h), which takes a
-    # third Newton pass on most references.  A further pass over the
-    # interpolant shows here.
+    # One evaluate pass per iteration: the node search's second step, the
+    # pencil's values, or the interlaced search's Newton step and Taylor
+    # values, 1.00 per iteration on the 21 frontier solves (n = 32/40/48)
+    # and on the 360 sweep solves (the verify fixtures at n <= 20, 20 random
+    # unions at n = 1..10 each).  A further pass over the interpolant shows
+    # here.
     solves = solves()
     calls = []
     monkeypatch.setattr(leveled, "evaluate", lambda *a: calls.append(1) or evaluate(*a))
@@ -747,35 +719,25 @@ def test_evaluate_passes_per_exchange_iteration(monkeypatch, solves, bound):
     assert len(calls) <= bound * iterations, len(calls) / iterations
 
 
-def test_grid_series_chop_moves_grid_points_within_their_cells():
-    # The grid's angle series is chopped at GRID_CHOP; against the full
-    # series each interval's points move by a small fraction of its smallest
-    # cell.
+def test_plain_newton_phase_ends_the_exchange_refines():
+    # The interlaced search's one Newton step ends the refine on every
+    # reference of the 21 frontier solves and the 360 sweep solves: a
+    # second step at its points would change M by at most 1e-3 of an ulp of
+    # h (1.4e-11 measured): the node search's stop rule, |M' step| <=
+    # ulp(h), holds after the one step.
     worst = 0.0
-    for name, e in {**START_SETS, **_narrow_component_sets()}.items():
+    for e, n in _frontier_solves() + _sweep_solves():
         cn, _ = normalize(e)
-        eq = _remez._equilibrium_arrays(cn.endpoints)
-        for n in (1, 2, 5, 10, 20, 40, 70, 100):
-            xs, ends, _ = _extremum_grid(cn, n)
-            edges = np.flatnonzero(ends)
-            for i, (i0, i1) in enumerate(zip(edges[0::2], edges[1::2])):
-                full = _remez._quantile_points(eq, eq.theta, i, np.linspace(0.0, 1.0, i1 - i0 + 1))
-                grid = xs[i0:i1 + 1]
-                worst = max(worst, np.max(np.abs(grid - full)) / np.min(np.diff(grid)))
-    assert worst <= 1e-2, worst
-
-
-def test_plain_newton_phase_ends_the_exchange_refines(monkeypatch):
-    # The grid search's plain Newton passes end every cell on every
-    # reference of the 21 frontier solves and the 360 sweep solves: it never
-    # declines there.  Of its 1,181 calls 63 find no cell, and one, two and
-    # three passes end 107, 316 and 695 of them.
-    solves = [(e, n, _exchange_references(e, n)) for e, n in _frontier_solves() + _sweep_solves()]
-    counts = _count_grid_passes(monkeypatch)
-    for e, n, refs in solves:
-        _grid_search(e, n, refs)
-    assert len(counts) > 1000 and not any(declined for _, declined in counts)
-    assert max(p for p, _ in counts) <= 3
+        ends = np.array(cn.endpoints)
+        for u in _exchange_references(cn, n):
+            w, h = leveled.leveled(u, 0)[:2]
+            xs = _remez._interlaced_extrema(ends, u, w, h)[0]
+            x = xs[len(ends):]
+            if not len(x):
+                continue
+            _, dm, d2m = evaluate(x, u, w, h, 2)
+            worst = max(worst, float(np.max(np.abs(dm * dm / d2m))) / math.ulp(h))
+    assert worst <= 1e-3, worst
 
 
 def _strided_evaluate(x, u, w, h):
@@ -816,7 +778,7 @@ def _strided_evaluate(x, u, w, h):
 @pytest.mark.parametrize("name", sorted(RESOLUTION_SETS))
 def test_stacked_product_evaluation_matches_strided_sums(name):
     # M, M' and M'' from one matrix product of the stacked terms agree with
-    # the strided sums on the extremum grid, at the grid search's candidates
+    # the strided sums on the extremum grid, at the interlaced search's candidates
     # and on some nodes, to 1e-14 of each one's largest modulus on the grid;
     # M'' also to 8 ulps of its terms' moduli, since both forms lose it to
     # cancellation within about 1e-16 of a node (a grid end one ulp from a
@@ -826,15 +788,16 @@ def test_stacked_product_evaluation_matches_strided_sums(name):
     for n in range(1, 101):
         u = _init_reference(cn, n)
         w, h = leveled.leveled(u, 0)[:2]
-        grid = _extremum_grid(cn, n)
-        x = np.concatenate([grid[0], _remez._leveled_extrema(u, w, h, grid)[0], u[::7]])
+        grid = np.concatenate(extremum_grid(cn.endpoints, n))
+        crit = _remez._interlaced_extrema(np.array(cn.endpoints), u, w, h)[0]
+        x = np.concatenate([grid, crit, u[::7]])
         want, noise = _strided_evaluate(x, u, w, h)
         slack = [0.0, 0.0, 8.0 * eps * noise]
         for order in (0, 1, 2):
             got = evaluate(x, u, w, h, order)
             assert len(got) == order + 1
             for i in range(order + 1):
-                scale = np.max(np.abs(want[i][:len(grid[0])]))
+                scale = np.max(np.abs(want[i][:len(grid)]))
                 assert np.all(np.abs(got[i] - want[i]) <= 1e-14 * scale + slack[i]), (name, n, i)
 
 
@@ -857,34 +820,6 @@ def test_evaluate_allocates_no_array_beyond_the_terms():
         finally:
             tracemalloc.stop()
         assert peak <= bound * size, (order, peak / size)
-
-
-def test_hermite_start_picks_the_root_inside_the_cell():
-    # The root picked by the sign of the quadratic's slope is the one the
-    # reference, which tries r / a and then d0 / r for a root in (0, 1),
-    # keeps, bit for bit, on random cells with M' of opposite signs at the
-    # ends; no division by zero warns (warnings are errors here).
-    def reference(x0, x1, m0, m1, d0, d1):
-        a, b = _remez._hermite_slope(x0, x1, m0, m1, d0, d1)
-        r = -0.5 * (b + np.copysign(np.sqrt(np.maximum(b * b - 4.0 * a * d0, 0.0)), b))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = r / a
-            s = np.where((s > 0.0) & (s < 1.0), s, d0 / r)
-        s = np.where((s > 0.0) & (s < 1.0), s, d0 / (d0 - d1))
-        return x0 + s * (x1 - x0)
-
-    rng = np.random.default_rng(5)
-    size = 20000
-    x0 = rng.uniform(-1.0, 1.0, size)
-    x1 = x0 + rng.uniform(1e-6, 0.1, size)
-    m0, m1 = rng.standard_normal(size), rng.standard_normal(size)
-    d0 = rng.standard_normal(size) * 10.0 ** rng.uniform(-3.0, 3.0, size)
-    d1 = -np.sign(d0) * np.abs(rng.standard_normal(size))
-    cells = (x0, x1, m0, m1, d0, d1)
-    assert np.array_equal(_remez._hermite_start(*cells), reference(*cells))
-    linear = (np.zeros(1), np.full(1, 3.0), np.zeros(1), np.zeros(1), np.ones(1), -np.ones(1))
-    assert _remez._hermite_slope(*linear)[0][0] == 0.0  # a = 0: M' is linear, 1 - 2s
-    assert _remez._hermite_start(*linear)[0] == 1.5
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.6])
@@ -911,9 +846,12 @@ def _sorted_candidates(xs, vals):
 
 @pytest.mark.parametrize("name", sorted(NODE_SETS))
 def test_node_search_matches_the_grid_search_on_converged_references(name):
-    # On the final reference of each solve the node search returns the grid
-    # search's candidates: the same points, values within 1e-15 h, positions
-    # within 1e-12 of the node spacing (4.1e-13 at most, on e_0.7).  Its own
+    # On the final reference of each solve the node search returns the
+    # candidates of the tests' grid search (`oracles.grid_extrema`): the
+    # same points once points within 1e-14 merge, as `_next_reference`
+    # merges them (a peak next to an interval end comes out of either search
+    # on the end or a few ulps inside), values within 1e-15 h, positions
+    # within 1e-12 of the node spacing (4.4e-13 at most, on e_0.7).  Its own
     # points are within 1e-12 of the spacing of three more order-2 Newton
     # steps.  It certifies every one of the 693 references, those with a
     # peak on an interval end (asym at n = 2, 3 and 4, e_0.5 at n = 3)
@@ -928,8 +866,8 @@ def test_node_search_matches_the_grid_search_on_converged_references(name):
         if got is None:
             refused += 1
             continue
-        want = _remez._leveled_extrema(u, w, h, _extremum_grid(cn, n))
-        (x, v), (x_grid, v_grid) = _sorted_candidates(*got), _sorted_candidates(*want)
+        want = grid_extrema(ends, u, w, h, evaluate)
+        (x, v), (x_grid, v_grid) = _merged_candidates(*got), _merged_candidates(*want)
         assert len(x) == len(x_grid), (n, len(x), len(x_grid))
         spacing = np.min(np.diff(u))
         assert np.max(np.abs(v - v_grid)) <= 1e-15 * h, n
@@ -993,8 +931,7 @@ def test_node_search_certifies_an_extremum_in_the_gap():
     got = _remez._node_extrema(ends, u, w, h)
     assert got is not None
     got = _sorted_candidates(*got)
-    want = _sorted_candidates(*_remez._leveled_extrema(u, w, h,
-                                                       _extremum_grid(IntervalUnion(tuple(ends)), 2)))
+    want = _sorted_candidates(*grid_extrema(ends, u, w, h, evaluate))
     assert len(got[0]) == len(want[0]) == 4
     assert np.allclose(got, want, rtol=0.0, atol=1e-15)
     assert got[1][2] == pytest.approx(0.05**2 - 0.505, rel=1e-14)
@@ -1015,14 +952,14 @@ def test_node_search_certifies_a_peak_on_an_interval_end(u1):
     # M = x^2 - (1 + u1^2)/2 peaks at 0, the right end of [-1, 0].  On the
     # edge node u1 = 0, M'(0) = 0 exactly and M'' < 0 makes it a peak of |M|;
     # from the inner node u1 = -2^-52, Newton lands on the end to rounding.
-    # Either way the end is the window's candidate, as in the grid search.
+    # Either way the end is the window's candidate, as in the tests' grid
+    # search.
     ends, u = np.array([-1.0, 0.0, 0.5, 1.0]), np.array([-1.0, u1, 1.0])
     w, h = leveled.leveled(u, 0)[:2]
     got = _remez._node_extrema(ends, u, w, h)
     assert got is not None
     got = _sorted_candidates(*got)
-    want = _sorted_candidates(*_remez._leveled_extrema(u, w, h,
-                                                       _extremum_grid(IntervalUnion(tuple(ends)), 2)))
+    want = _sorted_candidates(*grid_extrema(ends, u, w, h, evaluate))
     assert got[0].tolist() == want[0].tolist() == ends.tolist()
     assert np.allclose(got[1], want[1], rtol=0.0, atol=1e-15)
 
@@ -1050,7 +987,8 @@ def _merged_candidates(xs, vals):
 @pytest.mark.parametrize("name", sorted(PENCIL_SETS))
 def test_pencil_search_matches_the_grid_search_on_the_references_it_visits(name):
     # On every reference that the solves at n = 1..EIG_MAX visit, the pencil
-    # search returns the grid search's candidates: as many once points within
+    # search returns the candidates of the tests' grid search
+    # (`oracles.grid_extrema`): as many once points within
     # 1e-14 merge, as `_next_reference` merges them (a zero of M' on an
     # interval end comes out of either search on it or a few ulps to either
     # side), values within 1e-15 of the largest |M| (the rounding of M grows
@@ -1059,13 +997,12 @@ def test_pencil_search_matches_the_grid_search_on_the_references_it_visits(name)
     cn, _ = normalize(PENCIL_SETS[name])
     ends = np.array(cn.endpoints)
     for n in range(1, _remez.EIG_MAX + 1):
-        grid = _extremum_grid(cn, n)
         for u in _exchange_references(cn, n):
             w, h = leveled.leveled(u, 0)[:2]
             got = _remez._pencil_extrema(ends, u, w, h)
             assert got is not None, n
             x, v = _merged_candidates(*got)
-            x_grid, v_grid = _merged_candidates(*_remez._leveled_extrema(u, w, h, grid))
+            x_grid, v_grid = _merged_candidates(*grid_extrema(ends, u, w, h, evaluate))
             assert len(x) == len(x_grid), (n, len(x), len(x_grid))
             assert np.max(np.abs(v - v_grid)) <= 1e-15 * np.max(np.abs(v_grid)), n
             crit = x[~np.isin(x, ends)]
@@ -1112,6 +1049,27 @@ def test_pencil_on_n_values_matches_the_pencil_on_all_of_them(monkeypatch, name)
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-11 * np.min(np.diff(u)), n
 
 
+@pytest.mark.parametrize("name", sorted(PENCIL_SETS))
+def test_interlaced_zeros_on_the_references_the_exchange_visits(name):
+    # On every reference that the solves at n = 2..100 visit, the two
+    # symmetric solves give n zeros z of M, z_j in (u_j, u_{j+1}), and
+    # n - 1 zeros of M', each strictly between consecutive z; those are
+    # within 2e-11, 2e-10 and 1e-9 of the node spacing of the companion
+    # pencil's on all n + 1 values at n <= 30, 31..60 and 61..100 (7.2e-12,
+    # 7.3e-11 and 4.3e-10 measured over the 28 sets).
+    cn, _ = normalize(PENCIL_SETS[name])
+    for n in range(2, 101):
+        tol = 2e-11 if n <= 30 else 2e-10 if n <= 60 else 1e-9
+        for u in _exchange_references(cn, n):
+            w, h = leveled.leveled(u, 0)[:2]
+            z, crit = leveled.interlaced_zeros(u, w)
+            assert len(z) == n and len(crit) == n - 1, n
+            assert np.all((u[:-1] < z) & (z < u[1:])), n
+            assert np.all((z[:-1] < crit) & (crit < z[1:])), n
+            want = _pencil_on_all_values(u, w, h, np.linalg.eigvals)
+            assert np.max(np.abs(crit - want)) <= tol * np.min(np.diff(u)), n
+
+
 def test_pencil_at_degrees_one_and_two():
     # At n = 1 M' is a nonzero constant, all of the pencil's eigenvalues are
     # infinite, and the candidates are the interval ends, where M = x on the
@@ -1133,29 +1091,34 @@ def test_pencil_at_degrees_one_and_two():
         assert len(xs) == 5 and vals[-1] == pytest.approx(-(1.0 + u1 * u1) / 2.0, rel=1e-14)
 
 
-def test_pencil_search_runs_up_to_eig_max_and_the_grid_search_above(monkeypatch):
+def _counting(monkeypatch, module, name):
+    """Patches module.name to record each call; returns the list of calls."""
+    calls, func = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(1) or func(*a))
+    return calls
+
+
+def test_pencil_search_runs_up_to_eig_max_and_the_interlaced_search_above(monkeypatch):
     # At EIG_MAX the iterations that the node search does not certify take
-    # the pencil, and no extremum grid is built; at EIG_MAX + 1 the grid
-    # search runs and no pencil is solved.
-    built, solved = [], []
-    monkeypatch.setattr(_remez, "_extremum_grid", lambda *a: built.append(a) or _extremum_grid(*a))
-    crit = leveled.critical_points
-    monkeypatch.setattr(leveled, "critical_points", lambda *a: solved.append(1) or crit(*a))
+    # the pencil, and no interlaced solve runs; at EIG_MAX + 1 the
+    # interlaced search runs and no pencil is solved.
+    solved = _counting(monkeypatch, leveled, "critical_points")
+    interlaced = _counting(monkeypatch, leveled, "interlaced_zeros")
     assert minimal_polynomial(QUAD, _remez.EIG_MAX).iterations > 1
-    assert solved and built == []
+    assert solved and interlaced == []
     solved.clear()
     assert minimal_polynomial(QUAD, _remez.EIG_MAX + 1).iterations > 1
-    assert built and solved == []
+    assert interlaced and solved == []
 
 
-def test_pencil_with_a_complex_pair_falls_back_to_the_grid_search(monkeypatch):
+def test_pencil_with_a_complex_pair_falls_back_to_the_interlaced_search(monkeypatch):
     # A pencil whose eigenvalue solve returns a complex pair gives no zeros
-    # of M'; the iteration runs the grid search instead, so a solve in which
-    # every pencil does returns the grid search's result, and the pencil
-    # search's deviation to rounding.
+    # of M'; the iteration runs the interlaced search instead, so a solve in
+    # which every pencil does returns the interlaced search's result, and
+    # the pencil search's deviation to rounding.
     pencil = minimal_polynomial(QUAD, 12)
     monkeypatch.setattr(_remez, "EIG_MAX", 0)
-    grid = minimal_polynomial(QUAD, 12)
+    interlaced = minimal_polynomial(QUAD, 12)
     monkeypatch.undo()
     eigvals = np.linalg.eigvals
 
@@ -1165,85 +1128,45 @@ def test_pencil_with_a_complex_pair_falls_back_to_the_grid_search(monkeypatch):
         mu[k] = mu[k].real.mean() + np.array([1e-3j, -1e-3j])
         return mu
 
-    built = []
     monkeypatch.setattr(np.linalg, "eigvals", paired)
-    monkeypatch.setattr(_remez, "_extremum_grid", lambda *a: built.append(a) or _extremum_grid(*a))
+    calls = _counting(monkeypatch, leveled, "interlaced_zeros")
     got = minimal_polynomial(QUAD, 12)
-    assert len(built) == 1
-    assert got.nodes == grid.nodes and got.deviation == grid.deviation
+    assert calls
+    assert got.nodes == interlaced.nodes and got.deviation == interlaced.deviation
     assert got.deviation == pytest.approx(pencil.deviation, rel=1e-14)
 
 
-def _declining_grid_search(monkeypatch):
-    """Patches the grid search to no Newton passes, so that it declines on
-    every reference with a cell, and returns the list of its results."""
-    results, search = [], _remez._leveled_extrema
-    monkeypatch.setattr(_remez, "GRID_PASSES", 0)
-    monkeypatch.setattr(_remez, "_leveled_extrema", lambda *a: results.append(search(*a)) or results[-1])
-    return results
-
-
-def test_declined_grid_search_falls_to_the_pencil_above_eig_max(monkeypatch):
-    # Above EIG_MAX an iteration whose grid search declines takes the
-    # pencil: quad at n = 40 then solves as with the pencil at every degree.
-    monkeypatch.setattr(_remez, "EIG_MAX", 100)
-    pencil = minimal_polynomial(QUAD, 40)
-    monkeypatch.undo()
-    results = _declining_grid_search(monkeypatch)
-    got = minimal_polynomial(QUAD, 40)
-    assert results and all(r is None for r in results)
-    assert got.iterations == pencil.iterations
-    assert got.deviation == pytest.approx(pencil.deviation, rel=1e-14)
-
-
-def _declining_searches(monkeypatch):
-    """A declining grid search, and a pencil search that declines from its
-    second call on."""
-    _declining_grid_search(monkeypatch)
-    pencil, calls = _remez._pencil_extrema, []
-    monkeypatch.setattr(_remez, "_pencil_extrema",
-                        lambda *a: None if calls.append(1) or len(calls) > 1 else pencil(*a))
-
-
-def test_all_searches_declining_raises_convergence_error(monkeypatch):
-    # At n <= EIG_MAX an iteration in which the node, pencil and grid
-    # searches all decline ends the solve with the best iterate so far.
-    _declining_searches(monkeypatch)
-    with pytest.raises(ConvergenceError, match="no extremum search certified") as info:
-        minimal_polynomial(QUAD, 12)
-    assert info.value.last_iterate.iterations == 1
-
-
-def test_all_searches_declining_exits_as_non_convergence(monkeypatch):
-    _declining_searches(monkeypatch)
-    ends = QUAD.endpoints
-    spec = "; ".join(f"{a} {b}" for a, b in zip(ends[0::2], ends[1::2]))
-    assert main(["minpoly", "--intervals", spec, "--degree", "12"]) == 3
-
-
-def test_grid_search_declining_on_a_narrow_image_hands_over_to_the_pencil(monkeypatch):
-    # On the 1e5*T_4 image, whose components are 1.9e-6 wide, the grid
-    # search's cells do not all end in GRID_PASSES passes at n = 31; the
-    # pencil takes those iterations and the solve converges in seven
-    # iterations with no stall.
-    results, search = [], _remez._leveled_extrema
-    monkeypatch.setattr(_remez, "_leveled_extrema", lambda *a: results.append(search(*a)) or results[-1])
-    r = minimal_polynomial(_scaled_image(1e5, 4), 31)
-    assert None in results
-    assert r.iterations == 7 and r.residual <= _remez.LEVEL_TOL * r.deviation
+@pytest.mark.parametrize("c, k, n, most", [(1e5, 4, 31, 7), (1e5, 4, 52, 8), (1e5, 3, 93, 8),
+                                           (1e5, 3, 99, 8)])
+def test_interlaced_search_converges_on_narrow_images(c, k, n, most):
+    # On the 1e5*T_3 and 1e5*T_4 images, whose components are about 2e-6
+    # wide, M' is rounding noise in the first iterations; the interlaced
+    # search's zeros are real whatever the noise, and the solves converge
+    # with no stall (7, 6, 6 and 6 iterations).  At multiples of k each deviation is within 16 eps over
+    # the narrowest component's width (on the hull [-1, 1]) of the exact
+    # 2 / (2|c 2^(k-1)|)^(n/k): 3.0, 5.6 and 6.0 of that unit measured.
+    e = _scaled_image(c, k)
+    r = minimal_polynomial(e, n)
+    assert r.iterations <= most and r.residual <= _remez.LEVEL_TOL * r.deviation, r.iterations
+    if n % k == 0:
+        cn, _ = normalize(e)
+        unit = np.finfo(float).eps / min(b - a for a, b in cn.intervals)
+        exact = 2.0 / (2.0 * c * 2.0 ** (k - 1)) ** (n // k)
+        assert abs(r.deviation - exact) <= 16.0 * unit * exact, (r.deviation / exact - 1.0) / unit
 
 
 def test_one_iteration_frontier_solves_build_no_extremum_grid(monkeypatch):
     # The 15 frontier solves on inverse images (the interval, e_0.3, e_0.6,
     # 1.25*T_3 and 1.25*T_4 at n = 32/40/48) end in their first iteration,
-    # certified from the nodes; the grid is built only when it is needed.
-    built = []
-    monkeypatch.setattr(_remez, "_extremum_grid", lambda *a: built.append(a) or _extremum_grid(*a))
+    # certified from the nodes: no grid and no eigenvalue solve; triple at
+    # n = 32 takes the interlaced search.
+    solved = _counting(monkeypatch, leveled, "interlaced_zeros")
+    pencils = _counting(monkeypatch, leveled, "critical_points")
     solves = _frontier_solves()[:15]
     assert [minimal_polynomial(e, n).iterations for e, n in solves] == [1] * 15
-    assert built == []
+    assert solved == [] and pencils == []
     minimal_polynomial(TRIPLE, 32)
-    assert len(built) == 1
+    assert solved and pencils == []
 
 
 def test_evaluate_reads_the_first_form_everywhere():
@@ -1276,12 +1199,13 @@ def test_evaluate_in_the_gaps_matches_the_oracle(alpha, n):
 
 
 def test_blow_up_set_builds_no_grid_and_solves_no_equilibrium(monkeypatch):
-    # C' comes from the interlacing structure alone: no extremum grid on the
-    # gaps and no equilibrium measure of their union.
+    # C' comes from the interlacing structure alone: no extremum search on
+    # the gaps (neither eigenvalue solve) and no equilibrium measure of
+    # their union.
     results = [(e, minimal_polynomial(e, n)) for e, n in
                ((TRIPLE, 32), (QUAD, 48), (e_alpha(0.6), 33), (BLOW_UP_SETS["10*T_4"], 42))]
-    built = []
-    monkeypatch.setattr(_remez, "_extremum_grid", lambda *a: built.append(a) or _extremum_grid(*a))
+    built = _counting(monkeypatch, leveled, "interlaced_zeros")
+    built += _counting(monkeypatch, leveled, "critical_points")
     monkeypatch.setattr(leveled, "equilibrium", lambda ends: built.append(ends) or equilibrium(ends))
     for e, r in results:
         blow_up_set(e, r)
@@ -1349,7 +1273,7 @@ def _drop_the_middle_candidate(monkeypatch):
         return patched
 
     monkeypatch.setattr(_remez, "_init_reference", lambda e, n: np.linspace(-1.0, 1.0, n + 1))
-    monkeypatch.setattr(_remez, "_leveled_extrema", dropping(_remez._leveled_extrema))
+    monkeypatch.setattr(_remez, "_interlaced_extrema", dropping(_remez._interlaced_extrema))
     monkeypatch.setattr(_remez, "_node_extrema", dropping(_remez._node_extrema))
     monkeypatch.setattr(_remez, "_pencil_extrema", dropping(_remez._pencil_extrema))
     return calls
@@ -1397,6 +1321,24 @@ def test_resolve_on_a_central_band_too_narrow_raises_convergence_error(alpha, n,
     c_prime = blow_up_set(e, minimal_polynomial(e, n)).c_prime
     with pytest.raises(ConvergenceError):
         minimal_polynomial(c_prime, n)
+
+
+@pytest.mark.parametrize("alpha, n", [(0.5, 63), (0.6, 51), (0.7, 41)])
+def test_witness_reports_a_re_solve_that_raises(alpha, n):
+    # The re-solve on C' of e_alpha at these odd n raises ConvergenceError
+    # (C''s central band is a few 1e-15 wide); the witness reports it, with
+    # the error class and the band's width, as a sandwich that is not ok.
+    e = e_alpha(alpha)
+    r = minimal_polynomial(e, n)
+    c_prime = blow_up_set(e, r).c_prime
+    width = min(b - a for a, b in c_prime.intervals)
+    with pytest.raises(ConvergenceError):
+        minimal_polynomial(c_prime, n)
+    w = minimality_witness(e, r)
+    assert w.sup_ok and w.alternation_ok and w.sandwich_applicable
+    assert not w.sandwich_ok and not w.passed and w.sandwich_deviation_diff == math.inf
+    assert w.sandwich_error == f"ConvergenceError: narrowest component of C' {width:.3g} wide"
+    assert minimality_witness(e, minimal_polynomial(e, n + 1)).sandwich_error is None
 
 
 def test_missing_sign_run_exits_as_non_convergence(monkeypatch):
