@@ -73,10 +73,12 @@ def _chop(c: np.ndarray, scale: float) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def equilibrium(ends: tuple) -> tuple:
-    """The equilibrium measure of a normalized union, given by its endpoints:
-    per interval, its mass and the Chebyshev coefficients in t = 2q - 1 of
-    the angle theta(q) at which its distribution function reaches q, with
-    x = mid - rad cos(theta).  Cached for degree sweeps.
+    """The equilibrium measure of a normalized union, given by its endpoints,
+    as three read-only arrays: the mass of each interval, their cumulative
+    sums, and one row per interval of the Chebyshev coefficients in
+    t = 2q - 1 of the angle theta(q) at which its distribution function
+    reaches q, with x = mid - rad cos(theta).  Cached for degree sweeps,
+    which share the arrays.
 
     The density is |q(x)| / (pi sqrt|R(x)|), with R the product of (x - e_i)
     over all endpoints and q monic of degree ell - 1 such that the integral
@@ -93,7 +95,7 @@ def equilibrium(ends: tuple) -> tuple:
     k = len(ends) // 2 - 1
     m = EQ_GRID
     if not k:
-        return ((1.0, (0.5 * math.pi, 0.5 * math.pi)),)
+        return _read_only(np.ones(1), np.ones(1), np.full((1, 2), 0.5 * math.pi))
     ends = np.array(ends)
     a, b = ends[:-1, None], ends[1:, None]  # intervals and gaps alternate
     x = 0.5 * (a + b) - 0.5 * (b - a) * np.cos(_EQ_MID)
@@ -125,8 +127,15 @@ def equilibrium(ends: tuple) -> tuple:
         if np.max(np.abs(step)) <= 4.0 * np.spacing(math.pi):
             break
     theta[:, 0], theta[:, -1] = math.pi, 0.0  # q = 1 and q = 0 exactly
-    coef = _chop(theta @ _EQ_ICT.T, math.pi)
-    return tuple((float(mi), tuple(ci.tolist())) for mi, ci in zip(mass, coef))
+    return _read_only(mass, np.cumsum(mass), _chop(theta @ _EQ_ICT.T, math.pi))
+
+
+def _read_only(*arrays):
+    """The arrays, made read-only: `equilibrium`'s cache hands them to every
+    solve on the set."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 class NodePass(NamedTuple):

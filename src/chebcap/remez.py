@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
@@ -75,10 +75,10 @@ NODE_GAP = 1e-4
 NODE_STEP = 1e-3
 # Up to this degree an iteration that the node search does not certify takes
 # its critical points from the companion pencil (`leveled.critical_points`),
-# above it from the interlaced solve (`leveled.interlaced_zeros`).  The
-# interlaced search took 1.06x the pencil's time at n = 24, 1.03x at 28,
-# 1.01x at 30, 1.07x at 32, 1.04x at 36, 1.00x at 40 and 0.92x at 48
-# (medians of 21 interleaved rounds over 11 sets, 2-core x86-64 VM).
+# above it from the interlaced solve (`leveled.interlaced_zeros`).  At
+# n <= 20 an interlaced call, node pass included, took 1.37x (n = 11..20) to
+# 1.61x (n = 2..5) the pencil's time, and 360 solves 1.22x as long with
+# EIG_MAX = 0; from n = 24 to 48 it took 0.92x to 1.07x (2-core x86-64 VM).
 EIG_MAX = 30
 # Points of the grid on which the witness takes the sup of |M|.
 WITNESS_GRID = 2000
@@ -164,60 +164,30 @@ class WitnessReport:
         return ok and (self.sandwich_ok or not self.sandwich_applicable)
 
 
-class _EquilibriumArrays(NamedTuple):
-    """The equilibrium measure of a union (from `leveled.equilibrium`) as
-    read-only arrays, one entry or row per interval."""
-
-    mass: np.ndarray
-    cum: np.ndarray  # cumulative masses
-    start: np.ndarray  # cum - mass: exactly 0 for the first interval
-    theta: np.ndarray  # inverse-distribution coefficients
-    lo: np.ndarray
-    hi: np.ndarray
-    mid: np.ndarray
-    rad: np.ndarray
-
-
-@functools.lru_cache(maxsize=64)
-def _equilibrium_arrays(ends: tuple) -> _EquilibriumArrays:
-    """The equilibrium measure of the union with these endpoints, cached like
-    `leveled.equilibrium` for degree sweeps: the masses and their cumulative
-    sums, the inverse-distribution coefficients (one row per interval), and
-    the interval ends, midpoints and radii."""
-    eq = leveled.equilibrium(ends)
-    mass = np.array([m for m, _ in eq])
-    theta = np.array([c for _, c in eq])
-    cum = np.cumsum(mass)
-    lo, hi = np.array(ends[0::2]), np.array(ends[1::2])
-    out = _EquilibriumArrays(mass, cum, cum - mass, theta, lo, hi, 0.5 * (lo + hi), 0.5 * (hi - lo))
-    for a in out:
-        a.setflags(write=False)
-    return out
-
-
 def _init_reference(e: IntervalUnion, n: int) -> np.ndarray:
     """n+1 starting points at the quantiles j/n, j = 0..n, of e's equilibrium
     measure, all at once: each goes to the interval whose cumulative mass
     holds it, where the angle at which the distribution function reaches q
-    is the Chebyshev series in 2q - 1 of its row of eq.theta.  One product,
-    cos(t k) @ theta^T, sums every row at every point, each point takes its
-    interval's column and is clipped to the interval.  On an inverse image
-    P^{-1}([-1, 1]) the measure is the pullback of the arcsine measure, so
-    at multiples of deg P these are the minimizer's extrema to rounding, and
-    the first iterate is leveled; on a single interval they are the
-    Chebyshev-Lobatto points.
+    is the Chebyshev series in 2q - 1 of its row of `leveled.equilibrium`'s
+    coefficients.  One product, cos(t k) @ theta^T, sums every row at every
+    point, each point takes its interval's column and is clipped to the
+    interval.  On an inverse image P^{-1}([-1, 1]) the measure is the
+    pullback of the arcsine measure, so at multiples of deg P these are the
+    minimizer's extrema to rounding, and the first iterate is leveled; on a
+    single interval they are the Chebyshev-Lobatto points.
     A q within END_SNAP of 0 or 1 is the interval's end exactly: mid + rad
     may round to one ulp inside it, and a rounded j/n short of an interval's
     cumulative mass gives a point a few ulps inside."""
-    eq = _equilibrium_arrays(e.endpoints)
-    targets = np.arange(n + 1) * (eq.cum[-1] / n)
-    targets[-1] = eq.cum[-1]  # exactly, so every target has an interval
-    piece = np.searchsorted(eq.cum, targets)
-    q = (targets - eq.start[piece]) / eq.mass[piece]
-    lo, hi = eq.lo[piece], eq.hi[piece]
+    mass, cum, theta = leveled.equilibrium(e.endpoints)
+    targets = np.arange(n + 1) * (cum[-1] / n)
+    targets[-1] = cum[-1]  # exactly, so every target has an interval
+    piece = np.searchsorted(cum, targets)
+    q = (targets - (cum - mass)[piece]) / mass[piece]
+    ends = np.array(e.endpoints)
+    lo, hi = ends[0::2][piece], ends[1::2][piece]
     t = np.arccos(np.minimum(np.maximum(2.0 * q - 1.0, -1.0), 1.0))
-    angle = (np.cos(t[:, None] * np.arange(eq.theta.shape[1])) @ eq.theta.T)[np.arange(n + 1), piece]
-    x = np.minimum(np.maximum(eq.mid[piece] - eq.rad[piece] * np.cos(angle), lo), hi)
+    angle = (np.cos(t[:, None] * np.arange(theta.shape[1])) @ theta.T)[np.arange(n + 1), piece]
+    x = np.minimum(np.maximum(0.5 * ((lo + hi) - (hi - lo) * np.cos(angle)), lo), hi)
     return np.where(q <= END_SNAP, lo, np.where(q >= 1.0 - END_SNAP, hi, x))
 
 
@@ -428,8 +398,8 @@ def minimal_polynomial(c: IntervalUnion, n: int) -> MinimalPolyResult:
 
     u = _init_reference(cn, n)
     ends = np.array(cn.endpoints)
-    eq = _equilibrium_arrays(cn.endpoints)
-    counts = (eq.mass * (n / eq.cum[-1])).tolist()  # n times each interval's mass
+    mass, cum, _ = leveled.equilibrium(cn.endpoints)
+    counts = (mass * (n / cum[-1])).tolist()  # n times each interval's mass
     on_nodes = all(abs(k - round(k)) <= MASS_TOL * n for k in counts)
     best = None
     best_gap = math.inf

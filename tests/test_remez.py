@@ -310,14 +310,28 @@ def test_barycentric_sum_cancelled_to_zero():
 
 
 def test_equilibrium_masses():
-    assert [m for m, _ in equilibrium((-1.0, 1.0))] == [1.0]
+    assert equilibrium((-1.0, 1.0))[0].tolist() == [1.0]
     for alpha in (0.3, 0.6):
         cn, _ = normalize(e_alpha(alpha))
-        assert [m for m, _ in equilibrium(cn.endpoints)] == pytest.approx([0.5, 0.5], abs=1e-12)
+        assert equilibrium(cn.endpoints)[0].tolist() == pytest.approx([0.5, 0.5], abs=1e-12)
     # On P^{-1}([-1, 1]) with ell = deg P intervals, each interval carries 1/ell.
     image = inverse_image(Polynomial((0.0, -3.75, 0.0, 5.0))).image  # 1.25 * T_3
     cn, _ = normalize(image)
-    assert [m for m, _ in equilibrium(cn.endpoints)] == pytest.approx([1 / 3] * 3, abs=1e-9)
+    assert equilibrium(cn.endpoints)[0].tolist() == pytest.approx([1 / 3] * 3, abs=1e-9)
+
+
+@pytest.mark.parametrize("ends", [(-1.0, 1.0), (-1.0, -0.3, 0.3, 1.0), TRIPLE.endpoints],
+                         ids=["interval", "e_0.3", "triple"])
+def test_equilibrium_arrays_are_read_only(ends):
+    # The cache hands the same mass, cumulative mass and coefficient arrays
+    # to every solve on the set, so a write into them would move every later
+    # first reference.
+    mass, cum, theta = equilibrium(ends)
+    assert equilibrium(ends)[0] is mass
+    assert mass.shape == cum.shape == (len(ends) // 2,) and theta.shape[0] == len(mass)
+    for a in (mass, cum, theta):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
 
 
 def test_degree_cap_envelope():
@@ -526,16 +540,16 @@ def _per_point_quantiles(e, n):
     summed along it; and each point's rounding scale, an ulp of its
     interval's max(|a|, |b|) plus its radius times the series' own
     rounding, eps sum_k |theta_k|."""
-    eq = _remez._equilibrium_arrays(e.endpoints)
-    targets = np.linspace(0.0, eq.cum[-1], n + 1)
-    piece = np.searchsorted(eq.cum, targets)
-    q = (targets - eq.start[piece]) / eq.mass[piece]
-    a, b, theta = eq.lo[piece], eq.hi[piece], eq.theta[piece]
+    mass, cum, theta = equilibrium(e.endpoints)
+    targets = np.linspace(0.0, cum[-1], n + 1)
+    piece = np.searchsorted(cum, targets)
+    q = (targets - (cum - mass)[piece]) / mass[piece]
+    a, b, theta = np.array(e.endpoints[0::2])[piece], np.array(e.endpoints[1::2])[piece], theta[piece]
     t = np.arccos(np.clip(2.0 * q - 1.0, -1.0, 1.0))
     angle = (np.cos(np.outer(t, np.arange(theta.shape[1]))) * theta).sum(axis=1)
     x = np.clip(0.5 * (a + b) - 0.5 * (b - a) * np.cos(angle), a, b)
     series = np.finfo(float).eps * np.abs(theta).sum(axis=1)
-    return x, np.spacing(np.maximum(np.abs(a), np.abs(b))) + eq.rad[piece] * series
+    return x, np.spacing(np.maximum(np.abs(a), np.abs(b))) + 0.5 * (b - a) * series
 
 
 def test_init_reference_matches_the_per_point_series_sums():
@@ -1153,6 +1167,23 @@ def test_interlaced_search_converges_on_narrow_images(c, k, n, most):
         unit = np.finfo(float).eps / min(b - a for a, b in cn.intervals)
         exact = 2.0 / (2.0 * c * 2.0 ** (k - 1)) ** (n // k)
         assert abs(r.deviation - exact) <= 16.0 * unit * exact, (r.deviation / exact - 1.0) / unit
+
+
+@pytest.mark.parametrize("c, k, n", [(1e5, 3, 39), (1e5, 4, 76)])
+def test_stall_accepted_solves_bracket_the_exact_deviation(c, k, n):
+    # The two solves among c*T_3 and c*T_4 (c in {1.25, 10, 1e3, 1e5},
+    # n <= 100) that end on a stall, not on LEVEL_TOL (gaps 3.6e-9 and
+    # 5.2e-12): the residual still brackets the exact 2 / (2|c 2^(k-1)|)^(n/k)
+    # below the deviation, to 16 eps over the narrowest component's width
+    # (1.1e-5 and 4.4 of that unit measured).
+    e = _scaled_image(c, k)
+    r = minimal_polynomial(e, n)
+    assert _remez.LEVEL_TOL < r.residual / r.deviation <= _remez.STALL_ACCEPT
+    cn, _ = normalize(e)
+    unit = np.finfo(float).eps / min(b - a for a, b in cn.intervals)
+    exact = 2.0 / (2.0 * c * 2.0 ** (k - 1)) ** (n // k)
+    slack = 16.0 * unit * exact
+    assert r.deviation - r.residual - slack <= exact <= r.deviation + slack
 
 
 def test_one_iteration_frontier_solves_build_no_extremum_grid(monkeypatch):
