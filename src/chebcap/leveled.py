@@ -20,8 +20,9 @@ pencil of M' on n of its node values, backward stable by Lawrence &
 Corless, Numer. Algorithms 2014), each declining where it cannot certify
 them, and otherwise from the zeros of M' by the interlacing
 (`interlaced_zeros`: two symmetric eigenvalue solves) with one Newton step
-on `evaluate`.  The equilibrium measure raises ConvergenceError on a
-component too narrow for its midpoint sums.  Since the evaluation error
+on `evaluate`; the blow-up set takes the zeros of M and M' in the gaps
+from the same solve.  The equilibrium measure raises ConvergenceError on
+a component too narrow for its midpoint sums.  Since the evaluation error
 does grow with the Lebesgue function, the first reference follows the
 set's equilibrium measure, which the minimizer's extrema approach: a
 reference off by a few points per interval at degree 100 has a Lebesgue
@@ -271,7 +272,9 @@ def interlaced_zeros(u, w):
     compressed to the complement of sqrt|w| / ||sqrt|w|||; M is a multiple
     of prod_i (x - z_i), so the zeros of M' are those of diag(z) compressed
     to the complement of the constant unit vector.  Both come out real and
-    interlaced: z_j in [u_j, u_{j+1}], each zero of M' between consecutive z."""
+    interlaced: z_j in [u_j, u_{j+1}], each zero of M' between consecutive z.
+    The exchange's interlaced search (`remez._interlaced_extrema`) reads the
+    zeros of M' on the set, and `remez.blow_up_set` both kinds in its gaps."""
     root = np.sqrt(np.abs(w))
     z = _compressed(u, root / np.linalg.norm(root))
     return z, _compressed(z, np.full(len(z), 1.0 / math.sqrt(len(z))))
@@ -372,10 +375,10 @@ def gap_terms(x, u, w):
     """At points x off the nodes, by the first barycentric form M = l S / sum|w|
     with S = sum_j |w_j|/(x - u_j): log|M|, g = M'/M = sum_j 1/(x - u_j) + S'/S,
     g' = S''/S - (S'/S)^2 - sum_j 1/(x - u_j)^2, log|M'| (from l (S sum_j
-    1/(x - u_j) + S'), finite on M's zero, where g is not), S, -S', and the
-    bound (n + 5) eps sum_j |w_j/(x - u_j)| / |S| on M's relative rounding
-    error.  S is the only sum with terms of both signs; next to M's zero it
-    cancels, and the bound reaches 1 where M is rounding noise."""
+    1/(x - u_j) + S'), finite on M's zero, where g is not), and the bound
+    (n + 5) eps sum_j |w_j/(x - u_j)| / |S| on M's relative rounding error.
+    S is the only sum with terms of both signs; next to M's zero it cancels,
+    and the bound reaches 1 where M is rounding noise."""
     d = np.subtract.outer(x, u)
     mant, expo = np.frexp(d)
     terms = np.empty((5,) + d.shape)
@@ -391,4 +394,4 @@ def gap_terms(x, u, w):
     log_l = np.log(np.abs(np.prod(mant, axis=1))) + _LN2 * sums[4, :, 1] - math.log(a.sum())
     q = s1 / s0
     return (log_l + np.log(np.abs(s0)), a1 - q, 2.0 * s2 / s0 - q * q - a2,
-            log_l + np.log(np.abs(a1 * s0 - s1)), s0, s1, (len(u) + 4) * _EPS * s_abs / np.abs(s0))
+            log_l + np.log(np.abs(a1 * s0 - s1)), (len(u) + 4) * _EPS * s_abs / np.abs(s0))

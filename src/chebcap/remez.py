@@ -25,10 +25,11 @@ symmetric eigenvalue solves (`leveled.interlaced_zeros`), always real, and
 polishes those in the set by one Newton step; it never declines.  Each search
 hands its candidates to `_next_reference`, which keeps one extremum per
 sign run of M and so enforces the alternation.  `blow_up_set` reads C' gap
-by gap from the same interlacing structure, with no grid, through the first
-barycentric form (`leveled.gap_terms`), and `evaluate` reads M through that
-form everywhere.  Monomial coefficients of near-minimal polynomials grow
-exponentially with the degree, so `poly` is for reporting only.
+by gap between the zeros of M and M' of one interlaced solve, with no grid,
+through the first barycentric form (`leveled.gap_terms`), and `evaluate`
+reads M through that form everywhere.  Monomial coefficients of
+near-minimal polynomials grow exponentially with the degree, so `poly` is
+for reporting only.
 """
 
 from __future__ import annotations
@@ -82,11 +83,11 @@ NODE_STEP = 1e-3
 EIG_MAX = 30
 # Points of the grid on which the witness takes the sup of |M|.
 WITNESS_GRID = 2000
-# A peak of |M| in a gap is found once a Newton step on M'/M would move
-# log|M| by less than this; |M| is stationary there.
+# |M| peaks on a gap end, and not in the gap, where a Newton step on M'/M
+# from the end would move log|M| by less than this; |M| is stationary there.
 PEAK_TOL = 1e-14
-# Passes of a blow-up set's gap search before it is a numerical failure; on
-# the fixtures none takes more than 8.
+# Passes of a blow-up set's crossing search before it is a numerical
+# failure; on the fixtures none takes more than 4.
 GAP_PASSES = 100
 # An ulp of the normalized hull's radius: a point past an interval end by
 # less is on it.
@@ -470,17 +471,17 @@ def _leveled_values(result: MinimalPolyResult, t: np.ndarray) -> np.ndarray:
 
 
 def _gap_search(cells, u, w, loglev):
-    """The searches of `blow_up_set`, one `leveled.gap_terms` pass over all
-    open cells at a time.  A cell is [kind, key, lo, hi, x, side, u_lo, u_hi]:
-    kind 0 seeks a point of z's band, 1 and 2 the peak on b's and on a's side
-    of z (or a point past the level), 3 and 4 a crossing with its end below
-    the level at lo or at hi; side is whether S > 0 on b's side of z, and
-    u_lo, u_hi are the nodes around the gap.  Each evaluation moves one end of
-    the bracket to it, and a step that would leave the bracket is a
-    bisection.  Returns {key: (point, value, log|M'|)}, the value being M/M'
-    for kind 0 and log|M| - loglev less its rounding bound for 1 and 2.  The
-    brackets are kept in a Python pass: on so few cells numpy's per-call cost
-    is most of the work (on arrays the blow-up set took 1.3x as long).
+    """The level crossings of `blow_up_set`, one `leveled.gap_terms` pass
+    over all open cells at a time.  A cell is [below_at_lo, key, lo, hi, x]:
+    |M| crosses the level once in the bracket (lo, hi), from below it at lo
+    if below_at_lo and at hi otherwise, and x is the next point to read.
+    Each point moves one end of the bracket to it by the sign of
+    log|M| - loglev, and a step that would leave the bracket is a bisection.
+    A cell stops on its step once the step's own error is a few ulps, or once
+    |M| is within its rounding bound of the level or is rounding noise.
+    Returns {key: crossing}.  The brackets are kept in a Python pass: on so
+    few cells numpy's per-call cost is most of the work (on arrays the
+    blow-up set took 1.3x as long).
     """
     for cell in cells:
         if not cell[2] < cell[4] < cell[3]:  # also a nan start
@@ -489,47 +490,24 @@ def _gap_search(cells, u, w, loglev):
     for _ in range(GAP_PASSES):
         if not cells:
             return found
-        x, u_lo, u_hi = np.array([cell[4:5] + cell[6:] for cell in cells]).T
-        logm, g, dg, log_dm, s0, s1, noise = leveled.gap_terms(x, u, w)
+        x = np.array([cell[4] for cell in cells])
+        logm, g, dg, _, noise = leveled.gap_terms(x, u, w)
         if np.isnan(logm).any():
             raise ConvergenceError("the gap search of the blow-up set read M as nan")
         f = logm - loglev
-        if cells[0][0] < 3:  # the zero and peak searches; the crossings run after them
-            is_z = np.array([cell[0] == 0 for cell in cells])
-            steps = np.where(is_z, s0 / (s1 - s0 * (1.0 / (x - u_lo) + 1.0 / (x - u_hi))), -g / dg)
-            small = np.zeros_like(is_z)
-        else:
-            steps = -2.0 * f / (g + np.copysign(np.sqrt(np.maximum(g * g - 2.0 * f * dg, 0.0)), g))
-            small = np.abs(dg) * steps * steps <= 8.0 * np.spacing(np.abs(x + steps)) * np.abs(g)
-        rows = zip(cells, *(v.tolist() for v in (f, g, dg, log_dm, s0, noise, steps, small)))
+        steps = -2.0 * f / (g + np.copysign(np.sqrt(np.maximum(g * g - 2.0 * f * dg, 0.0)), g))
+        small = np.abs(dg) * steps * steps <= 8.0 * np.spacing(np.abs(x + steps)) * np.abs(g)
+        rows = zip(cells, *(v.tolist() for v in (f, noise, steps, small)))
         cells = []
-        for cell, fx, gx, dgx, ldm, sx, nz, step, sm in rows:
-            kind, key, lo, hi, xx, side = cell[:6]
-            near = (sx > 0.0) == side  # on b's side of z
-            if kind == 0:
-                below = near
-                done = (fx < -1.0 and near != (gx > 0.0)) or nz >= 1.0
-            elif kind < 3:
-                below = near and gx > 0.0 if kind == 1 else near or gx > 0.0
-                past = fx > nz
-                done = past or abs(gx * step) <= PEAK_TOL
-            else:
-                below = (fx <= 0.0) == (kind == 3)
-                done = nz >= 1.0 or abs(fx) <= nz or sm
-            lo, hi = (xx, hi) if below else (lo, xx)
+        for cell, fx, nz, step, sm in rows:
+            below_at_lo, key, lo, hi, xx = cell
+            lo, hi = (xx, hi) if (fx <= 0.0) == below_at_lo else (lo, xx)
             nxt, mid = xx + step, 0.5 * (lo + hi)
-            ok = lo < nxt < hi
-            if not (done or mid == lo or mid == hi):
-                cell[2:5] = lo, hi, nxt if ok else mid
-                cells.append(cell)
-            elif kind == 0:  # on noise, xx is z as far as M can tell
-                found[key] = xx, 1.0 / gx if nz < 1.0 and gx else 0.0, ldm
-            elif kind < 3:
-                peak = ok and not past  # the peak's log|M| up to g' step^2 / 2
-                found[key] = (nxt if peak else xx, fx - nz + (0.5 * gx * step if peak else 0.0),
-                              (0.0 if peak else gx, dgx))
+            if nz >= 1.0 or abs(fx) <= nz or sm or mid == lo or mid == hi:
+                found[key] = xx if nz >= 1.0 else min(max(nxt, lo), hi)
             else:
-                found[key] = xx if nz >= 1.0 else min(max(nxt, lo), hi), fx, ldm
+                cell[2:] = lo, hi, nxt if lo < nxt < hi else mid
+                cells.append(cell)
     raise ConvergenceError(f"the gap search of the blow-up set took {GAP_PASSES} passes")
 
 
@@ -543,43 +521,59 @@ def _gap_cuts(ends: np.ndarray, u, w, h, level: float) -> list:
     f = np.log(np.abs(m)) - loglev
     step = -2.0 * f / (g + np.copysign(np.sqrt(np.maximum(g * g - 2.0 * f * dg, 0.0)), g))
     into = np.where(f < 0.0, ends + step, ends).tolist()  # each end's crossing start
-    rise = (g * np.resize([1.0, -1.0], len(ends)) > 0.0) & ~(g * g <= PEAK_TOL * -dg)
-    k = np.minimum(np.searchsorted(u, ends[1::2]), len(u) - 1)  # u[k - 1] <= b < a <= u[k]
-    w_lo, w_hi = np.abs(w[k - 1]), np.abs(w[k])
-    has_z = np.sign(m[0::2]) * np.sign(m[1::2]) < 0.0
-    runs = np.stack((has_z, rise[0::2] & (has_z | rise[1::2]), has_z & rise[1::2]))
-    starts = np.stack(((w_lo * u[k] + w_hi * u[k - 1]) / (w_lo + w_hi),
-                       (ends - g / dg)[0::2], (ends - g / dg)[1::2])).tolist()
-    gaps = list(zip(ends[0::2].tolist(), ends[1::2].tolist(),
-                    (np.sign(m[0::2]) * np.sign(w[k - 1]) > 0).tolist(), u[k - 1].tolist(), u[k].tolist()))
-    found = _gap_search([[kind, (kind, i), *gaps[i][:2], starts[kind][i], *gaps[i][2:]]
-                         for kind, i in np.argwhere(runs).tolist()], u, w, loglev)
-    cuts, cells = {}, []
-    for i, (b, a, side, u_lo, u_hi) in enumerate(gaps):
-        z, ratio, log_dm = found.get((0, i), (math.nan, 0.0, math.nan))
-        reach = math.exp(loglev - log_dm)  # the tangent's run from z's band point to the level
-        below_z = (z, min(z - reach - ratio, math.nextafter(z, -math.inf)))
-        above_z = (z, max(z + reach - ratio, math.nextafter(z, math.inf)))
-        from_b, from_a = (b, into[2 * i]), (a, into[2 * i + 1])
-        # Each peak above the level: the (inner end, start) of its crossings below and above it.
-        for kind, low, up in ((1, from_b, below_z if has_z[i] else from_a), (2, above_z, from_a)):
-            p, value, (g_p, dg_p) = found.get((kind, i), (math.nan, -math.inf, (0.0, 0.0)))
-            if value <= 0.0:
-                continue
-            for slot, (inner, start), search, lo, hi in ((2 * kind - 2, low, 3, low[0], p),
-                                                          (2 * kind - 1, up, 4, p, up[0])):
-                if start == inner:  # a gap end with |M| at the level already is its own crossing
-                    cuts[i, slot] = inner
-                    continue
-                # The crossing of the second-order expansion at p, toward inner, where that is
-                # nearer p than the start is to inner: a peak barely above the level.
-                if dg_p < 0.0:
-                    step_p = (g_p + math.copysign(math.sqrt(g_p * g_p - 2.0 * value * dg_p),
-                                                  inner - p)) / -dg_p
-                    start = p + step_p if abs(step_p) < abs(start - inner) else start
-                cells.append([search, (i, slot), lo, hi, start, side, u_lo, u_hi])
-    cuts.update((key, x) for key, (x, _, _) in _gap_search(cells, u, w, loglev).items())
-    return [cuts[key] for key in sorted(cuts)]
+    flat = (g * g <= PEAK_TOL * -dg).tolist()  # |M| peaks on the end, to rounding
+    # The stops: (x, crossing start below x, start above x, peak, flat), the peak being
+    # (log|M| - log L less its rounding bound, g, g') at a peak above L, else None.
+    e = ends.tolist()
+    stops = [(x, start, start, None, fl) for x, start, fl in zip(e, into, flat)]
+    z, crit = leveled.interlaced_zeros(u, w)
+    x = np.concatenate((z, crit))
+    k = ends.searchsorted(x, "right")  # 2i + 1 inside the i-th gap (b, a), or on b
+    inside = (k % 2 == 1) & (x > ends[k - 1])
+    x, k, is_z = x[inside], k[inside], np.flatnonzero(inside) < len(z)
+    logm, g, dg, log_dm, noise = leveled.gap_terms(x, u, w)
+    if np.isnan(logm).any():
+        raise ConvergenceError("the gap search of the blow-up set read M as nan")
+    rows = zip(x.tolist(), k.tolist(), is_z.tolist(), (logm - loglev - noise).tolist(),
+               g.tolist(), dg.tolist(), log_dm.tolist(), noise.tolist())
+    for xx, j, zero, fx, gx, dgx, ldm, nz in rows:
+        if zero:  # M/M' is z's Newton correction, and the tangent there runs L/|M'| to L
+            ratio = 1.0 / gx if nz < 1.0 and gx else 0.0
+            reach = math.exp(loglev - ldm)
+            stops.append((xx, min(xx - reach - ratio, math.nextafter(xx, -math.inf)),
+                          max(xx + reach - ratio, math.nextafter(xx, math.inf)), None, False))
+            continue
+        step = -gx / dgx if dgx < 0.0 else 0.0  # onto the peak, kept in the gap
+        if e[j - 1] < xx + step < e[j]:  # log|M| there up to g' step^2 / 2
+            xx, fx, gx = xx + step, fx + 0.5 * gx * step, 0.0
+        if fx > 0.0:
+            stops.append((xx, None, None, (fx, gx, dgx), False))
+    # |M| is monotone between consecutive stops; a peak beside a flat gap end is the end's.
+    stops.sort(key=lambda stop: stop[0])
+    stops = [s for i, s in enumerate(stops) if not (s[3] and (stops[i - 1][4] or stops[i + 1][4]))]
+    cuts, cells = [], []
+    for left, right in zip(stops, stops[1:]):
+        if (left[3] is None) == (right[3] is None):
+            continue  # |M| does not cross L between two stops on one side of it
+        # The crossing between a peak above L and a stop below it, from the stop's start:
+        # a gap end with |M| at the level already is its own crossing.
+        rising = right[3] is not None
+        inner, start = (left[0], left[2]) if rising else (right[0], right[1])
+        p, (value, g_p, dg_p) = (right[0], right[3]) if rising else (left[0], left[3])
+        if start == inner:
+            cuts.append(inner)
+            continue
+        # The crossing of the second-order expansion at p, toward inner, where that is
+        # nearer p than the start is to inner: a peak barely above the level.
+        if dg_p < 0.0:
+            step_p = (g_p + math.copysign(math.sqrt(g_p * g_p - 2.0 * value * dg_p),
+                                          inner - p)) / -dg_p
+            start = p + step_p if abs(step_p) < abs(start - inner) else start
+        cells.append([rising, len(cuts), left[0], right[0], start])
+        cuts.append(math.nan)
+    for key, cut in _gap_search(cells, u, w, loglev).items():
+        cuts[key] = cut
+    return cuts
 
 
 def blow_up_set(c: IntervalUnion, result: MinimalPolyResult) -> BlowUpResult:
@@ -588,33 +582,33 @@ def blow_up_set(c: IntervalUnion, result: MinimalPolyResult) -> BlowUpResult:
     Read gap by gap from the result's leveled interpolant in the normalized
     frame, with no grid, by the interlacing argument of `_node_extrema`.  The
     n zeros of M are real and interlace the nodes, which lie in E, so a gap
-    (b, a) holds at most one zero z, exactly where M(b) and M(a) differ in
-    sign: the zero of S = sum_j |w_j|/(x - u_j), which falls between the
-    nodes u_lo <= b and u_hi >= a.  And log|M| = sum_i log|x - z_i| is strictly
-    concave between zeros, so |M| has at most one peak on each piece of the
-    gap between an end and z (the whole gap without z), only where it rises
-    into the piece from both ends, and each side of a peak above L holds one
-    crossing of |M| = L, which Newton on log|M| - log L approaches from
-    below L without passing it.  So C' is E plus every monotone piece up to
-    its crossing: its ends inside the hull are the crossings in order, with
-    no merge tolerance and no level test.
+    (b, a) holds at most one zero z, and M' has one zero between consecutive
+    zeros of M.  log|M| = sum_i log|x - z_i| is strictly concave between
+    zeros, so each zero of M' is a peak of |M|, and |M| is monotone between
+    consecutive points of {b, peak, z, peak, a} (those in the gap).  Each
+    piece from a point below L to a peak above it holds one crossing of
+    |M| = L, which Newton on log|M| - log L approaches from below L without
+    passing it.  So C' is E plus every monotone piece up to its crossing:
+    its ends inside the hull are the crossings in order, with no merge
+    tolerance and no level test.
 
-    The searches (`_gap_search`): z by Newton on S (x - u_lo)(u_hi - x) from
-    the zero of its two-pole part |w_lo| (u_hi - x) - |w_hi| (x - u_lo),
-    stopped in z's band (|M| < L/e and falling toward z) or where M is
-    rounding noise; each peak by Newton on g = M'/M from its gap end,
-    stopped within PEAK_TOL of the peak's log|M| or past L; then each
-    crossing by the root of the second-order Taylor expansion of
-    log|M| - log L, quadratic also next to a peak barely above L, from its
-    gap end (which is the crossing where |M| is not below L there) or from
-    where the tangent at z's band point reaches L, at least a float from it
-    (z lies in C' whatever the rounding), or from the crossing of the peak's
-    own expansion where that is nearer.  A crossing stops on its step within
-    M's rounding bound or once the step's own error is a few ulps.  Inside
-    the gaps M is read from the first barycentric form, which is forward
-    stable there (Higham, IMA J. Numer. Anal. 2004), where the second is
-    noise: in a gap of 10 T_3 at n = 40 it has the wrong sign at 116 of 399
-    points; at the gap ends, on E, from the second.
+    The zeros of M and M' in the gaps come from one `leveled.interlaced_zeros`
+    solve, and one `leveled.gap_terms` pass reads them: at z its Newton
+    correction M/M' and log|M'|, at a zero of M' one Newton step on g = M'/M
+    onto the peak and the peak's log|M| to second order, less M's rounding
+    bound.  A peak beside a gap end where g^2 <= PEAK_TOL (-g') is the end's
+    own, within rounding, and is dropped.  Each crossing (`_gap_search`) is
+    then the root of the second-order Taylor expansion of log|M| - log L,
+    quadratic also next to a peak barely above L, from its gap end (which is
+    the crossing where |M| is not below L there) or from where the tangent
+    at z reaches L, at least a float from z (z lies in C' whatever the
+    rounding), or from the crossing of the peak's own expansion where that
+    is nearer.  A crossing stops on its step within M's rounding bound or
+    once the step's own error is a few ulps.  Inside the gaps M is read from
+    the first barycentric form, which is forward stable there (Higham, IMA
+    J. Numer. Anal. 2004), where the second is noise: in a gap of 10 T_3 at
+    n = 40 it has the wrong sign at 116 of 399 points; at the gap ends, on
+    E, from the second.
     """
     n = result.degree
     pts = np.array(_normalized_endpoints(c, result))
