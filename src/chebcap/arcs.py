@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import golden_max
 from .chebpoly import ChebExpansion, Polynomial
 from .errors import InvalidInputError
 from .intervals import IntervalUnion
@@ -64,6 +63,27 @@ def robinson_capacity(cap_c: float) -> float:
     return math.sqrt(2.0 * cap_c)
 
 
+def _golden_max(f, lo: float, hi: float, tol: float) -> tuple:
+    """Golden-section search for the maximum of a unimodal f on [lo, hi]:
+    (abscissa, value), the midpoint of the final bracket, narrower than tol,
+    and the larger of the two values probed inside it."""
+    inv = 0.5 * (math.sqrt(5.0) - 1.0)
+    a, b = lo, hi
+    x1 = b - inv * (b - a)
+    x2 = a + inv * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while b - a > tol:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + inv * (b - a)
+            f2 = f(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - inv * (b - a)
+            f1 = f(x1)
+    return 0.5 * (a + b), max(f1, f2)
+
+
 def arc_sup_norm(p: Polynomial, arcs: ArcSet) -> float:
     """Sup of |p| over the arc set: |p(e^(i theta))| by complex Horner, with
     relative error about eps sum |c_k| / |p|, on a grid over the upper arcs
@@ -92,7 +112,7 @@ def arc_sup_norm(p: Polynomial, arcs: ArcSet) -> float:
     for thetas, vals, peak, reach in grids:
         for i in np.flatnonzero(peak & (reach >= best)):
             a, b = float(thetas[max(i - 1, 0)]), float(thetas[min(i + 1, n_grid - 1)])
-            best = max(best, golden_max(modulus, a, b, 1e-13)[1])
+            best = max(best, _golden_max(modulus, a, b, 1e-13)[1])
     return best
 
 

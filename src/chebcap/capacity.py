@@ -168,27 +168,6 @@ def solynin_midpoint_bound(angles: AngleCoordinates) -> float:
     return value
 
 
-def golden_max(f, lo: float, hi: float, tol: float) -> tuple:
-    """Golden-section search for the maximum of a unimodal f on [lo, hi]:
-    (abscissa, value), the midpoint of the final bracket, narrower than tol,
-    and the larger of the two values probed inside it."""
-    inv = 0.5 * (math.sqrt(5.0) - 1.0)
-    a, b = lo, hi
-    x1 = b - inv * (b - a)
-    x2 = a + inv * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv * (b - a)
-            f1 = f(x1)
-    return 0.5 * (a + b), max(f1, f2)
-
-
 def _log_factor(num: float, den: float) -> tuple:
     """The log of `_sine_factor(num, den)`, g = (2 den^2 / pi^2) log sin t with
     t = pi num / (2 den), and its derivatives in (num, den) = (N, D): g_D,

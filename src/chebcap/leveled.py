@@ -9,16 +9,16 @@ largest modulus e^m (the second barycentric form is invariant to a common
 factor) and h = e^(-m)/sum|w~_j|, so nothing underflows at degree 100.  Each
 exchange iteration makes one pass over its reference (`leveled`): the node
 differences give the weights and level, and inverted in place, M' at every
-node and M'' at the interior ones, to the order its search needs.  Between
-the nodes, M, M' and M'' come from the second barycentric form and the
-Schneider-Werner divided differences (`evaluate`).  Their error grows with
-the Lebesgue function of the reference on the set, not with the peak of |M|
-in its gaps as a Chebyshev-basis Clenshaw sum's does.  The exchange finds
-the extrema of M from its nodes, then up to `remez.EIG_MAX` from the zeros
-of M' (`critical_points`: the eigenvalues of the barycentric companion
-pencil of M' on n of its node values, backward stable by Lawrence &
-Corless, Numer. Algorithms 2014), each declining where it cannot certify
-them, and otherwise from the zeros of M' by the interlacing
+node and M'' at the interior ones, which the node and pencil searches
+read.  Between the nodes, M, M' and M'' come from the second barycentric
+form and the Schneider-Werner divided differences (`evaluate`).  Their
+error grows with the Lebesgue function of the reference on the set, not
+with the peak of |M| in its gaps as a Chebyshev-basis Clenshaw sum's does.
+The exchange seeks the extrema of M from its nodes first, then up to
+`remez.EIG_MAX` from the zeros of M' (`critical_points`: the eigenvalues of
+the barycentric companion pencil of M' on n of its node values, backward
+stable by Lawrence & Corless, Numer. Algorithms 2014), each declining where
+it cannot certify them, and otherwise from the zeros of M' by the interlacing
 (`interlaced_zeros`: two symmetric eigenvalue solves) with one Newton step
 on `evaluate`; the blow-up set takes the zeros of M and M' in the gaps
 from the same solve.  The equilibrium measure raises ConvergenceError on
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
@@ -141,23 +141,23 @@ def _read_only(*arrays):
 
 class NodePass(NamedTuple):
     """The leveled interpolant on a reference from one pass over its nodes
-    (`leveled`): the weights and level, M' at every node (to order 1) and
-    M'' at the interior nodes u_1..u_{n-1} (to order 2), else None."""
+    (`leveled`): the weights and level, M' at every node and M'' at the
+    interior nodes u_1..u_{n-1}."""
 
     w: np.ndarray
     h: float
-    d1: Optional[np.ndarray]
-    d2: Optional[np.ndarray]
+    d1: np.ndarray
+    d2: np.ndarray
 
 
-def leveled(u: np.ndarray, order: int = 2) -> NodePass:
+def leveled(u: np.ndarray) -> NodePass:
     """The scaled barycentric weights s_j |w_j| e^(-m) and the level h of the
-    monic leveled interpolant on the reference u and, to `order` 1 or 2, M'
-    at every node and M'' at the interior nodes: one pass over the node
-    differences u_k - u_j, which give the weights by their log-sums and are
-    then inverted in place for the rows of the differentiation matrices
-    (`_slope_terms`, `_second_derivative`).  M' and M'' are the term sums
-    of `_node_derivatives` bit for bit: summed by sign instead, M' at a node
+    monic leveled interpolant on the reference u, M' at every node and M''
+    at the interior nodes: one pass over the node differences u_k - u_j,
+    which give the weights by their log-sums and are then inverted in place
+    for the rows of the differentiation matrices (`_slope_terms`,
+    `_second_derivative`).  M' and M'' are the term sums of
+    `_node_derivatives` bit for bit: summed by sign instead, M' at a node
     where it vanishes comes out as a rounding-level value of either sign,
     and the node search reads that sign on an interval end."""
     n = len(u) - 1
@@ -169,15 +169,10 @@ def leveled(u: np.ndarray, order: int = 2) -> NodePass:
     w = np.exp(logw - m)
     h = math.exp(-m) / float(w.sum())
     w[(n + 1) % 2::2] *= -1.0  # s_j = -1 where n - j is odd
-    if not order:
-        return NodePass(w, h, None, None)
     np.divide(1.0, inv, out=inv)
     diag[:] = 0.0
     t = _slope_terms(inv, w, h, slice(None))
-    d1 = t.sum(axis=1)
-    if order < 2:
-        return NodePass(w, h, d1, None)
-    return NodePass(w, h, d1, _second_derivative(t[1:-1], inv[1:-1]))
+    return NodePass(w, h, t.sum(axis=1), _second_derivative(t[1:-1], inv[1:-1]))
 
 
 def _slope_terms(inv, w, h, k):
@@ -207,10 +202,10 @@ def _node_derivatives(u, w, h, k):
     return t.sum(axis=1), _second_derivative(t, inv)
 
 
-def critical_points(u, w, h, d1=None):
+def critical_points(u, w, d1):
     """The n - 1 zeros of M' in ascending order, from one eigenvalue solve,
     or None where the solve does not give n - 1 real ones.  d1 is M' at the
-    nodes, from `leveled` where not given.
+    nodes, from `leveled`.
 
     M' has degree n - 1, so its values d_j = M'(u_j) at the first n nodes
     give it exactly in barycentric form on those nodes, whose weights are
@@ -233,8 +228,6 @@ def critical_points(u, w, h, d1=None):
     come out of LAPACK with a zero imaginary part; a complex pair means two
     zeros of M' that rounding cannot separate.
     """
-    if d1 is None:
-        d1 = leveled(u, 1).d1
     n = len(u) - 1
     v, d = u[:-1], d1[:-1]
     r = 1.0 / (v - 3.0)

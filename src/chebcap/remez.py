@@ -5,31 +5,29 @@ covariant, L_n(s E + t) = |s|^n L_n(E), which is how results return to the
 original frame.  Each iterate is the leveled interpolant on the reference,
 in the barycentric form of `leveled`, whose evaluation error on the set does
 not grow with the size of M in the gaps.  One pass over the reference nodes
-(`leveled.leveled`) gives its weights and level and, as far as the
-iteration's search needs them, M' at every node and M'' at the interior
-ones.  The extrema are sought from the reference nodes first
-(`_node_extrema`) where they are expected to be close: in the first
-iteration on a set whose equilibrium masses are multiples of 1/n, as on
-inverse images, and once the previous leveling gap is below NODE_GAP.  M
-has one zero between consecutive nodes and M' one between consecutive
-zeros of M, so |M| has one peak near each node, which Newton from the node
-finds, or the search declines.  Up to degree EIG_MAX the pencil search
-(`_pencil_extrema`) then takes all n - 1 zeros of M' from one eigenvalue
-solve of its barycentric companion pencil on n of the node values of M'
-(`leveled.critical_points`, after Pachon & Trefethen's barycentric Remez,
-BIT 2009, and Lawrence & Corless, Numer. Algorithms 2014), with no Newton
-polish, or declines where it does not give n - 1 real zeros.  Above
-EIG_MAX, and where the pencil declines, the interlaced search
-(`_interlaced_extrema`) takes the zeros of M, then of M', from two
-symmetric eigenvalue solves (`leveled.interlaced_zeros`), always real, and
-polishes those in the set by one Newton step; it never declines.  Each search
-hands its candidates to `_next_reference`, which keeps one extremum per
-sign run of M and so enforces the alternation.  `blow_up_set` reads C' gap
-by gap between the zeros of M and M' of one interlaced solve, with no grid,
-through the first barycentric form (`leveled.gap_terms`), and `evaluate`
-reads M through that form everywhere.  Monomial coefficients of
-near-minimal polynomials grow exponentially with the degree, so `poly` is
-for reporting only.
+(`leveled.leveled`) gives its weights and level, M' at every node and M'' at
+the interior ones.  Every iteration first seeks the extrema from the
+reference nodes (`_node_extrema`): M has one zero between consecutive nodes
+and M' one between consecutive zeros of M, so |M| has one peak near each
+node, which Newton from the node finds, or the search declines.  It
+certifies the first iterate on an inverse image, whose first reference is
+its minimizer's extrema, and the later iterates once the exchange
+converges.  Up to degree EIG_MAX the pencil search (`_pencil_extrema`) then
+takes all n - 1 zeros of M' from one eigenvalue solve of its barycentric
+companion pencil on n of the node values of M' (`leveled.critical_points`,
+after Pachon & Trefethen's barycentric Remez, BIT 2009, and Lawrence &
+Corless, Numer. Algorithms 2014), with no Newton polish, or declines
+where it does not give n - 1 real zeros.  Above EIG_MAX, and where the
+pencil declines, the interlaced search (`_interlaced_extrema`) takes the
+zeros of M, then of M', from two symmetric eigenvalue solves
+(`leveled.interlaced_zeros`), always real, and polishes those in the set by
+one Newton step; it never declines.  Each search hands its candidates to
+`_next_reference`, which keeps one extremum per sign run of M and so
+enforces the alternation.  `blow_up_set` reads C' gap by gap between the
+zeros of M and M' of one interlaced solve, with no grid, through the first
+barycentric form (`leveled.gap_terms`), and `evaluate` reads M through that
+form everywhere.  Monomial coefficients of near-minimal polynomials grow
+exponentially with the degree, so `poly` is for reporting only.
 """
 
 from __future__ import annotations
@@ -61,15 +59,6 @@ STALL_COUNT = 10
 # rad (c q)^2 / 2 from the end (c = d angle / dq, pi on one interval), far
 # below an ulp of the radius.
 END_SNAP = 1e-12
-# The first iterate's extrema are sought from its nodes when every n times an
-# interval's equilibrium mass is within this (times n) of an integer: the
-# masses of an inverse image P^{-1}([-1, 1]) are multiples of 1/deg P, and
-# the quantiles j/n are its minimizer's extrema at multiples of deg P.
-MASS_TOL = 1e-9
-# Later iterates are sought from their nodes once the previous leveling gap
-# is below this: the exchange converges quadratically, so their extrema are
-# then within a small fraction of a node spacing of the nodes.
-NODE_GAP = 1e-4
 # A node's first Newton step toward its extremum must be within this
 # fraction of the smaller neighbouring node spacing; the second step is then
 # of order NODE_STEP^2 of it, and must change M by under an ulp of h.
@@ -235,25 +224,25 @@ def _interlaced_extrema(ends: np.ndarray, u, w, h):
             np.concatenate((m[k:], (m[:k] + dx * (dm + 0.5 * dx * d2m))[keep])))
 
 
-def _pencil_extrema(ends: np.ndarray, u, w, h, d1=None):
+def _pencil_extrema(ends: np.ndarray, u, w, h, d1):
     """The candidates of `_interlaced_extrema` from the zeros of M' that
     `leveled.critical_points` finds from M' at the nodes (d1), and M at
     them from one order-0 `leveled.evaluate`, as two arrays; None where the
     pencil does not give n - 1 real zeros.  The zeros need no Newton polish:
     M is stationary there, and they are within about 1e-11 of the node
     spacing of the polished ones."""
-    crit = leveled.critical_points(u, w, h, d1)
+    crit = leveled.critical_points(u, w, d1)
     if crit is None:
         return None
     xs = np.concatenate((ends, crit[np.searchsorted(ends, crit) % 2 == 1]))
     return xs, leveled.evaluate(xs, u, w, h, 0)[0]
 
 
-def _node_extrema(ends: np.ndarray, u, w, h, d1=None, d2=None):
+def _node_extrema(ends: np.ndarray, u, w, h, d1, d2):
     """The candidates of `_interlaced_extrema` found from the reference nodes
     alone, on the union with the endpoints `ends`, or None where they cannot
     be certified that way.  d1 and d2 are M' at every node and M'' at the
-    interior ones, from `leveled.leveled` where not given.
+    interior ones, from `leveled.leveled`.
 
     M(u_j) = s_j h alternates in sign, so the degree-n M has one zero z_j in
     each (u_j, u_{j+1}), and M' has one zero c_j in each window
@@ -276,11 +265,12 @@ def _node_extrema(ends: np.ndarray, u, w, h, d1=None, d2=None):
     within a small part of a node spacing of u_j, so it is c_j.
 
     A node on an interval end is certified when |M| grows out of the set
-    there, so c_j lies beyond it, or when M' = 0 there and M'' makes the
-    node a peak of |M|, so c_j is the node; and at the gap's other end a'
-    either M has the other sign (a' is past z_j, as a node there is) or |M|
-    falls into a''s interval (c_j lies in the gap).  The end nodes u_0 and
-    u_n need nothing.  The candidates are the interval ends and the c_j
+    there, so c_j lies beyond it, or when M'' makes the node a peak of |M|
+    and the Newton step -M'/M'' is within an ulp, so c_j is the node, as a
+    point within an ulp past an end is that end; and at the gap's other end
+    a' either M has the other sign (a' is past z_j, as a node there is) or
+    |M| falls into a''s interval (c_j lies in the gap).  The end nodes u_0
+    and u_n need nothing.  The candidates are the interval ends and the c_j
     found inside an interval, and M at them, as two arrays: a c_j on an end
     is that end's candidate, as in the interlaced search.
 
@@ -300,8 +290,6 @@ def _node_extrema(ends: np.ndarray, u, w, h, d1=None, d2=None):
     as long at n = 48 and 0.8x at n = 100).
     """
     n = len(u) - 1
-    if d1 is None:
-        _, _, d1, d2 = leveled.leveled(u)
     e = ends.tolist()
     ul = u.tolist()
     nodes = zip(ends.searchsorted(u[1:-1]).tolist(), ul[:-2], ul[1:-1], ul[2:],
@@ -313,7 +301,7 @@ def _node_extrema(ends: np.ndarray, u, w, h, d1=None, d2=None):
         hi = e[p]
         if hi == x0:  # on an end: |M| grows out of the set there, or peaks on it
             out = 1.0 if p & 1 else -1.0
-            if not (s * m2 < 0.0 if m1 == 0.0 else s * m1 * out > 0.0):
+            if not (s * m1 * out > 0.0 or (s * m2 < 0.0 and abs(m1) <= _ULP * abs(m2))):
                 return None
             edges.append((s, p + int(out), out))  # the gap's other end a'
             continue
@@ -399,16 +387,12 @@ def minimal_polynomial(c: IntervalUnion, n: int) -> MinimalPolyResult:
 
     u = _init_reference(cn, n)
     ends = np.array(cn.endpoints)
-    mass, cum, _ = leveled.equilibrium(cn.endpoints)
-    counts = (mass * (n / cum[-1])).tolist()  # n times each interval's mass
-    on_nodes = all(abs(k - round(k)) <= MASS_TOL * n for k in counts)
     best = None
     best_gap = math.inf
     stall = 0
     for it in range(1, MAX_ITER + 1):
-        # M' at the nodes for the pencil search, and M'' for the node search
-        w, h, d1, d2 = leveled.leveled(u, 2 if on_nodes else 1 if n <= EIG_MAX else 0)
-        cands = _node_extrema(ends, u, w, h, d1, d2) if on_nodes else None
+        w, h, d1, d2 = leveled.leveled(u)
+        cands = _node_extrema(ends, u, w, h, d1, d2)
         if cands is None and n <= EIG_MAX:
             cands = _pencil_extrema(ends, u, w, h, d1)
         if cands is None:
@@ -416,7 +400,6 @@ def minimal_polynomial(c: IntervalUnion, n: int) -> MinimalPolyResult:
         emax = float(np.abs(cands[1]).max())
         gap = max(emax - h, 0.0)
         gap_rel = gap / emax if emax > 0 else 0.0
-        on_nodes = gap_rel <= NODE_GAP
         if gap_rel < best_gap:
             best_gap, best, stall = gap_rel, (u, w, h, emax, gap, it), 0
         else:

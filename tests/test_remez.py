@@ -263,7 +263,7 @@ def test_leveled_interpolant_matches_chebyshev_solve(name):
     cn, _ = normalize(EXTREMA_SETS[name])
     for n in (1, 2, 5, 10):
         u = _init_reference(cn, n)
-        w, h = leveled.leveled(u, 0)[:2]
+        w, h = leveled.leveled(u)[:2]
         ct, hc, _ = _solve_on_reference(u, n)
         assert h == pytest.approx(hc, rel=1e-12)
         x = np.concatenate([np.linspace(a, b, 13) for a, b in cn.intervals] + [u])
@@ -304,7 +304,7 @@ def test_barycentric_sum_cancelled_to_zero():
     # Far outside the hull the terms of sum_j w_j/(x - u_j) cancel to exactly
     # zero in floating point; the value then comes from 1/l(x).
     u = np.array([-1.0, 0.0, 1.0])
-    w, h = leveled.leveled(u, 0)[:2]
+    w, h = leveled.leveled(u)[:2]
     m = evaluate(np.array([1e20]), u, w, h, 0)[0]
     assert m[0] == pytest.approx(1e40, rel=1e-12)  # M = x^2 - 1/2
 
@@ -492,7 +492,7 @@ def test_level_crossings_stop_on_the_newton_step(monkeypatch):
     # roots in at most four evaluations, without bisecting the bracket down
     # to adjacent floats.
     u = np.array([-1.0, 0.0, 1.0])
-    w, _ = leveled.leveled(u, 0)[:2]
+    w, _ = leveled.leveled(u)[:2]
     calls = []
     terms = leveled.gap_terms
     monkeypatch.setattr(leveled, "gap_terms", lambda *a: calls.append(1) or terms(*a))
@@ -591,7 +591,7 @@ def test_first_reference_is_nearly_leveled_on_inverse_images(name, e, ns):
     cn, _ = normalize(e)
     for n in ns:
         u = _init_reference(cn, n)
-        w, h = leveled.leveled(u, 0)[:2]
+        w, h = leveled.leveled(u)[:2]
         emax = np.max(np.abs(_remez._interlaced_extrema(np.array(cn.endpoints), u, w, h)[1]))
         assert (emax - h) / emax <= 1e-12, (name, n, (emax - h) / emax)
         assert minimal_polynomial(e, n).iterations == 1, (name, n)
@@ -661,7 +661,7 @@ def test_interlaced_search_on_critical_points_at_the_nodes():
     ends = np.array(FULL.endpoints)
     for n in range(1, 101):
         u = _init_reference(FULL, n)
-        w, h = leveled.leveled(u, 0)[:2]
+        w, h = leveled.leveled(u)[:2]
         x, v = _merged_candidates(*_remez._interlaced_extrema(ends, u, w, h))
         assert len(x) == n + 1, n
         assert np.max(np.abs(x - u)) <= 8.0 * np.finfo(float).eps, n
@@ -675,7 +675,7 @@ def test_node_slope_from_the_sums_matches_the_differentiation_matrix(name):
     cn, _ = normalize(RESOLUTION_SETS[name])
     for n in range(1, 101):
         u = _init_reference(cn, n)
-        w, h = leveled.leveled(u, 0)[:2]
+        w, h = leveled.leveled(u)[:2]
         got = evaluate(u, u, w, h, 1)[1]
         want = leveled._node_derivatives(u, w, h, np.arange(n + 1))[0]
         scale = np.max(np.abs(evaluate(np.concatenate(extremum_grid(cn.endpoints, n)), u, w, h, 1)[1]))
@@ -689,7 +689,7 @@ def test_refine_returns_m_at_its_points(name):
     cn, _ = normalize(RESOLUTION_SETS[name])
     for n in range(1, 101):
         u = _init_reference(cn, n)
-        w, h = leveled.leveled(u, 0)[:2]
+        w, h = leveled.leveled(u)[:2]
         xs, vals = _remez._interlaced_extrema(np.array(cn.endpoints), u, w, h)
         want = evaluate(xs, u, w, h, 0)[0]
         assert np.max(np.abs(vals - want)) <= 1e-14 * h, (name, n)
@@ -750,7 +750,7 @@ def test_plain_newton_phase_ends_the_exchange_refines():
         cn, _ = normalize(e)
         ends = np.array(cn.endpoints)
         for u in _exchange_references(cn, n):
-            w, h = leveled.leveled(u, 0)[:2]
+            w, h = leveled.leveled(u)[:2]
             xs = _remez._interlaced_extrema(ends, u, w, h)[0]
             x = xs[len(ends):]
             if not len(x):
@@ -807,7 +807,7 @@ def test_stacked_product_evaluation_matches_strided_sums(name):
     cn, _ = normalize(RESOLUTION_SETS[name])
     for n in range(1, 101):
         u = _init_reference(cn, n)
-        w, h = leveled.leveled(u, 0)[:2]
+        w, h = leveled.leveled(u)[:2]
         grid = np.concatenate(extremum_grid(cn.endpoints, n))
         crit = _remez._interlaced_extrema(np.array(cn.endpoints), u, w, h)[0]
         x = np.concatenate([grid, crit, u[::7]])
@@ -829,7 +829,7 @@ def test_evaluate_allocates_no_array_beyond_the_terms():
     cn, _ = normalize(e_alpha(0.5))
     n, size = 100, 8 * 2000 * 101
     u = _init_reference(cn, n)
-    w, h = leveled.leveled(u, 0)[:2]
+    w, h = leveled.leveled(u)[:2]
     x = np.linspace(-1.0, 1.0, 2000)
     for order, bound in ((0, 2.07), (1, 3.11), (2, 4.14)):
         evaluate(x, u, w, h, order)
@@ -882,7 +882,7 @@ def test_node_search_matches_the_grid_search_on_converged_references(name):
     for n in range(2, 101):
         r = minimal_polynomial(cn, n)
         u, w, h = np.array(r.nodes), np.array(r.weights), r.level
-        got = _remez._node_extrema(ends, u, w, h)
+        got = _remez._node_extrema(ends, u, w, h, *leveled.leveled(u)[2:])
         if got is None:
             refused += 1
             continue
@@ -921,8 +921,7 @@ def test_node_pass_matches_the_weights_and_the_differentiation_matrix(name):
     # level bit for bit, and M' at every node and M'' at the interior ones
     # bit for bit as the differentiation matrix's term sums
     # (`_node_derivatives`), on a seeded sample of the references the
-    # solves visit at n <= 30 and above it; order 1 stops before M'', and
-    # order 0 before M'.
+    # solves visit at n <= 30 and above it.
     rng = np.random.RandomState(22)
     cn, _ = normalize(NODE_SETS[name])
     for n in sorted(set(rng.randint(1, 31, 4).tolist() + rng.randint(31, 101, 3).tolist())):
@@ -932,23 +931,20 @@ def test_node_pass_matches_the_weights_and_the_differentiation_matrix(name):
             assert np.array_equal(w, w_ref) and h == h_ref, n
             want1, want2 = leveled._node_derivatives(u, w, h, np.arange(n + 1))
             assert np.array_equal(d1, want1) and np.array_equal(d2, want2[1:-1]), n
-            assert np.array_equal(leveled.leveled(u, 1).d1, d1) and leveled.leveled(u, 1).d2 is None
-            assert leveled.leveled(u, 0)[2:] == (None, None)
-            assert np.array_equal(leveled.leveled(u, 0)[0], w) and leveled.leveled(u, 0)[1] == h
 
 
 def _quadratic_reference(u1, a):
     """The degree-2 reference -1 < u1 < 1 on [-1, u1] u [a, 1]: M = x^2 -
     (1 + u1^2)/2 has its extremum at 0 and takes M(a) < 0 for |a| < 1."""
     u = np.array([-1.0, u1, 1.0])
-    return np.array([-1.0, u1, a, 1.0]), u, *leveled.leveled(u, 0)[:2]
+    return np.array([-1.0, u1, a, 1.0]), u, *leveled.leveled(u)
 
 
 def test_node_search_certifies_an_extremum_in_the_gap():
     # u1 = -0.1 on the right end of [-1, u1]: |M| grows out of the set, and
     # from a = 0.05, past the extremum at 0, |M| falls into [a, 1].
-    ends, u, w, h = _quadratic_reference(-0.1, 0.05)
-    got = _remez._node_extrema(ends, u, w, h)
+    ends, u, w, h, d1, d2 = _quadratic_reference(-0.1, 0.05)
+    got = _remez._node_extrema(ends, u, w, h, d1, d2)
     assert got is not None
     got = _sorted_candidates(*got)
     want = _sorted_candidates(*grid_extrema(ends, u, w, h, evaluate))
@@ -975,13 +971,39 @@ def test_node_search_certifies_a_peak_on_an_interval_end(u1):
     # Either way the end is the window's candidate, as in the tests' grid
     # search.
     ends, u = np.array([-1.0, 0.0, 0.5, 1.0]), np.array([-1.0, u1, 1.0])
-    w, h = leveled.leveled(u, 0)[:2]
-    got = _remez._node_extrema(ends, u, w, h)
+    w, h, d1, d2 = leveled.leveled(u)
+    got = _remez._node_extrema(ends, u, w, h, d1, d2)
     assert got is not None
     got = _sorted_candidates(*got)
     want = _sorted_candidates(*grid_extrema(ends, u, w, h, evaluate))
     assert got[0].tolist() == want[0].tolist() == ends.tolist()
     assert np.allclose(got[1], want[1], rtol=0.0, atol=1e-15)
+
+
+def test_node_search_certifies_a_peak_on_an_end_to_an_ulp():
+    # The final reference of the e_0.5 solve at n = 3, with its node 0.5 on
+    # the left end of [0.5, 1], where M' = -1.1e-16 has the sign of |M|
+    # growing into the set: M'' makes the node a peak of |M| and the Newton
+    # step -M'/M'' is within an ulp, so the peak is on the end, and the
+    # candidates are the grid search's, as on the converged references.
+    ends = np.array([-1.0, -0.5, 0.5, 1.0])
+    u = np.array([-1.0, float.fromhex("-0x1.00000001c04c9p-1"), 0.5, 1.0])
+    w, h, d1, d2 = leveled.leveled(u)
+    assert d1[2] < 0.0 and abs(d1[2] / d2[1]) <= math.ulp(1.0)
+    got = _remez._node_extrema(ends, u, w, h, d1, d2)
+    assert got is not None
+    (x, v), (x_grid, v_grid) = (_merged_candidates(*got),
+                                _merged_candidates(*grid_extrema(ends, u, w, h, evaluate)))
+    assert x.tolist() == x_grid.tolist() == ends.tolist()
+    assert np.max(np.abs(v - v_grid)) <= 1e-15 * h
+
+
+def test_every_iteration_tries_the_node_search_first(monkeypatch):
+    # One node search per iteration, also before the exchange has
+    # converged and on a set whose masses are not multiples of 1/n.
+    calls = _counting(monkeypatch, _remez, "_node_extrema")
+    r = minimal_polynomial(TRIPLE, 20)
+    assert r.iterations > 1 and len(calls) == r.iterations
 
 
 def _pencil_sets():
@@ -1018,8 +1040,8 @@ def test_pencil_search_matches_the_grid_search_on_the_references_it_visits(name)
     ends = np.array(cn.endpoints)
     for n in range(1, _remez.EIG_MAX + 1):
         for u in _exchange_references(cn, n):
-            w, h = leveled.leveled(u, 0)[:2]
-            got = _remez._pencil_extrema(ends, u, w, h)
+            w, h, d1 = leveled.leveled(u)[:3]
+            got = _remez._pencil_extrema(ends, u, w, h, d1)
             assert got is not None, n
             x, v = _merged_candidates(*got)
             x_grid, v_grid = _merged_candidates(*grid_extrema(ends, u, w, h, evaluate))
@@ -1060,9 +1082,9 @@ def test_pencil_on_n_values_matches_the_pencil_on_all_of_them(monkeypatch, name)
     eigvals, solved = np.linalg.eigvals, []
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: solved.append(eigvals(a)) or solved[-1])
     for n, u in refs:
-        w, h = leveled.leveled(u, 0)[:2]
+        w, h, d1 = leveled.leveled(u)[:3]
         want = _pencil_on_all_values(u, w, h, eigvals)
-        got = leveled.critical_points(u, w, h)
+        got = leveled.critical_points(u, w, d1)
         mu = np.sort(np.abs(solved[-1]))
         assert len(mu) == n and mu[0] <= 1e-14 and (n == 1 or mu[1] > 1e-3), (n, mu[:2])
         assert got is not None and want is not None and len(got) == n - 1, n
@@ -1081,7 +1103,7 @@ def test_interlaced_zeros_on_the_references_the_exchange_visits(name):
     for n in range(2, 101):
         tol = 2e-11 if n <= 30 else 2e-10 if n <= 60 else 1e-9
         for u in _exchange_references(cn, n):
-            w, h = leveled.leveled(u, 0)[:2]
+            w, h = leveled.leveled(u)[:2]
             z, crit = leveled.interlaced_zeros(u, w)
             assert len(z) == n and len(crit) == n - 1, n
             assert np.all((u[:-1] < z) & (z < u[1:])), n
@@ -1096,18 +1118,18 @@ def test_pencil_at_degrees_one_and_two():
     # reference [-1, 1].  At n = 2, M = x^2 - (1 + u1^2)/2 on [-1, u1, 1] has
     # its critical point at 0, a candidate where 0 lies in the set.
     u = np.array([-1.0, 1.0])
-    w, h = leveled.leveled(u, 0)[:2]
-    assert leveled.critical_points(u, w, h).tolist() == []
+    w, h, d1 = leveled.leveled(u)[:3]
+    assert leveled.critical_points(u, w, d1).tolist() == []
     ends = np.array([-1.0, -0.2, 0.3, 1.0])
-    xs, vals = _remez._pencil_extrema(ends, u, w, h)
+    xs, vals = _remez._pencil_extrema(ends, u, w, h, d1)
     assert xs.tolist() == ends.tolist() and np.allclose(vals, ends, rtol=0.0, atol=1e-15)
     for u1 in (-0.5, 0.1, 0.25):
         u = np.array([-1.0, u1, 1.0])
-        w, h = leveled.leveled(u, 0)[:2]
-        crit = leveled.critical_points(u, w, h)
+        w, h, d1 = leveled.leveled(u)[:3]
+        crit = leveled.critical_points(u, w, d1)
         assert len(crit) == 1 and abs(crit[0]) <= 1e-14, (u1, crit)
-        assert len(_remez._pencil_extrema(ends, u, w, h)[0]) == 4  # 0 lies in the gap
-        xs, vals = _remez._pencil_extrema(np.array([-1.0, 0.1, 0.3, 1.0]), u, w, h)
+        assert len(_remez._pencil_extrema(ends, u, w, h, d1)[0]) == 4  # 0 lies in the gap
+        xs, vals = _remez._pencil_extrema(np.array([-1.0, 0.1, 0.3, 1.0]), u, w, h, d1)
         assert len(xs) == 5 and vals[-1] == pytest.approx(-(1.0 + u1 * u1) / 2.0, rel=1e-14)
 
 
