@@ -155,11 +155,13 @@ def leveled(u: np.ndarray) -> NodePass:
     monic leveled interpolant on the reference u, M' at every node and M''
     at the interior nodes: one pass over the node differences u_k - u_j,
     which give the weights by their log-sums and are then inverted in place
-    for the rows of the differentiation matrices (`_slope_terms`,
-    `_second_derivative`).  M' and M'' are the term sums of
-    `_node_derivatives` bit for bit: summed by sign instead, M' at a node
-    where it vanishes comes out as a rounding-level value of either sign,
-    and the node search reads that sign on an interval end."""
+    for the rows of the differentiation matrices D_kj = (w_j / w_k) /
+    (u_k - u_j), 0 at j = k, and D2_kj = 2 D_kj (sum_{i!=k} 1/(u_k - u_i) -
+    1/(u_k - u_j)), applied to f_j = s_j h.  Nothing else forms those rows;
+    `evaluate` takes them at a node from its sign-split sums.  M' and M''
+    are the sums of the terms D_kj (f_j - f_k): summed by sign instead, M'
+    at a node where it vanishes comes out as a rounding-level value of
+    either sign, and the node search reads that sign on an interval end."""
     n = len(u) - 1
     inv = np.subtract.outer(u, u)
     diag = inv.reshape(-1)[::n + 2]  # a view of the diagonal
@@ -171,35 +173,11 @@ def leveled(u: np.ndarray) -> NodePass:
     w[(n + 1) % 2::2] *= -1.0  # s_j = -1 where n - j is odd
     np.divide(1.0, inv, out=inv)
     diag[:] = 0.0
-    t = _slope_terms(inv, w, h, slice(None))
-    return NodePass(w, h, t.sum(axis=1), _second_derivative(t[1:-1], inv[1:-1]))
-
-
-def _slope_terms(inv, w, h, k):
-    """The terms D_kj (f_j - f_k) of M' at the nodes u[k] (an index array or
-    a slice), from their rows inv of the reciprocal node differences
-    1/(u_k - u_j), 0 at j = k: the barycentric differentiation matrix
-    D_kj = (w_j / w_k) / (u_k - u_j) applied to f_j = s_j h."""
     f = np.sign(w) * h
-    return (f[None, :] - f[k][:, None]) * (w[None, :] / w[k][:, None]) * inv
-
-
-def _second_derivative(t, inv):
-    """M'' at the nodes of the rows t of `_slope_terms` and inv, from
-    D2_kj = 2 D_kj (sum_{i!=k} 1/(u_k - u_i) - 1/(u_k - u_j))."""
-    return 2.0 * (t * (inv.sum(axis=1)[:, None] - inv)).sum(axis=1)
-
-
-def _node_derivatives(u, w, h, k):
-    """M' and M'' at the nodes u[k], from the barycentric differentiation
-    matrices (`_slope_terms`, `_second_derivative`)."""
-    rows = np.arange(len(k))
-    dd = u[k][:, None] - u[None, :]
-    dd[rows, k] = 1.0
-    inv = 1.0 / dd
-    inv[rows, k] = 0.0
-    t = _slope_terms(inv, w, h, k)
-    return t.sum(axis=1), _second_derivative(t, inv)
+    t = (f[None, :] - f[:, None]) * (w[None, :] / w[:, None]) * inv
+    mid = inv[1:-1]
+    d2 = 2.0 * (t[1:-1] * (mid.sum(axis=1)[:, None] - mid)).sum(axis=1)
+    return NodePass(w, h, t.sum(axis=1), d2)
 
 
 def critical_points(u, w, d1):
@@ -296,11 +274,13 @@ def evaluate(x, u, w, h, order: int):
     i = 1..order + 1, are built by multiplying with 1/(x - u_j), formed once
     in place, and every sum split by node sign comes from one matrix product
     of the stacked terms with `_sign_split`; no full-size array beyond the
-    terms and the reciprocals is allocated.  Points on a node take the node's value;
-    M' there is the node's row of the differentiation matrix applied to f,
-    sum_j D_kj (f_j - f_k) = (f_j - f_k) rest_k / w_k over the other sign's
-    sum rest_k that the same pass forms, and M'' comes from
-    `_node_derivatives`.
+    terms and the reciprocals is allocated.  Points on a node u_k take the
+    node's value, and M' and M'' there are the node's rows of the
+    differentiation matrices of `leveled` applied to f, from the sums the
+    same pass forms over the other sign, f_j - f_k = jump:
+    M' = jump rest_1 / w_k and M'' = 2 jump (sigma_k rest_1 - rest_2) / w_k,
+    with rest_i the sum of w_j/(u_k - u_j)^i and sigma_k = sum_{i!=k}
+    1/(u_k - u_i), the row sum of the reciprocals less the 1 on the node.
     """
     n = len(u) - 1
     r = np.subtract.outer(x, u)
@@ -336,10 +316,12 @@ def evaluate(x, u, w, h, order: int):
         out.append(2.0 * (d1 * total[1] - mk * total[2] + jump * rest[2]) / den)
     if some_hit:
         out[0][hit] = f_near[hit]
-        if order == 1:
-            out[1][hit] = jump[hit] * rest[0][hit] / w[near[hit]]
-        elif order == 2:
-            out[1][hit], out[2][hit] = _node_derivatives(u, w, h, near[hit])
+        if order >= 1:
+            jump_k, rest_k, w_k = jump[hit], rest[0][hit], w[near[hit]]
+            out[1][hit] = jump_k * rest_k / w_k
+        if order == 2:
+            sigma = r[hit].sum(axis=1) - 1.0
+            out[2][hit] = 2.0 * jump_k * (sigma * rest_k - rest[1][hit]) / w_k
     return out
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -376,6 +377,8 @@ def minimal_polynomial(c: IntervalUnion, n: int) -> MinimalPolyResult:
     extremum search that leaves fewer than n + 1 sign runs of M, which
     cannot happen in exact arithmetic (see `_node_extrema`), raises
     ConvergenceError with the run count, carrying the best iterate so far.
+    A hull radius whose n-th power overflows, or a deviation below the
+    normal double range, raises InvalidInputError.
     """
     if n < 1:
         raise InvalidInputError("degree must be at least 1")
@@ -383,7 +386,11 @@ def minimal_polynomial(c: IntervalUnion, n: int) -> MinimalPolyResult:
         raise DegreeCapError(f"degree {n} exceeds cap {DEGREE_CAP}")
     cn, fwd = normalize(c)
     rad = 1.0 / fwd.scale
-    hull_scale = rad**n
+    try:
+        hull_scale = rad**n
+    except OverflowError:
+        raise InvalidInputError(f"the hull radius {rad:.6g} to the power n = {n} "
+                                f"overflows a double") from None
 
     u = _init_reference(cn, n)
     ends = np.array(cn.endpoints)
@@ -419,7 +426,11 @@ def minimal_polynomial(c: IntervalUnion, n: int) -> MinimalPolyResult:
             f"leveling gap {best_gap:.3e} after {MAX_ITER} iterations (degree {n})",
             last_iterate=last,
         )
-    return _finalize(best, fwd, hull_scale)
+    result = _finalize(best, fwd, hull_scale)
+    if result.deviation < sys.float_info.min:
+        raise InvalidInputError(f"the deviation {result.deviation:.3g} at n = {n} on the hull radius "
+                                f"{rad:.6g} is below the normal double range")
+    return result
 
 
 def _finalize(state, fwd, hull_scale) -> MinimalPolyResult:

@@ -122,6 +122,22 @@ def extremum_grid(ends, n: int) -> list:
     return grids
 
 
+def node_derivatives(u, w, h, k):
+    """M' and M'' at the nodes u[k] (an index array) of the leveled
+    interpolant with weights w and level h, from their rows of the
+    barycentric differentiation matrices applied to f_j = s_j h: the terms
+    D_kj (f_j - f_k), D_kj = (w_j / w_k) / (u_k - u_j) and 0 at j = k, and
+    D2_kj = 2 D_kj (sum_{i!=k} 1/(u_k - u_i) - 1/(u_k - u_j))."""
+    rows = np.arange(len(k))
+    dd = u[k][:, None] - u[None, :]
+    dd[rows, k] = 1.0
+    inv = 1.0 / dd
+    inv[rows, k] = 0.0
+    f = np.sign(w) * h
+    t = (f[None, :] - f[k][:, None]) * (w[None, :] / w[k][:, None]) * inv
+    return t.sum(axis=1), 2.0 * (t * (inv.sum(axis=1)[:, None] - inv)).sum(axis=1)
+
+
 def grid_extrema(ends, u, w, h, evaluate):
     """The interval ends and every zero of M' inside an interval, with M at
     them, from a grid search with no eigenvalue solve: each cell of

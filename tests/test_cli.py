@@ -187,6 +187,17 @@ def test_non_numeric_json_intervals_exit_code(capsys, spec):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("spec, degree", [("-1e4 1e4", "80"), ("0 1e-5", "100")],
+                         ids=["overflow", "underflow"])
+def test_deviation_beyond_the_double_range_exits_invalid(capsys, spec, degree):
+    # the hull radius to the power n leaves the double range: one error
+    # line, not a traceback (exit 1 would read as a verified violation)
+    code, out, err = run_cli(capsys, "minpoly", "--intervals", spec, "--degree", degree)
+    assert code == cli.EXIT_INVALID == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"n = {degree}" in err
+
+
 @pytest.mark.parametrize("option", ["--nmax=0", "--random=-3", "--tol=nan", "--tol=inf",
                                     "--tol=-1e-9", "--seed=-1", "--seed=4294967296"])
 def test_verify_rejects_bad_numeric_options(capsys, option):

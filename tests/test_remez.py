@@ -18,6 +18,7 @@ from oracles import (
     leveled_value_oracle,
     minimax_deviation_oracle,
     next_reference_oracle,
+    node_derivatives,
 )
 
 from chebcap import leveled
@@ -126,6 +127,12 @@ def test_validation_errors():
         minimal_polynomial(FULL, 0)
     with pytest.raises(DegreeCapError):
         minimal_polynomial(FULL, 101)
+    # The hull radius to the power n leaves the double range: L_80 = 1.65e296
+    # on [-1e4, 1e4] is a double but 1e4^80 is not, and L_100 on [0, 1e-5]
+    # underflows to 0.
+    for e, n, words in (((-1e4, 1e4), 80, "overflows"), ((0.0, 1e-5), 100, "below the normal")):
+        with pytest.raises(InvalidInputError, match=f"n = {n} .*{words}"):
+            minimal_polynomial(IntervalUnion(e), n)
 
 
 def test_blow_up_fixed_points_and_growth():
@@ -670,16 +677,21 @@ def test_interlaced_search_on_critical_points_at_the_nodes():
 
 @pytest.mark.parametrize("name", ["interval", "e_0.3", "e_0.6", "triple", "quad"])
 def test_node_slope_from_the_sums_matches_the_differentiation_matrix(name):
-    # M'(u_k) = (f_j - f_k) rest_k / w_k, from the sums of one evaluate pass,
-    # is the node's row of the barycentric differentiation matrix.
+    # M'(u_k) = (f_j - f_k) rest_k / w_k and M''(u_k) = 2 (f_j - f_k)
+    # (sigma_k rest_k - rest2_k) / w_k, from the sums of one evaluate pass,
+    # are the node's rows of the barycentric differentiation matrices, on
+    # the first reference and on the solve's final one, where the zeros of
+    # M' sit on the nodes.
     cn, _ = normalize(RESOLUTION_SETS[name])
     for n in range(1, 101):
-        u = _init_reference(cn, n)
-        w, h = leveled.leveled(u)[:2]
-        got = evaluate(u, u, w, h, 1)[1]
-        want = leveled._node_derivatives(u, w, h, np.arange(n + 1))[0]
-        scale = np.max(np.abs(evaluate(np.concatenate(extremum_grid(cn.endpoints, n)), u, w, h, 1)[1]))
-        assert np.max(np.abs(got - want)) <= 4e-15 * scale, (name, n)
+        grid = np.concatenate(extremum_grid(cn.endpoints, n))
+        for u in (_init_reference(cn, n), np.array(minimal_polynomial(cn, n).nodes)):
+            w, h = leveled.leveled(u)[:2]
+            want = node_derivatives(u, w, h, np.arange(n + 1))
+            scale = np.max(np.abs(evaluate(grid, u, w, h, 2)[1:]), axis=1)
+            for order in (1, 2):
+                for i, got in enumerate(evaluate(u, u, w, h, order)[1:]):
+                    assert np.max(np.abs(got - want[i])) <= 4e-15 * scale[i], (name, n, order, i)
 
 
 @pytest.mark.parametrize("name", ["e_0.3", "e_0.6", "triple", "quad", "asym"])
@@ -790,7 +802,7 @@ def _strided_evaluate(x, u, w, h):
                    + 2.0 * h * abs_c_rest) / np.abs(den)
     k = near[hit]
     out[0][hit] = np.sign(w[k]) * h
-    out[1][hit], out[2][hit] = leveled._node_derivatives(u, w, h, k)
+    out[1][hit], out[2][hit] = node_derivatives(u, w, h, k)
     noise[hit] = 0.0
     return out, noise
 
@@ -920,7 +932,7 @@ def test_node_pass_matches_the_weights_and_the_differentiation_matrix(name):
     # One pass over the reciprocal node differences gives the weights and
     # level bit for bit, and M' at every node and M'' at the interior ones
     # bit for bit as the differentiation matrix's term sums
-    # (`_node_derivatives`), on a seeded sample of the references the
+    # (`oracles.node_derivatives`), on a seeded sample of the references the
     # solves visit at n <= 30 and above it.
     rng = np.random.RandomState(22)
     cn, _ = normalize(NODE_SETS[name])
@@ -929,7 +941,7 @@ def test_node_pass_matches_the_weights_and_the_differentiation_matrix(name):
             w, h, d1, d2 = leveled.leveled(u)
             w_ref, h_ref = _weights_reference(u)
             assert np.array_equal(w, w_ref) and h == h_ref, n
-            want1, want2 = leveled._node_derivatives(u, w, h, np.arange(n + 1))
+            want1, want2 = node_derivatives(u, w, h, np.arange(n + 1))
             assert np.array_equal(d1, want1) and np.array_equal(d2, want2[1:-1]), n
 
 
@@ -1060,7 +1072,7 @@ def _pencil_on_all_values(u, w, h, eigvals):
     M': the shift-inverted block of size n + 1, sorted, or None where it
     does not give n - 1 real ones."""
     n = len(u) - 1
-    d = leveled._node_derivatives(u, w, h, np.arange(n + 1))[0]
+    d = node_derivatives(u, w, h, np.arange(n + 1))[0]
     r = 1.0 / (u - 3.0)
     rw = r * w
     mu = eigvals(np.diag(r) - np.outer(rw / (rw @ d), d * r))
