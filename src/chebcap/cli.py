@@ -213,7 +213,7 @@ def _cmd_inverse_image(config: RunConfig) -> dict:
     p = _parse_coeffs(config.coeffs)
     res = inverse_image(p)
     try:
-        cap = _capacity(p, res)
+        cap = _capacity(p, res.is_real)
     except NonRealImageError:
         cap = None
     return {

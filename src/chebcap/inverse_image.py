@@ -13,6 +13,14 @@ local minimum <= -1.  Each piece meets the image in at most one interval,
 bounded by its crossings of P = -1 and P = +1.  Every decision is made up to
 the rounding estimate of the monomial coefficients, eps * sum |c_i| |x|^i,
 and input whose estimate is too large for that is refused.
+
+The work runs in two stages.  Stage one (`_monotone_pieces`) reads the
+critical values, decides realness and refuses input whose estimate on the
+window of the critical points is too large.  Stage two, in `inverse_image`
+only, searches the crossings and judges the estimate again on the window
+that also holds them.  `composed_minimal_sequence` and
+`capacity_of_inverse_image` read only realness and the leading coefficient,
+so they run stage one alone, with no crossing search.
 """
 
 from __future__ import annotations
@@ -28,7 +36,8 @@ from .errors import EmptyImageError, IllConditionedError, InvalidInputError, Non
 from .intervals import IntervalUnion
 
 # Largest rounding estimate eps * sum |c_i| r^i, on the window [-r, r] that
-# holds every critical point and crossing, for which inverse_image answers.
+# holds every critical point and crossing, for which inverse_image answers;
+# the composed sequence and the capacity judge it on the critical points.
 # Snapping moves a critical value by at most the estimate, so below the limit
 # no band gap whose critical value clears +-1 by more than 1e-6 is closed.
 # Monomial T_k stays below it up to k = 26.
@@ -170,20 +179,31 @@ def _crossings(cols, absc, a, b, ga, gb, level):
     return np.where(np.isfinite(step), x - step, x)
 
 
-def inverse_image(p: Polynomial) -> InverseImageResult:
-    """The set {x real : -1 <= P(x) <= 1} plus the realness certificate.
+def _refuse_ill_conditioned(r, absc):
+    # The rounding estimate eps * sum |c_i| r^i grows with r, so a window
+    # refused here is refused on every wider one.
+    rounding = _EPS * float(nppoly.polyval(r, absc))
+    if not rounding <= ROUNDING_LIMIT:
+        raise IllConditionedError(
+            f"monomial coefficients too ill-conditioned for the inverse image: rounding "
+            f"estimate eps * sum |c_i| r^i = {rounding:.3g} on [-{r:.6g}, {r:.6g}] exceeds "
+            f"{ROUNDING_LIMIT:g}"
+        )
 
-    The critical points y_1 < ... < y_m of P cut the line into monotone
-    pieces.  A critical value within its rounding estimate of +-1 is a
-    tangency and is snapped to +-1, so it neither splits a band nor leaves a
-    sliver.  On each piece P - 1 and P + 1 change sign at most once; all
-    these crossings are found together (`_crossings`), and the piece meets
-    the image between them.  The image is real iff m = n - 1 and P covers
-    [-1, 1] on every piece.
 
-    Raises IllConditionedError when the rounding estimate eps * sum |c_i| r^i
-    on the window [-r, r] of the critical points and crossings exceeds
-    ROUNDING_LIMIT, and EmptyImageError when the real section is empty.
+def _monotone_pieces(p: Polynomial):
+    """Stage one of the inverse image: the monotone pieces of P and realness.
+
+    Returns (is_real, cols, absc, y, f, v, va, vb, lo_v, hi_v): the
+    realness certificate, the columns [P, P', P''] of monomial coefficients
+    and the scale |c_i|, the critical points y with [P, P', P''] there and
+    their values v with tangencies snapped to +-1, and the values va, vb of
+    P at the ends of each piece, lo_v and hi_v their minimum and maximum.
+    The outer pieces run to +-infinity, where P has the sign of its growth.
+
+    Raises IllConditionedError when the rounding estimate on the critical
+    window [-r0, r0], r0 = max |y|, exceeds ROUNDING_LIMIT, and
+    EmptyImageError when P covers no point of (-1, 1) on any piece.
     """
     if p.degree < 1:
         raise InvalidInputError("inverse image needs degree >= 1")
@@ -193,48 +213,64 @@ def inverse_image(p: Polynomial) -> InverseImageResult:
     dc = np.append(c[1:] * np.arange(1, n + 1), 0.0)
     cols = np.stack([c, dc, np.append(dc[1:] * np.arange(1, n + 1), 0.0)], axis=1)
     y, f, scale = _critical_points(cols, absc)
+    _refuse_ill_conditioned(float(np.max(np.abs(y), initial=0.0)), absc)
     v = f[:, 0]
     tol = _EPS * scale
     v = np.where(np.abs(v - 1.0) <= tol, 1.0, np.where(np.abs(v + 1.0) <= tol, -1.0, v))
+    grow = math.copysign(math.inf, c[-1])
+    va = np.concatenate(([(-1.0) ** n * grow], v))
+    vb = np.concatenate((v, [grow]))
+    lo_v, hi_v = np.minimum(va, vb), np.maximum(va, vb)
+    if not np.any((lo_v < 1.0) & (hi_v > -1.0)):
+        raise EmptyImageError("P^{-1}([-1,1]) has empty real section")
+    is_real = len(y) == n - 1 and bool(np.all((lo_v <= -1.0) & (hi_v >= 1.0)))
+    return is_real, cols, absc, y, f, v, va, vb, lo_v, hi_v
 
-    # Outer pieces run to +-infinity, where P has the sign of its growth.
+
+def inverse_image(p: Polynomial) -> InverseImageResult:
+    """The set {x real : -1 <= P(x) <= 1} plus the realness certificate.
+
+    The critical points y_1 < ... < y_m of P cut the line into monotone
+    pieces.  A critical value within its rounding estimate of +-1 is a
+    tangency and is snapped to +-1, so it neither splits a band nor leaves a
+    sliver.  The image is real iff m = n - 1 and P covers [-1, 1] on every
+    piece (`_monotone_pieces`).  On each piece P - 1 and P + 1 change sign
+    at most once; all these crossings are found together (`_crossings`),
+    and the piece meets the image between them.
+
+    Raises IllConditionedError when the rounding estimate eps * sum |c_i| r^i
+    exceeds ROUNDING_LIMIT: first on the window [-r, r] of the critical
+    points, before any crossing is searched, then on the window of the
+    critical points and crossings.  Raises EmptyImageError when the real
+    section is empty.
+    """
+    is_real, cols, absc, y, f, v, va, vb, lo_v, hi_v = _monotone_pieces(p)
+
     # Every root of P - l, |l| <= 1, lies inside the Cauchy bound.  Beyond
     # the outermost critical point, when all zeros of P' are real, every
     # higher derivative keeps one sign (Gauss-Lucas), so P - l exceeds its
     # quadratic Taylor term there, and twice the quadratic model's reach is
     # a tight outer bracket; it is kept where P has left [-1, 1] there.
-    grow = math.copysign(math.inf, c[-1])
-    ends = np.array([(-1.0) ** n * grow, grow])
     cauchy = 1.0 + max([absc[0] + 1.0, *absc[1:-1]]) / absc[-1]
     outer = np.array([-cauchy, cauchy])
     if len(y):
+        ends = np.array([va[0], vb[-1]])
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             reach = 2.0 * np.sqrt(2.0 * (np.abs(v[[0, -1]]) + 1.0) / np.abs(f[[0, -1], 2]))
             near = np.array([y[0] - reach[0], y[-1] + reach[1]])
             pv = _values(near, cols[:, :1], absc)[0][:, 0]
         tight = (np.sign(ends) * pv > 1.0) & (np.abs(near) < cauchy)
         outer = np.where(tight, near, outer)
-        ends = np.where(tight, pv, ends)
+        va[0], vb[-1] = np.where(tight, pv, ends)
     a = np.concatenate(([outer[0]], y))
     b = np.concatenate((y, [outer[1]]))
-    va = np.concatenate(([ends[0]], v))
-    vb = np.concatenate((v, [ends[1]]))
-    lo_v, hi_v = np.minimum(va, vb), np.maximum(va, vb)
 
     levels = np.array([-1.0, 1.0])
     li, pj = np.nonzero((lo_v < levels[:, None]) & (levels[:, None] < hi_v))
     cross = np.full((2, len(a)), np.nan)
     xs = _crossings(cols, absc, a[pj], b[pj], va[pj] - levels[li], vb[pj] - levels[li], levels[li])
     cross[li, pj] = xs
-
-    r = float(np.max(np.abs(np.concatenate((xs, y))), initial=0.0))
-    rounding = _EPS * float(nppoly.polyval(r, absc))
-    if not rounding <= ROUNDING_LIMIT:
-        raise IllConditionedError(
-            f"monomial coefficients too ill-conditioned for the inverse image: rounding "
-            f"estimate eps * sum |c_i| r^i = {rounding:.3g} on [-{r:.6g}, {r:.6g}] exceeds "
-            f"{ROUNDING_LIMIT:g}"
-        )
+    _refuse_ill_conditioned(float(np.max(np.abs(np.concatenate((xs, y))), initial=0.0)), absc)
 
     up = vb > va
     left = np.where(up, np.where(va >= -1.0, a, cross[0]), np.where(va <= 1.0, a, cross[1]))
@@ -251,18 +287,23 @@ def inverse_image(p: Polynomial) -> InverseImageResult:
         raise EmptyImageError("P^{-1}([-1,1]) has empty real section")
     image = IntervalUnion(tuple(x for piece in pieces for x in piece))
     boundary = tuple(sorted(xs.tolist() + y[np.abs(v) == 1.0].tolist()))
-    is_real = len(y) == n - 1 and bool(np.all((lo_v <= -1.0) & (hi_v >= 1.0)))
     return InverseImageResult(image=image, is_real=is_real, boundary_points=boundary)
 
 
 def capacity_of_inverse_image(p: Polynomial) -> float:
-    """cap P^{-1}([-1,1]) = (2 |c_n|)^{-1/n}, valid when the image is real."""
-    return _capacity(p, inverse_image(p))
+    """cap P^{-1}([-1,1]) = (2 |c_n|)^{-1/n}, valid when the image is real.
+
+    Realness is read from the critical values alone; no crossing of P = +-1
+    is searched.  IllConditionedError therefore judges the rounding estimate
+    on the window of the critical points only, the only values the answer
+    reads.
+    """
+    return _capacity(p, _monotone_pieces(p)[0])
 
 
-def _capacity(p: Polynomial, res: InverseImageResult) -> float:
-    # capacity_of_inverse_image for an image already computed
-    if not res.is_real:
+def _capacity(p: Polynomial, is_real: bool) -> float:
+    # capacity_of_inverse_image once realness is known
+    if not is_real:
         raise NonRealImageError(
             "capacity formula requires the full inverse image to be real"
         )
@@ -274,16 +315,19 @@ def composed_minimal_sequence(p: Polynomial, k: int):
     """Monic minimal polynomial of degree k*n on A = P^{-1}([-1,1]) and its deviation.
 
     The pair is (2/(2 c_n)^k * T_k(P), 2/(2|c_n|)^k); the polynomial is monic
-    because T_k(P) has leading coefficient 2^{k-1} c_n^k.
+    because T_k(P) has leading coefficient 2^{k-1} c_n^k.  Realness is read
+    from the critical values alone; no crossing of P = +-1 is searched, and
+    IllConditionedError judges the rounding estimate on the window of the
+    critical points only, the only values the answer reads.
     """
     if k < 1:
         raise InvalidInputError("need k >= 1")
-    return _composed(p, k, inverse_image(p))
+    return _composed(p, k, _monotone_pieces(p)[0])
 
 
-def _composed(p: Polynomial, k: int, res: InverseImageResult):
-    # composed_minimal_sequence for an image already computed
-    if not res.is_real:
+def _composed(p: Polynomial, k: int, is_real: bool):
+    # composed_minimal_sequence once realness is known
+    if not is_real:
         raise NonRealImageError("composed sequence requires a real inverse image")
     c_n = p.leading
     scale = 2.0 / (2.0 * c_n) ** k
@@ -308,11 +352,11 @@ def verify_sharpness(p: Polynomial) -> SharpnessReport:
     if not res.is_real:
         raise NonRealImageError("sharpness holds for real inverse images")
     n = p.degree
-    cap = _capacity(p, res)
+    cap = _capacity(p, res.is_real)
     theory = 2.0 * cap**n
     solve = minimal_polynomial(res.image, n)
     rel = abs(solve.deviation - theory) / theory
-    monic, _ = _composed(p, 1, res)
+    monic, _ = _composed(p, 1, res.is_real)
     a = np.zeros(n + 1)
     a[: len(monic.coeffs)] = monic.coeffs
     b = np.zeros(n + 1)

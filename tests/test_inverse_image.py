@@ -1,5 +1,6 @@
 """Inverse images of [-1, 1]: realness, capacity, composed sequences."""
 
+import importlib
 import math
 
 import numpy as np
@@ -10,12 +11,16 @@ from oracles import grid_sup_norm
 
 from chebcap.chebpoly import Polynomial
 from chebcap.errors import (
+    ChebcapError,
     EmptyImageError,
     IllConditionedError,
     InvalidInputError,
     NonRealImageError,
 )
 from chebcap.inverse_image import (
+    InverseImageResult,
+    _capacity,
+    _composed,
     capacity_of_inverse_image,
     composed_minimal_sequence,
     e_alpha,
@@ -24,6 +29,9 @@ from chebcap.inverse_image import (
     verify_sharpness,
 )
 from chebcap.remez import minimal_polynomial
+
+# the module, which the package's inverse_image function shadows
+_inverse_image = importlib.import_module("chebcap.inverse_image")
 
 
 def cheb(k: int, scale: float = 1.0) -> Polynomial:
@@ -95,7 +103,11 @@ def test_critical_values_on_one_side_are_not_real():
     assert res.image.ell == 1
 
 
-def test_high_degree_monomial_chebyshev_is_right_or_refused():
+def _no_crossing_search(*args):
+    raise AssertionError("the crossing search ran")
+
+
+def test_high_degree_monomial_chebyshev_is_right_or_refused(monkeypatch):
     answered = 0
     for k in range(21, 41):
         try:
@@ -110,6 +122,12 @@ def test_high_degree_monomial_chebyshev_is_right_or_refused():
     assert answered >= 4  # T_21..T_24 lie far below the rounding limit
     with pytest.raises(IllConditionedError, match=r"rounding estimate .* = 0\.2"):
         inverse_image(cheb(40))
+    # the estimate on the critical points alone already exceeds the limit,
+    # so these are refused before any crossing is searched
+    monkeypatch.setattr(_inverse_image, "_crossings", _no_crossing_search)
+    for k in (30, 35, 40):
+        with pytest.raises(IllConditionedError, match="rounding estimate"):
+            inverse_image(cheb(k))
 
 
 def test_linear_and_constant_inputs():
@@ -141,8 +159,50 @@ def test_two_interval_quadratic():
 
 
 def test_empty_image_raises():
+    p = Polynomial((5.0, 0.0, 1.0))
     with pytest.raises(EmptyImageError):
-        inverse_image(Polynomial((5.0, 0.0, 1.0)))
+        inverse_image(p)
+    with pytest.raises(EmptyImageError):
+        composed_minimal_sequence(p, 1)
+    with pytest.raises(EmptyImageError):
+        capacity_of_inverse_image(p)
+
+
+def _random_images(count):
+    # s (T_m + sum_{i<m} a_i T_i): real and non-real images of degree 2..8
+    rng = np.random.RandomState(5)
+    for _ in range(count):
+        m = int(rng.randint(2, 9))
+        a = np.append(rng.uniform(-0.3, 0.3, m), 1.0)
+        yield Polynomial(tuple(float(rng.uniform(0.5, 3.0)) * npcheb.cheb2poly(a)))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ChebcapError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [pytest.param(cheb(k), id=f"T_{k}") for k in range(2, 27)]
+    + [pytest.param(cheb(k, c), id=f"{c:g}*T_{k}")
+       for c in (1.05, 1.25, 2.0, 10.0, 1e3) for k in range(3, 7)]
+    + [pytest.param(p, id=f"random-{i}") for i, p in enumerate(_random_images(16))],
+)
+def test_sequence_and_capacity_need_no_crossing_search(p, monkeypatch):
+    # the full image decides realness; the sequence and the capacity must
+    # agree with it bit for bit while reading the critical values alone
+    res = _outcome(inverse_image, p)
+    is_real = res.is_real if isinstance(res, InverseImageResult) else None
+    expect = [res if is_real is None else _outcome(_composed, p, k, is_real)
+              for k in (1, 2, 4, 8)]
+    expect_cap = res if is_real is None else _outcome(_capacity, p, is_real)
+    monkeypatch.setattr(_inverse_image, "_crossings", _no_crossing_search)
+    got = [_outcome(composed_minimal_sequence, p, k) for k in (1, 2, 4, 8)]
+    assert got == expect
+    assert _outcome(capacity_of_inverse_image, p) == expect_cap
 
 
 def test_capacity_of_chebyshev_inverse_image():
