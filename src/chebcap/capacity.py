@@ -113,8 +113,10 @@ def solynin_bound(angles: AngleCoordinates, params: SolyninParams) -> float:
     """
     _check_params(angles, params)
     phi, psi = angles.phi, angles.psi
-    g, d = params.gamma, params.delta
     ell = len(phi)
+    # Clamped into their boxes: past an edge, a sine factor's base is negative.
+    g = (0.0, *(min(max(params.gamma[j], phi[j]), psi[j]) for j in range(1, ell - 1)), math.pi)
+    d = tuple(min(max(params.delta[j], psi[j]), phi[j + 1]) for j in range(ell - 1))
     value = 0.5
     for j in range(ell - 1):
         value *= _sine_factor(psi[j] - g[j], d[j] - g[j])

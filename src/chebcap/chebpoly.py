@@ -19,8 +19,6 @@ from numpy.polynomial import polynomial as nppoly
 
 from .errors import DegreeCapError, InvalidInputError
 
-# Trailing coefficients below this relative size are trimmed after arithmetic.
-DROP_TOL = 1e-13
 # Monomial-basis conversions and compositions are meaningless in doubles far
 # beyond this; refuse rather than return noise.
 DEGREE_CAP = 100
@@ -32,18 +30,16 @@ def _trim(coeffs) -> tuple:
         raise InvalidInputError("empty coefficient list")
     if not all(math.isfinite(v) for v in c):
         raise InvalidInputError("coefficients must be finite")
-    top = max(abs(v) for v in c)
-    if top == 0.0:
-        return (0.0,)
     k = len(c) - 1
-    while k > 0 and abs(c[k]) <= DROP_TOL * top:
+    while k > 0 and c[k] == 0.0:
         k -= 1
     return tuple(c[: k + 1])
 
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Real polynomial by ascending monomial coefficients, trailing noise trimmed."""
+    """Real polynomial by ascending monomial coefficients, trailing exact zeros
+    trimmed: far from the origin a monic lead may be 1e-13 of the others."""
 
     coeffs: tuple
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidInputError
 
-# Touching intervals (gap at or below this) are merged on construction.
+# Intervals whose gap is at most this times the hull's radius are merged.
 MERGE_GAP = 1e-12
 # Default tolerance for containment / subset tests.
 CONTAIN_TOL = 1e-12
@@ -42,8 +42,8 @@ class AffineMap:
 class IntervalUnion:
     """Ascending union of closed intervals with pairwise disjoint, nonempty interiors.
 
-    ``merged`` flags that touching input intervals (gap <= MERGE_GAP) were
-    collapsed during construction; analytically they are a single interval.
+    ``merged`` flags that touching input intervals (gap <= MERGE_GAP times the
+    hull's radius) were collapsed; analytically they are a single interval.
     """
 
     endpoints: tuple
@@ -56,13 +56,14 @@ class IntervalUnion:
         if not all(math.isfinite(x) for x in pts):
             raise InvalidInputError("endpoints must be finite")
         pairs = sorted((pts[i], pts[i + 1]) for i in range(0, len(pts), 2))
+        tol = MERGE_GAP * (0.5 * max(pts) - 0.5 * min(pts))  # halves: no overflow
         merged = False
         out = []
         for lo, hi in pairs:
             if not lo < hi:
                 raise InvalidInputError(f"interval [{lo}, {hi}] has empty interior")
-            if out and lo - out[-1][1] <= MERGE_GAP:
-                if lo < out[-1][1] - MERGE_GAP:
+            if out and lo - out[-1][1] <= tol:
+                if lo < out[-1][1] - tol:
                     raise InvalidInputError(f"intervals overlap near x = {lo}")
                 out[-1] = (out[-1][0], max(hi, out[-1][1]))
                 merged = True

@@ -46,15 +46,13 @@ from .chebpoly import DEGREE_CAP, ChebExpansion, Polynomial, to_monomial
 from .errors import ChebcapError, ConvergenceError, DegreeCapError, InvalidInputError
 from .intervals import AffineMap, IntervalUnion, is_subset, normalize
 
+# Each exchange raises the level in exact arithmetic (de la Vallee Poussin),
+# so only rounding stops it short of LEVEL_TOL; at MAX_ITER the smallest-gap
+# iterate is accepted, its gap in `residual`, if that gap is at most
+# STALL_ACCEPT (1e5 T_3 at n = 39 cycles between gaps 3.6e-9 and 1.7e-8).
 MAX_ITER = 200
 LEVEL_TOL = 1e-12
-# A stalled iteration (no new best leveling gap for STALL_COUNT iterations)
-# is accepted at the best iterate, with the honest gap in `residual`, as long
-# as that gap reached STALL_ACCEPT.  The barycentric evaluation reaches
-# LEVEL_TOL on the fixtures up to the degree cap; what is left to stall on is
-# a reference whose Lebesgue function on the set amplifies rounding beyond it.
 STALL_ACCEPT = 1e-6
-STALL_COUNT = 10
 # A quantile within this of 0 or 1 is its interval's end: a rounded j/n at an
 # interval's cumulative mass is a few ulps off, and the point is then some
 # rad (c q)^2 / 2 from the end (c = d angle / dq, pi on one interval), far
@@ -91,9 +89,10 @@ class MinimalPolyResult:
     Numerical work should use `evaluate`, which reads the leveled
     interpolant of the final reference in the normalized frame: its `nodes`,
     scaled barycentric `weights` and `level` h, with M(nodes[j]) = +-h.
-    `residual` is the leveling gap sup|M| - min leveled |M| at acceptance, in
-    original-frame units; the reported deviation is the actual sup of M on
-    the set, so the true minimum deviation lies within residual below it.
+    `residual` is the leveling gap sup|M| - min leveled |M| at acceptance
+    (above LEVEL_TOL only at MAX_ITER), in original-frame units; the reported
+    deviation is the actual sup of M on the set, so the true minimum
+    deviation lies within residual below it.
     `poly`, the monomial coefficients in the original frame, for reporting,
     is computed from the reference on first read.
     """
@@ -370,10 +369,10 @@ def _next_reference(xs: np.ndarray, vals: np.ndarray, m: int) -> np.ndarray:
 def minimal_polynomial(c: IntervalUnion, n: int) -> MinimalPolyResult:
     """Monic polynomial of degree n minimizing the sup norm on c.
 
-    Convergence is a relative leveling gap below LEVEL_TOL within MAX_ITER
-    iterations; iterations that stall above it are accepted at the best
-    iterate once the gap is below STALL_ACCEPT, and the achieved gap is
-    reported in `residual`.  Degrees above DEGREE_CAP are refused.  An
+    Convergence is a relative leveling gap at most LEVEL_TOL within MAX_ITER
+    iterations; after MAX_ITER the smallest-gap iterate is accepted if its
+    gap is at most STALL_ACCEPT, reported in `residual`, and otherwise
+    carried by a ConvergenceError.  Degrees above DEGREE_CAP are refused.  An
     extremum search that leaves fewer than n + 1 sign runs of M, which
     cannot happen in exact arithmetic (see `_node_extrema`), raises
     ConvergenceError with the run count, carrying the best iterate so far.
@@ -394,9 +393,6 @@ def minimal_polynomial(c: IntervalUnion, n: int) -> MinimalPolyResult:
 
     u = _init_reference(cn, n)
     ends = np.array(cn.endpoints)
-    best = None
-    best_gap = math.inf
-    stall = 0
     for it in range(1, MAX_ITER + 1):
         w, h, d1, d2 = leveled.leveled(u)
         cands = _node_extrema(ends, u, w, h, d1, d2)
@@ -407,25 +403,18 @@ def minimal_polynomial(c: IntervalUnion, n: int) -> MinimalPolyResult:
         emax = float(np.abs(cands[1]).max())
         gap = max(emax - h, 0.0)
         gap_rel = gap / emax if emax > 0 else 0.0
-        if gap_rel < best_gap:
-            best_gap, best, stall = gap_rel, (u, w, h, emax, gap, it), 0
-        else:
-            stall += 1
+        if it == 1 or gap_rel < best[0]:
+            best = (gap_rel, u, w, h, emax, gap, it)
         if gap_rel <= LEVEL_TOL:
-            break
-        if stall >= STALL_COUNT and best_gap <= STALL_ACCEPT:
             break
         try:
             u = _next_reference(*cands, n + 1)
         except ConvergenceError as exc:
-            exc.last_iterate = _finalize(best, fwd, hull_scale) if best else None
+            exc.last_iterate = _finalize(best, fwd, hull_scale)
             raise
-    else:
-        last = _finalize(best, fwd, hull_scale) if best else None
-        raise ConvergenceError(
-            f"leveling gap {best_gap:.3e} after {MAX_ITER} iterations (degree {n})",
-            last_iterate=last,
-        )
+    if not best[0] <= STALL_ACCEPT:  # only after MAX_ITER; also a nan gap
+        raise ConvergenceError(f"leveling gap {best[0]:.3e} after {MAX_ITER} iterations "
+                               f"(degree {n})", last_iterate=_finalize(best, fwd, hull_scale))
     result = _finalize(best, fwd, hull_scale)
     if result.deviation < sys.float_info.min:
         raise InvalidInputError(f"the deviation {result.deviation:.3g} at n = {n} on the hull radius "
@@ -434,7 +423,7 @@ def minimal_polynomial(c: IntervalUnion, n: int) -> MinimalPolyResult:
 
 
 def _finalize(state, fwd, hull_scale) -> MinimalPolyResult:
-    u, w, h, emax, gap, it = state
+    _, u, w, h, emax, gap, it = state
     return MinimalPolyResult(
         deviation=hull_scale * emax,
         alternation_points=tuple(fwd.inverse()(u).tolist()),
@@ -632,7 +621,7 @@ def minimality_witness(c: IntervalUnion, result: MinimalPolyResult) -> WitnessRe
     already exceeds L.
     The sandwich: the blow-up set C' contains C and has the same minimal
     polynomial and deviation, up to 1e-8 relative plus the residual of each
-    solve (a stall-accepted deviation may sit that far above L_n).  It is
+    solve (a deviation accepted at MAX_ITER may sit that far above L_n).  It is
     checked by solving again on C'; a C' that does not contain c to 1e-9 is
     reported as not applicable rather than a failure, and a re-solve that
     raises is reported in `sandwich_error`, with the sandwich not ok.

@@ -85,6 +85,12 @@ def test_degenerate_parameters_zero_out_or_drop_factors():
         delta=(phi[1], 0.5 * (psi[1] + phi[2])),
     )
     assert solynin_bound(ang, params2) > 0.0
+    # _check_params lets an angle 1e-12 past its box; the bound clamps it in,
+    # so gamma_2 just outside [phi_2, psi_2] gives the same 0.0, not a complex
+    # number.
+    for gamma in (phi[1] - 5e-13, psi[1] + 5e-13):
+        params3 = SolyninParams(gamma=(0.0, gamma, math.pi), delta=params.delta)
+        assert solynin_bound(ang, params3) == 0.0
 
 
 def test_midpoint_closed_form_values():
@@ -182,6 +188,14 @@ def test_bracket_orders_and_scales():
         bm = capacity_bracket(mapped, 8)
         assert bm.lower == pytest.approx(s * b.lower, rel=1e-10)
         assert bm.upper == pytest.approx(s * b.upper, rel=1e-10)
+    # Down to s = 1e-13: the copy's gap is far below MERGE_GAP, but not
+    # relative to its hull, so it keeps its two intervals.
+    e = IntervalUnion((0.0, 1.0, 3.0, 4.0))
+    tiny = capacity_bracket(IntervalUnion(tuple(1e-13 * x for x in e.endpoints)), 8)
+    b = capacity_bracket(e, 8)
+    assert tiny.lower == pytest.approx(1e-13 * b.lower, rel=1e-10, abs=0.0)
+    assert tiny.upper == pytest.approx(1e-13 * b.upper, rel=1e-10, abs=0.0)
+    assert b.lower == pytest.approx(0.5 * math.sqrt(3.0), rel=1e-12)
 
 
 def test_deviation_dominates_twice_lower_power():

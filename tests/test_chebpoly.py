@@ -31,8 +31,10 @@ def test_polynomial_basics():
 
 
 def test_trailing_zero_trim():
-    p = Polynomial((1.0, 2.0, 0.0, 1e-15))
+    p = Polynomial((1.0, 2.0, 0.0, 0.0))
     assert p.degree == 1
+    # Only exact zeros go: a small lead is still the lead.
+    assert Polynomial((1.0, 2.0, 0.0, 1e-15)).degree == 3
     zero = Polynomial((0.0,))
     assert zero.is_zero
 

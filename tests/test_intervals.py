@@ -51,6 +51,12 @@ def test_touching_intervals_merge():
     gap = IntervalUnion((0.0, 1.0, 1.5, 2.0))
     assert gap.ell == 2
     assert not gap.merged
+    # The merge gap is relative to the hull's radius, so a scaled copy
+    # merges as the set does.
+    tiny = IntervalUnion(tuple(1e-13 * x for x in (0.0, 1.0, 3.0, 4.0)))
+    assert tiny.ell == 2 and not tiny.merged
+    wide = IntervalUnion((0.0, 1e6, 1e6 + 1e-7, 2e6))
+    assert wide.ell == 1 and wide.merged
 
 
 def test_affine_map_roundtrip_and_validation():
