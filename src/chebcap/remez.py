@@ -69,8 +69,6 @@ NODE_STEP = 1e-3
 # 1.61x (n = 2..5) the pencil's time, and 360 solves 1.22x as long with
 # EIG_MAX = 0; from n = 24 to 48 it took 0.92x to 1.07x (2-core x86-64 VM).
 EIG_MAX = 30
-# Points of the grid on which the witness takes the sup of |M|.
-WITNESS_GRID = 2000
 # |M| peaks on a gap end, and not in the gap, where a Newton step on M'/M
 # from the end would move log|M| by less than this; |M| is stationary there.
 PEAK_TOL = 1e-14
@@ -124,7 +122,8 @@ class MinimalPolyResult:
         outside the hull, where a value beyond the float range is inf.
         """
         t = self.frame(np.asarray(x, dtype=float))
-        return (self.hull_scale * _leveled_values(self, t.ravel()).reshape(t.shape))[()]
+        m = leveled.first_form(t.ravel(), np.array(self.nodes), np.array(self.weights), self.level)
+        return (self.hull_scale * m.reshape(t.shape))[()]
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,7 @@ class BlowUpResult:
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """Grid and re-solve evidence that a result is the minimal polynomial;
+    """Sup, alternation and re-solve evidence of a minimal polynomial;
     `sandwich_error` names a re-solve's error and C''s narrowest width."""
 
     sup_ok: bool
@@ -199,15 +198,14 @@ def _solve_on_reference(u: np.ndarray, n: int):
     return coeffs, float(sol[n]), s
 
 
-def _interlaced_extrema(ends: np.ndarray, u, w, h):
+def _interlaced_extrema(ends: np.ndarray, u, w, h, crit):
     """The interval ends `ends` and the zeros of M' inside an interval, and M
-    at them, as two arrays, unsorted.  The zeros of `leveled.interlaced_zeros`
-    are real but a few eps off, much of a node spacing in a component a few
-    1e-6 wide, so each takes one Newton step on M', clipped to its interval,
-    from one order-2 `leveled.evaluate` at them and the ends; M there is that
-    pass's Taylor value (M is stationary there).  A zero that the step puts
-    on an end is that end's candidate."""
-    crit = leveled.interlaced_zeros(u, w)[1]
+    at them, as two arrays, unsorted: every local maximum of |M| on the set.
+    The zeros `crit`, from the caller's `leveled.interlaced_zeros`, are real
+    but a few eps off, much of a node spacing in a component a few 1e-6 wide,
+    so each takes one Newton step on M', clipped to its interval, from one
+    order-2 `leveled.evaluate` at them and the ends; M there is that pass's
+    Taylor value (M is stationary there).  A zero stepped onto an end is the end."""
     piece = np.searchsorted(ends, crit)
     inside = piece % 2 == 1
     crit, piece = crit[inside], piece[inside]
@@ -399,7 +397,7 @@ def minimal_polynomial(c: IntervalUnion, n: int) -> MinimalPolyResult:
         if cands is None and n <= EIG_MAX:
             cands = _pencil_extrema(ends, u, w, h, d1)
         if cands is None:
-            cands = _interlaced_extrema(ends, u, w, h)
+            cands = _interlaced_extrema(ends, u, w, h, leveled.interlaced_zeros(u, w)[1])
         emax = float(np.abs(cands[1]).max())
         gap = max(emax - h, 0.0)
         gap_rel = gap / emax if emax > 0 else 0.0
@@ -448,11 +446,6 @@ def _normalized_endpoints(c: IntervalUnion, result: MinimalPolyResult) -> list:
     return pts
 
 
-def _leveled_values(result: MinimalPolyResult, t: np.ndarray) -> np.ndarray:
-    """M at normalized-frame points t, from the result's leveled interpolant."""
-    return leveled.first_form(t, np.array(result.nodes), np.array(result.weights), result.level)
-
-
 def _gap_search(cells, u, w, loglev):
     """The level crossings of `blow_up_set`, one `leveled.gap_terms` pass
     over all open cells at a time.  A cell is [below_at_lo, key, lo, hi, x]:
@@ -494,9 +487,9 @@ def _gap_search(cells, u, w, loglev):
     raise ConvergenceError(f"the gap search of the blow-up set took {GAP_PASSES} passes")
 
 
-def _gap_cuts(ends: np.ndarray, u, w, h, level: float) -> list:
-    """The ends of C' inside the hull, in ascending order, for the gaps of E
-    with endpoints `ends` (the hull's ends left out); see `blow_up_set`."""
+def _gap_cuts(ends: np.ndarray, u, w, h, level: float, zeros) -> list:
+    """The ends of C' inside the hull, in order, for the gaps of E with endpoints
+    `ends` (hull's ends left out), from the caller's interlaced `zeros`; see `blow_up_set`."""
     loglev = math.log(level)
     m, d1, d2 = leveled.evaluate(ends, u, w, h, 2)
     g = d1 / m
@@ -509,7 +502,7 @@ def _gap_cuts(ends: np.ndarray, u, w, h, level: float) -> list:
     # (log|M| - log L less its rounding bound, g, g') at a peak above L, else None.
     e = ends.tolist()
     stops = [(x, start, start, None, fl) for x, start, fl in zip(e, into, flat)]
-    z, crit = leveled.interlaced_zeros(u, w)
+    z, crit = zeros
     x = np.concatenate((z, crit))
     k = ends.searchsorted(x, "right")  # 2i + 1 inside the i-th gap (b, a), or on b
     inside = (k % 2 == 1) & (x > ends[k - 1])
@@ -593,13 +586,19 @@ def blow_up_set(c: IntervalUnion, result: MinimalPolyResult) -> BlowUpResult:
     n = 40 it has the wrong sign at 116 of 399 points; at the gap ends, on
     E, from the second.
     """
+    return _blow_up(c, result, np.array(_normalized_endpoints(c, result)), None)
+
+
+def _blow_up(c: IntervalUnion, result: MinimalPolyResult, pts: np.ndarray, zeros) -> BlowUpResult:
+    """`blow_up_set` on c's normalized endpoints, reusing the interlaced solve `zeros` if any."""
     n = result.degree
-    pts = np.array(_normalized_endpoints(c, result))
+    u, w = np.array(result.nodes), np.array(result.weights)
     edges = pts[[0, -1]]
     if len(pts) > 2:
+        zeros = leveled.interlaced_zeros(u, w) if zeros is None else zeros
         with np.errstate(divide="ignore", invalid="ignore"):
-            cuts = _gap_cuts(pts[1:-1], np.array(result.nodes), np.array(result.weights),
-                             result.level, result.deviation / result.hull_scale)
+            cuts = _gap_cuts(pts[1:-1], u, w, result.level,
+                             result.deviation / result.hull_scale, zeros)
         edges = np.concatenate((pts[:1], cuts, pts[-1:]))
     ends = result.frame.inverse()(edges)
     keep = ends[0::2] < ends[1::2]  # a band around z narrower than an ulp of the original frame
@@ -615,10 +614,11 @@ def blow_up_set(c: IntervalUnion, result: MinimalPolyResult) -> BlowUpResult:
 def minimality_witness(c: IntervalUnion, result: MinimalPolyResult) -> WitnessReport:
     """Check the two alternation facts and the sandwich invariance of L_n.
 
-    The sup is taken on about WITNESS_GRID points over c in the normalized
-    frame, with the hull snapped to [-1, 1]: mapped through the frame, the
-    hull of a set far from the origin lands just outside it, where |M|
-    already exceeds L.
+    sup |M| on c is the largest |M| at `_interlaced_extrema`'s candidates,
+    every local maximum of |M| on c, so `sup_excess` is exact to rounding, from
+    one `leveled.interlaced_zeros` solve that C' reads too, with the hull
+    snapped to [-1, 1]: mapped through the frame, the hull of a set far from
+    the origin lands just outside it, where |M| already exceeds L.
     The sandwich: the blow-up set C' contains C and has the same minimal
     polynomial and deviation, up to 1e-8 relative plus the residual of each
     solve (a deviation accepted at MAX_ITER may sit that far above L_n).  It is
@@ -630,23 +630,22 @@ def minimality_witness(c: IntervalUnion, result: MinimalPolyResult) -> WitnessRe
     dev = result.deviation
     slack = result.residual + 1e-12 * dev
 
-    pts = _normalized_endpoints(c, result)
-    lengths = [b - a for a, b in c.intervals]
-    total = sum(lengths)
-    grid = np.concatenate([np.linspace(a, b, max(16, int(WITNESS_GRID * w / total)))
-                           for a, b, w in zip(pts[0::2], pts[1::2], lengths)])
-    sup = result.hull_scale * float(np.max(np.abs(_leveled_values(result, grid))))
+    u, w, h = np.array(result.nodes), np.array(result.weights), result.level
+    pts = np.array(_normalized_endpoints(c, result))
+    zeros = leveled.interlaced_zeros(u, w)
+    sup = result.hull_scale * float(np.abs(_interlaced_extrema(pts, u, w, h, zeros[1])[1]).max())
     sup_excess = max(0.0, sup - dev)
     sup_ok = sup_excess <= slack
 
-    vals = result.evaluate(np.array(result.alternation_points))
+    t = result.frame(np.array(result.alternation_points))
+    vals = result.hull_scale * leveled.evaluate(t, u, w, h, 0)[0]
     signs_ok = all(
         (v > 0) == ((n - j) % 2 == 0) and v != 0.0 for j, v in enumerate(vals)
     )
     level_ok = bool(np.max(np.abs(np.abs(vals) - dev)) <= slack + 1e-9 * dev)
     alternation_ok = signs_ok and level_ok
 
-    c_prime = blow_up_set(c, result).c_prime
+    c_prime = _blow_up(c, result, pts, zeros).c_prime
     applicable = is_subset(c, c_prime, tol=1e-9)
     diff = math.inf
     sandwich_ok = False

@@ -1,10 +1,12 @@
 """Independent reference computations for the test suite.
 
-Nothing here imports the library's solvers.  The minimax oracle is a plain
-nested coefficient-grid search: the objective max_x |x^n + sum a_k x^k| over
-a dense point grid is convex in the coefficients, so shrinking a box around
-the best grid node converges to the global minimum.  Slow and dumb on
-purpose; it only needs to be trustworthy at tiny degrees.
+Nothing here imports the library's solvers but `composed_on_blow_up`, whose
+exact values for solves on C' come from one solve on another set at another
+degree.  The minimax oracle is a plain nested coefficient-grid search: the
+objective max_x |x^n + sum a_k x^k| over a dense point grid is convex in the
+coefficients, so shrinking a box around the best grid node converges to the
+global minimum.  Slow and dumb on purpose; it only needs to be trustworthy
+at tiny degrees.
 """
 
 import itertools
@@ -261,6 +263,18 @@ def blow_up_oracle(nodes, level, endpoints, scan: int = 400, dps: int = 50) -> l
             else:
                 out.append([p, q])
         return [(float(p), float(q)) for p, q in out]
+
+
+def composed_on_blow_up(e, n: int):
+    """C' = M_n^{-1}([-L_n, L_n]) for the degree-n minimizer M_n on e, and
+    {k: L_kn(C')} for k = 1..floor(100 / n).  C' is an inverse image of
+    degree n, on which the monic minimizer of degree kn is
+    2 (L_n / 2)^k T_k(M_n / L_n), so L_kn(C') = 2 (L_n / 2)^k exactly."""
+    from chebcap.remez import blow_up_set, minimal_polynomial
+
+    r = minimal_polynomial(e, n)
+    c_prime = blow_up_set(e, r).c_prime
+    return c_prime, {k: 2.0 * (r.deviation / 2.0) ** k for k in range(1, 100 // n + 1)}
 
 
 def arc_sup_oracle(coeffs, intervals, scan: int = 2000, dps: int = 40) -> float:

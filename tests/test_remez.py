@@ -12,6 +12,7 @@ from oracles import (
     _candidates,
     _collapse_sign_runs,
     blow_up_oracle,
+    composed_on_blow_up,
     extremum_grid,
     grid_extrema,
     grid_sup_norm,
@@ -375,6 +376,11 @@ def test_witness_sandwich_allows_the_residuals_of_a_stall_accepted_solve():
     assert not w.sandwich_ok
 
 
+def _interlaced_candidates(ends, u, w, h):
+    """The interlaced search's candidates, on its own interlaced solve."""
+    return _remez._interlaced_extrema(ends, u, w, h, leveled.interlaced_zeros(u, w)[1])
+
+
 RESOLUTION_SETS = {
     "interval": FULL,
     "e_0.3": e_alpha(0.3),
@@ -397,7 +403,7 @@ def test_extremum_grid_resolves_adjacent_critical_points(name, n):
     r = minimal_polynomial(cn, n)
     u, w = np.array(r.nodes), np.array(r.weights)
     ends = np.array(cn.endpoints)
-    found = np.sort(_remez._interlaced_extrema(ends, u, w, r.level)[0])
+    found = np.sort(_interlaced_candidates(ends, u, w, r.level)[0])
     for (a, b), grid in zip(cn.intervals, extremum_grid(cn.endpoints, n)):
         assert grid[0] == a and grid[-1] == b
         assert np.all(np.diff(grid) > 0.0)
@@ -607,7 +613,7 @@ def test_first_reference_is_nearly_leveled_on_inverse_images(name, e, ns):
     for n in ns:
         u = _init_reference(cn, n)
         w, h = leveled.leveled(u)[:2]
-        emax = np.max(np.abs(_remez._interlaced_extrema(np.array(cn.endpoints), u, w, h)[1]))
+        emax = np.max(np.abs(_interlaced_candidates(np.array(cn.endpoints), u, w, h)[1]))
         assert (emax - h) / emax <= 1e-12, (name, n, (emax - h) / emax)
         assert minimal_polynomial(e, n).iterations == 1, (name, n)
 
@@ -677,7 +683,7 @@ def test_interlaced_search_on_critical_points_at_the_nodes():
     for n in range(1, 101):
         u = _init_reference(FULL, n)
         w, h = leveled.leveled(u)[:2]
-        x, v = _merged_candidates(*_remez._interlaced_extrema(ends, u, w, h))
+        x, v = _merged_candidates(*_interlaced_candidates(ends, u, w, h))
         assert len(x) == n + 1, n
         assert np.max(np.abs(x - u)) <= 8.0 * np.finfo(float).eps, n
         assert np.max(np.abs(v - np.sign(w) * h)) <= 1e-14 * h, n
@@ -710,7 +716,7 @@ def test_refine_returns_m_at_its_points(name):
     for n in range(1, 101):
         u = _init_reference(cn, n)
         w, h = leveled.leveled(u)[:2]
-        xs, vals = _remez._interlaced_extrema(np.array(cn.endpoints), u, w, h)
+        xs, vals = _interlaced_candidates(np.array(cn.endpoints), u, w, h)
         want = evaluate(xs, u, w, h, 0)[0]
         assert np.max(np.abs(vals - want)) <= 1e-14 * h, (name, n)
 
@@ -771,7 +777,7 @@ def test_plain_newton_phase_ends_the_exchange_refines():
         ends = np.array(cn.endpoints)
         for u in _exchange_references(cn, n):
             w, h = leveled.leveled(u)[:2]
-            xs = _remez._interlaced_extrema(ends, u, w, h)[0]
+            xs = _interlaced_candidates(ends, u, w, h)[0]
             x = xs[len(ends):]
             if not len(x):
                 continue
@@ -829,7 +835,7 @@ def test_stacked_product_evaluation_matches_strided_sums(name):
         u = _init_reference(cn, n)
         w, h = leveled.leveled(u)[:2]
         grid = np.concatenate(extremum_grid(cn.endpoints, n))
-        crit = _remez._interlaced_extrema(np.array(cn.endpoints), u, w, h)[0]
+        crit = _interlaced_candidates(np.array(cn.endpoints), u, w, h)[0]
         x = np.concatenate([grid, crit, u[::7]])
         want, noise = _strided_evaluate(x, u, w, h)
         slack = [0.0, 0.0, 8.0 * eps * noise]
@@ -1270,15 +1276,17 @@ def test_one_iteration_frontier_solves_build_no_extremum_grid(monkeypatch):
 
 def test_evaluate_reads_the_first_form_everywhere():
     # One form at every point, on the hull and outside it: the values are
-    # `leveled.first_form`'s, and a point on a node is s_j h exactly.  The
-    # witness on e_0.6 passes on them.
+    # `leveled.first_form`'s, and a point on a node is s_j h exactly (e_0.6's
+    # hull is [-1, 1], so the frame and the hull scale are the identity).
+    # The witness on e_0.6 passes.
     e = e_alpha(0.6)
     r = minimal_polynomial(e, 24)
     assert minimality_witness(e, r).passed
+    assert r.frame(0.7) == 0.7 and r.hull_scale == 1.0
     u, w = np.array(r.nodes), np.array(r.weights)
     t = np.array([-1.5, -0.8, 0.0, 0.7, 1.2])
-    assert np.array_equal(_remez._leveled_values(r, t), leveled.first_form(t, u, w, r.level))
-    assert np.array_equal(_remez._leveled_values(r, u), np.sign(w) * r.level)
+    assert np.array_equal(r.evaluate(t), leveled.first_form(t, u, w, r.level))
+    assert np.array_equal(r.evaluate(u), np.sign(w) * r.level)
 
 
 @pytest.mark.parametrize("alpha, n", [(0.6, 48), (0.3, 99)])
@@ -1445,3 +1453,63 @@ def test_witness_reports_a_re_solve_that_raises(alpha, n):
 def test_missing_sign_run_exits_as_non_convergence(monkeypatch):
     _drop_the_middle_candidate(monkeypatch)
     assert main(["minpoly", "--intervals", "-1 1", "--degree", "6"]) == 3
+
+
+@pytest.mark.parametrize("name, e, n", [
+    ("asym", IntervalUnion((-1.0, 0.0, 0.5, 1.0)), 40), ("quad", QUAD, 60), ("triple", TRIPLE, 80),
+], ids=["asym", "quad", "triple"])
+def test_witness_rejects_the_level_reported_as_the_deviation(monkeypatch, name, e, n):
+    # Stopped after four iterations, these solves accept an iterate whose
+    # leveling gap, in `residual`, is 1.4e-8 (asym) or 4.3e-8 of the
+    # deviation.  Reported with the level h as its deviation and no residual,
+    # |M| is h at the interval ends, and only the peaks of |M| inside the
+    # intervals are above it; the witness's sup reads them, to the gap.  The
+    # honest iterate passes.
+    monkeypatch.setattr(_remez, "MAX_ITER", 4)
+    r = minimal_polynomial(e, n)
+    assert r.iterations == 4 and r.residual > 1e-8 * r.deviation
+    low = dataclasses.replace(r, deviation=r.level * r.hull_scale, residual=0.0)
+    w = minimality_witness(e, low)
+    assert not w.sup_ok and not w.passed, name
+    assert w.sup_excess == pytest.approx(r.residual, rel=1e-6)
+    assert minimality_witness(e, r).passed
+
+
+def test_witness_and_blow_up_share_one_interlaced_solve(monkeypatch):
+    # The witness reads its sup and C' from one interlaced solve, and no
+    # first form; `blow_up_set` takes one of its own, and none on one
+    # interval, where C' is the hull.  Up to EIG_MAX the re-solve on C' takes
+    # no interlaced solve.
+    results = [(e, minimal_polynomial(e, n)) for e, n in
+               ((FULL, 20), (e_alpha(0.6), 24), (IntervalUnion((-1.0, 0.0, 0.5, 1.0)), 12),
+                (TRIPLE, 20), (QUAD, _remez.EIG_MAX))]
+    interlaced = _counting(monkeypatch, leveled, "interlaced_zeros")
+    first = _counting(monkeypatch, leveled, "first_form")
+    for e, r in results:
+        interlaced.clear()
+        assert minimality_witness(e, r).passed
+        assert len(interlaced) == 1 and first == []
+        interlaced.clear()
+        blow_up_set(e, r)
+        assert len(interlaced) == (e.ell > 1)
+
+
+MULTI_FIXTURES = {name: e for name, e in _verify_fixtures() if e.ell > 1}
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_FIXTURES))
+def test_solves_on_the_blow_up_set_match_the_composed_deviations(name):
+    # C' is an inverse image of degree n, so L_kn(C') = 2 (L_n / 2)^k exactly
+    # (`oracles.composed_on_blow_up`): a degree-kn solve on C' is checked
+    # against the degree-n solve on E.  The tolerance is k 1e-12, L_n's error
+    # carried to the k-th power, plus 16 eps / w for the error of C''s ends,
+    # w its narrowest width over its hull.  Over the seven fixtures (1,456
+    # solves) the worst error was 1.5e-12, at most 0.15 of its tolerance.
+    eps = np.finfo(float).eps
+    for n in range(2, 13):
+        c_prime, exact = composed_on_blow_up(MULTI_FIXTURES[name], n)
+        ends = c_prime.endpoints
+        width = min(b - a for a, b in c_prime.intervals) / (ends[-1] - ends[0])
+        for k, want in exact.items():
+            err = abs(minimal_polynomial(c_prime, k * n).deviation - want) / want
+            assert err <= k * 1e-12 + 16.0 * eps / width, (name, n, k, err)
