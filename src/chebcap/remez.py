@@ -23,11 +23,19 @@ zeros of M, then of M', from two symmetric eigenvalue solves
 (`leveled.interlaced_zeros`), always real, and polishes those in the set by
 one Newton step; it never declines.  Each search hands its candidates to
 `_next_reference`, which keeps one extremum per sign run of M and so
-enforces the alternation.  `blow_up_set` reads C' gap by gap between the
-zeros of M and M' of one interlaced solve, with no grid, through the first
-barycentric form (`leveled.gap_terms`), and `evaluate` reads M through that
-form everywhere.  Monomial coefficients of near-minimal polynomials grow
-exponentially with the degree, so `poly` is for reporting only.
+enforces the alternation.  Only the stop needs the certified sup: an
+exchange onto any alternating points with |M| >= h raises the level (de la
+Vallee Poussin).  So above EIG_MAX, on a set whose narrowest component is
+not at the rounding floor, an iteration the node search declines first
+takes two Newton steps on M'/M from the nodes (`_log_newton_extrema`), and
+exchanges on those candidates with no eigenvalue solve while the largest
+|M| they evaluate shows a leveling gap above LEVEL_TOL; the interlaced
+search runs only where it may stop the exchange.  `blow_up_set` reads C'
+gap by gap between the zeros of M and M' of one interlaced solve, with no
+grid, through the first barycentric form (`leveled.gap_terms`), and
+`evaluate` reads M through that form everywhere.  Monomial coefficients of
+near-minimal polynomials grow exponentially with the degree, so `poly` is
+for reporting only.
 """
 
 from __future__ import annotations
@@ -64,10 +72,14 @@ END_SNAP = 1e-12
 NODE_STEP = 1e-3
 # Up to this degree an iteration that the node search does not certify takes
 # its critical points from the companion pencil (`leveled.critical_points`),
-# above it from the interlaced solve (`leveled.interlaced_zeros`).  At
-# n <= 20 an interlaced call, node pass included, took 1.37x (n = 11..20) to
-# 1.61x (n = 2..5) the pencil's time, and 360 solves 1.22x as long with
-# EIG_MAX = 0; from n = 24 to 48 it took 0.92x to 1.07x (2-core x86-64 VM).
+# above it from the log-Newton search (`_log_newton_extrema`) while that
+# shows a gap above LEVEL_TOL, and otherwise from the interlaced solve
+# (`leveled.interlaced_zeros`).  At n <= 20 an interlaced call, node pass
+# included, took 1.37x (n = 11..20) to 1.61x (n = 2..5) the pencil's time,
+# and 360 solves 1.22x as long with EIG_MAX = 0; from n = 24 to 48 it took
+# 0.92x to 1.07x.  With the log-Newton search in the pencil's place the 104
+# solves of the verify fixtures at n = 2..14 took 1.00x as long (2-core
+# x86-64 VM), so below EIG_MAX the pencil stays.
 EIG_MAX = 30
 # |M| peaks on a gap end, and not in the gap, where a Newton step on M'/M
 # from the end would move log|M| by less than this; |M| is stationary there.
@@ -328,6 +340,66 @@ def _node_extrema(ends: np.ndarray, u, w, h, d1, d2):
     return np.array(xs), np.array(vals)
 
 
+def _log_newton_extrema(ends: np.ndarray, u, w, h, d1, d2):
+    """Uncertified candidates from two Newton steps on g = M'/M from each
+    interior node: the points, M at them, and the largest |M| evaluated, a
+    lower bound on sup |M| on the union with the endpoints `ends`.  d1 and
+    d2 are M' and M'' at the nodes, from `leveled.leveled`.
+
+    log|M| is strictly concave between consecutive zeros of M, so
+    g' = M''/M - g^2 < 0 there and a step on g heads for the peak of |M| in
+    the node's window (see `_node_extrema`), where plain Newton on M' from a
+    node beside a gap end misses it.  The first step reads the node's M' and
+    M''; one order-2 `leveled.evaluate` at the stepped points and the
+    interval ends gives the second, and M at its point is the Taylor value
+    from there.  Each point is clipped to its node's interval and to the
+    midpoints to the neighbouring nodes, one per window; a node whose point
+    has the wrong sign or |M| <= h keeps itself.  With u_0, u_n and the
+    interval ends the candidates hold n + 1 alternating sign runs, but
+    nothing shows that they hold every peak on the set."""
+    node = u[1:-1]
+    f = np.sign(w[1:-1]) * h  # M at the interior nodes
+    right = ends[1::2]
+    piece = right.searchsorted(node)  # the node's interval ends at right[piece]
+    lo = np.maximum(ends[0::2][piece], 0.5 * (u[:-2] + node))
+    hi = np.minimum(right[piece], 0.5 * (node + u[2:]))
+
+    def stepped(x, m, dm, d2m):  # a step only where g' < 0, as it is in exact arithmetic
+        g = dm / m
+        dg = d2m / m - g * g
+        return np.minimum(np.maximum(x + np.where(dg < 0.0, -g / dg, 0.0), lo), hi)
+
+    k = len(node)
+    with np.errstate(divide="ignore", invalid="ignore"):  # g' = 0, or M = 0 at a point
+        x = stepped(node, f, d1[1:-1], d2)
+        m, dm, d2m = leveled.evaluate(np.concatenate((x, ends)), u, w, h, 2)
+        mx, dm, d2m = m[:k], dm[:k], d2m[:k]
+        dx = stepped(x, mx, dm, d2m) - x
+        val = mx + dx * (dm + 0.5 * dx * d2m)
+    ok = (f * val > 0.0) & (np.abs(val) > h)
+    return (np.concatenate((ends, u[[0, -1]], np.where(ok, x + dx, node))),
+            np.concatenate((m[k:], np.sign(w[[0, -1]]) * h, np.where(ok, val, f))),
+            max(h, float(np.abs(m).max())))
+
+
+def _uncertified_reference(ends: np.ndarray, u, w, h, d1, d2):
+    """The next reference from `_log_newton_extrema`'s candidates with |M| >= h,
+    or None where the iteration needs the certified search: where the gap
+    that the largest evaluated |M| shows is not above LEVEL_TOL, where those
+    candidates lack a sign run, or where they give back the reference u.  On
+    candidates with |M| >= h every alternating reference raises the level (de
+    la Vallee Poussin), so moving on them is sound whatever they miss."""
+    xs, vals, low = _log_newton_extrema(ends, u, w, h, d1, d2)
+    if not low - h > LEVEL_TOL * low:
+        return None
+    keep = np.abs(vals) >= h
+    try:
+        nxt = _next_reference(xs[keep], vals[keep], len(u))
+    except ConvergenceError:
+        return None
+    return None if np.array_equal(nxt, u) else nxt
+
+
 def _next_reference(xs: np.ndarray, vals: np.ndarray, m: int) -> np.ndarray:
     """The next reference from the candidate points xs with their M values
     vals: in ascending order, a point within 1e-14 of the last one kept and
@@ -370,10 +442,16 @@ def minimal_polynomial(c: IntervalUnion, n: int) -> MinimalPolyResult:
     Convergence is a relative leveling gap at most LEVEL_TOL within MAX_ITER
     iterations; after MAX_ITER the smallest-gap iterate is accepted if its
     gap is at most STALL_ACCEPT, reported in `residual`, and otherwise
-    carried by a ConvergenceError.  Degrees above DEGREE_CAP are refused.  An
-    extremum search that leaves fewer than n + 1 sign runs of M, which
-    cannot happen in exact arithmetic (see `_node_extrema`), raises
-    ConvergenceError with the run count, carrying the best iterate so far.
+    carried by a ConvergenceError.  Above EIG_MAX, on a set whose narrowest
+    component w on the hull [-1, 1] has eps / w <= LEVEL_TOL (not 1e3 T_4
+    or 1e5 T_k, whose exchange is chaotic at the rounding floor), an
+    iteration may move on uncertified candidates (`_uncertified_reference`);
+    it counts toward `iterations` and MAX_ITER, but only an iterate of a
+    certified search, as the one at MAX_ITER always is, is accepted or
+    carried.  Degrees above DEGREE_CAP are refused.  An extremum search that
+    leaves fewer than n + 1 sign runs of M, which cannot happen in exact
+    arithmetic (see `_node_extrema`), raises ConvergenceError with the run
+    count, carrying the best iterate so far.
     A hull radius whose n-th power overflows, or a deviation below the
     normal double range, raises InvalidInputError.
     """
@@ -391,9 +469,17 @@ def minimal_polynomial(c: IntervalUnion, n: int) -> MinimalPolyResult:
 
     u = _init_reference(cn, n)
     ends = np.array(cn.endpoints)
+    # eps over the narrowest component's width is M's relative rounding there.
+    uncertified = n > EIG_MAX and _ULP <= LEVEL_TOL * float(np.min(ends[1::2] - ends[0::2]))
+    best = None
     for it in range(1, MAX_ITER + 1):
         w, h, d1, d2 = leveled.leveled(u)
         cands = _node_extrema(ends, u, w, h, d1, d2)
+        if cands is None and uncertified and it < MAX_ITER:
+            nxt = _uncertified_reference(ends, u, w, h, d1, d2)
+            if nxt is not None:
+                u = nxt
+                continue
         if cands is None and n <= EIG_MAX:
             cands = _pencil_extrema(ends, u, w, h, d1)
         if cands is None:
@@ -401,7 +487,7 @@ def minimal_polynomial(c: IntervalUnion, n: int) -> MinimalPolyResult:
         emax = float(np.abs(cands[1]).max())
         gap = max(emax - h, 0.0)
         gap_rel = gap / emax if emax > 0 else 0.0
-        if it == 1 or gap_rel < best[0]:
+        if best is None or gap_rel < best[0]:
             best = (gap_rel, u, w, h, emax, gap, it)
         if gap_rel <= LEVEL_TOL:
             break

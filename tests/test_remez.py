@@ -753,11 +753,11 @@ def _sweep_solves():
                          ids=["frontier", "sweep"])
 def test_evaluate_passes_per_exchange_iteration(monkeypatch, solves, bound):
     # One evaluate pass per iteration: the node search's second step, the
-    # pencil's values, or the interlaced search's Newton step and Taylor
-    # values, 1.00 per iteration on the 21 frontier solves (n = 32/40/48)
-    # and on the 360 sweep solves (the verify fixtures at n <= 20, 20 random
-    # unions at n = 1..10 each).  A further pass over the interpolant shows
-    # here.
+    # pencil's values, the log-Newton search's second step, or the
+    # interlaced search's Newton step and Taylor values, 1.00 per iteration
+    # on the 21 frontier solves (n = 32/40/48) and on the 360 sweep solves
+    # (the verify fixtures at n <= 20, 20 random unions at n = 1..10 each).
+    # A further pass over the interpolant shows here.
     solves = solves()
     calls = []
     monkeypatch.setattr(leveled, "evaluate", lambda *a: calls.append(1) or evaluate(*a))
@@ -1168,24 +1168,32 @@ def _counting(monkeypatch, module, name):
 
 def test_pencil_search_runs_up_to_eig_max_and_the_interlaced_search_above(monkeypatch):
     # At EIG_MAX the iterations that the node search does not certify take
-    # the pencil, and no interlaced solve runs; at EIG_MAX + 1 the
-    # interlaced search runs and no pencil is solved.
+    # the pencil, and neither an interlaced solve nor a log-Newton search
+    # runs.  At EIG_MAX + 1 no pencil is solved: on quad those iterations
+    # take the log-Newton search and the node search certifies the stop; on
+    # 1e5*T_4, whose components are too narrow for it, they take the
+    # interlaced search.
     solved = _counting(monkeypatch, leveled, "critical_points")
     interlaced = _counting(monkeypatch, leveled, "interlaced_zeros")
+    stepped = _counting(monkeypatch, _remez, "_log_newton_extrema")
     assert minimal_polynomial(QUAD, _remez.EIG_MAX).iterations > 1
-    assert solved and interlaced == []
+    assert solved and interlaced == [] and stepped == []
     solved.clear()
     assert minimal_polynomial(QUAD, _remez.EIG_MAX + 1).iterations > 1
-    assert interlaced and solved == []
+    assert stepped and solved == [] and interlaced == []
+    stepped.clear()
+    assert minimal_polynomial(_scaled_image(1e5, 4), _remez.EIG_MAX + 1).iterations > 1
+    assert interlaced and solved == [] and stepped == []
 
 
 def test_pencil_with_a_complex_pair_falls_back_to_the_interlaced_search(monkeypatch):
     # A pencil whose eigenvalue solve returns a complex pair gives no zeros
     # of M'; the iteration runs the interlaced search instead, so a solve in
     # which every pencil does returns the interlaced search's result, and
-    # the pencil search's deviation to rounding.
+    # the pencil search's deviation to rounding.  The interlaced solve is
+    # the one of a pencil that always declines.
     pencil = minimal_polynomial(QUAD, 12)
-    monkeypatch.setattr(_remez, "EIG_MAX", 0)
+    monkeypatch.setattr(leveled, "critical_points", lambda *a: None)
     interlaced = minimal_polynomial(QUAD, 12)
     monkeypatch.undo()
     eigvals = np.linalg.eigvals
@@ -1264,14 +1272,80 @@ def test_one_iteration_frontier_solves_build_no_extremum_grid(monkeypatch):
     # The 15 frontier solves on inverse images (the interval, e_0.3, e_0.6,
     # 1.25*T_3 and 1.25*T_4 at n = 32/40/48) end in their first iteration,
     # certified from the nodes: no grid and no eigenvalue solve; triple at
-    # n = 32 takes the interlaced search.
+    # n = 32 takes the log-Newton search, and no pencil.
     solved = _counting(monkeypatch, leveled, "interlaced_zeros")
     pencils = _counting(monkeypatch, leveled, "critical_points")
+    stepped = _counting(monkeypatch, _remez, "_log_newton_extrema")
     solves = _frontier_solves()[:15]
     assert [minimal_polynomial(e, n).iterations for e, n in solves] == [1] * 15
-    assert solved == [] and pencils == []
+    assert solved == [] and pencils == [] and stepped == []
     minimal_polynomial(TRIPLE, 32)
-    assert solved and pencils == []
+    assert stepped and pencils == []
+
+
+@pytest.mark.parametrize("e", [TRIPLE, QUAD], ids=["triple", "quad"])
+@pytest.mark.parametrize("n", [32, 40, 48])
+def test_frontier_solves_take_at_most_one_interlaced_solve(monkeypatch, e, n):
+    # Above EIG_MAX the exchange moves on the log-Newton search's
+    # uncertified candidates, and only a stop needs the certified sup: the
+    # interlaced search runs at most once per solve (on these, never: the
+    # node search certifies the stop).
+    solved = _counting(monkeypatch, leveled, "interlaced_zeros")
+    stepped = _counting(monkeypatch, _remez, "_log_newton_extrema")
+    r = minimal_polynomial(e, n)
+    assert r.iterations > 1 and stepped and len(solved) <= 1
+
+
+def _drop_the_largest(xs, vals, low):
+    k = np.argmax(np.abs(vals))
+    return np.delete(xs, k), np.delete(vals, k), low
+
+
+def _nodes_only(xs, vals, low, u, w, h):
+    return u, np.sign(w) * h, low
+
+
+@pytest.mark.parametrize("e, n", [(TRIPLE, 40), (QUAD, 48)], ids=["triple", "quad"])
+@pytest.mark.parametrize("patch", ["drop-largest", "nodes-only"])
+def test_uncertified_candidates_cannot_move_the_stop(monkeypatch, e, n, patch):
+    # The exchange may move on any alternating candidates whose |M| is at
+    # least h; only the certified search stops it.  A log-Newton search that
+    # loses its largest |M| (the exchange on its candidates may then lack a
+    # sign run, and the iteration takes the certified search), or that
+    # returns the nodes only (the exchange would give back the same
+    # reference), converges to the same deviation within LEVEL_TOL.
+    want = minimal_polynomial(e, n)
+    search = _remez._log_newton_extrema
+    calls = []
+    patched = ((lambda *a: _drop_the_largest(*search(*a))) if patch == "drop-largest"
+               else lambda *a: _nodes_only(*search(*a), *a[1:4]))
+    monkeypatch.setattr(_remez, "_log_newton_extrema", lambda *a: calls.append(1) or patched(*a))
+    r = minimal_polynomial(e, n)
+    assert calls
+    assert r.deviation == pytest.approx(want.deviation, rel=1e-12, abs=0.0)
+    assert r.residual <= _remez.LEVEL_TOL * r.deviation
+
+
+def test_narrow_images_take_no_log_newton_search(monkeypatch):
+    # On 1e5*T_3 and 1e5*T_4 the narrowest component is about 2e-6 wide on
+    # the hull [-1, 1], eps over it 5e-11 to 1e-10, above LEVEL_TOL: every
+    # iteration keeps the certified search, and their trajectories, chaotic
+    # at the rounding floor, stay as the narrow-image tests pin them.
+    stepped = _counting(monkeypatch, _remez, "_log_newton_extrema")
+    for k in (3, 4):
+        e = _scaled_image(1e5, k)
+        for n in range(_remez.EIG_MAX + 1, 101):
+            minimal_polynomial(e, n)
+    assert stepped == []
+
+
+def test_verify_fixtures_iteration_totals_above_eig_max():
+    # The exchange's iteration count over n = 31..100 on each verify
+    # fixture: a drift in the search that moves the exchange shows here.
+    totals = {name: sum(minimal_polynomial(e, n).iterations for n in range(31, 101))
+              for name, e in _verify_fixtures()}
+    assert totals == {"interval": 70, "pair-0.3": 210, "pair-0.5": 210, "pair-0.6": 210,
+                      "pair-0.7": 210, "asymmetric-pair": 346, "triple": 346, "quad": 365}
 
 
 def test_evaluate_reads_the_first_form_everywhere():
