@@ -9,20 +9,17 @@ largest modulus e^m (the second barycentric form is invariant to a common
 factor) and h = e^(-m)/sum|w~_j|, so nothing underflows at degree 100.  Each
 exchange iteration makes one pass over its reference (`leveled`): the node
 differences give the weights and level, and inverted in place, M' at every
-node and M'' at the interior ones, which the node and pencil searches
-read.  Between the nodes, M, M' and M'' come from the second barycentric
-form and the Schneider-Werner divided differences (`evaluate`).  Their
-error grows with the Lebesgue function of the reference on the set, not
-with the peak of |M| in its gaps as a Chebyshev-basis Clenshaw sum's does.
-The exchange seeks the extrema of M from its nodes first, then up to
-`remez.EIG_MAX` from the zeros of M' (`critical_points`: the eigenvalues of
-the barycentric companion pencil of M' on n of its node values, backward
-stable by Lawrence & Corless, Numer. Algorithms 2014), each declining where
-it cannot certify them, and otherwise from the zeros of M' by the interlacing
-(`interlaced_zeros`: two symmetric eigenvalue solves) with one Newton step
-on `evaluate`; the blow-up set takes the zeros of M and M' in the gaps
-from the same solve.  The equilibrium measure raises ConvergenceError on
-a component too narrow for its midpoint sums.  Since the evaluation error
+node and M'' at the interior ones, which the exchange's node pass reads.
+Between the nodes, M, M' and M'' come from the second barycentric form
+and the Schneider-Werner divided differences (`evaluate`).  Their error
+grows with the Lebesgue function of the reference on the set, not with
+the peak of |M| in its gaps as a Chebyshev-basis Clenshaw sum's does.
+The exchange bounds sup |M| from one Newton step per node and one
+`evaluate`, and only where that bound cannot serve takes the zeros of M'
+by the interlacing (`interlaced_zeros`: two symmetric eigenvalue solves)
+with one Newton step on `evaluate`; the blow-up set takes the zeros of M
+and M' in the gaps from the same solve.  The equilibrium measure raises
+ConvergenceError on a component too narrow for its midpoint sums.  Since the evaluation error
 does grow with the Lebesgue function, the first reference follows the
 set's equilibrium measure, which the minimizer's extrema approach: a
 reference off by a few points per interval at degree 100 has a Lebesgue
@@ -161,7 +158,7 @@ def leveled(u: np.ndarray) -> NodePass:
     `evaluate` takes them at a node from its sign-split sums.  M' and M''
     are the sums of the terms D_kj (f_j - f_k): summed by sign instead, M'
     at a node where it vanishes comes out as a rounding-level value of
-    either sign, and the node search reads that sign on an interval end."""
+    either sign, and the node pass reads that sign on an interval end."""
     n = len(u) - 1
     inv = np.subtract.outer(u, u)
     diag = inv.reshape(-1)[::n + 2]  # a view of the diagonal
@@ -178,47 +175,6 @@ def leveled(u: np.ndarray) -> NodePass:
     mid = inv[1:-1]
     d2 = 2.0 * (t[1:-1] * (mid.sum(axis=1)[:, None] - mid)).sum(axis=1)
     return NodePass(w, h, t.sum(axis=1), d2)
-
-
-def critical_points(u, w, d1):
-    """The n - 1 zeros of M' in ascending order, from one eigenvalue solve,
-    or None where the solve does not give n - 1 real ones.  d1 is M' at the
-    nodes, from `leveled`.
-
-    M' has degree n - 1, so its values d_j = M'(u_j) at the first n nodes
-    give it exactly in barycentric form on those nodes, whose weights are
-    w_j (u_j - u_n), and its zeros are the finite eigenvalues of the
-    companion pencil A = [[0, -d^T], [w, diag(u)]], B = diag(0, 1, ..., 1)
-    of size n + 1, which Lawrence & Corless ("Stability of rootfinding for
-    barycentric Lagrange interpolants", Numer. Algorithms 65, 2014) show to
-    be backward stable in the values d.  numpy has no generalized eigenvalue
-    solver, so the pencil is shift-inverted at s = 3, outside the hull
-    [-1, 1]: the eigenvalues mu of (A - s B)^(-1) B give lambda = s + 1/mu.
-    That matrix has a zero first column, and its trailing n x n block is the
-    diagonal D^(-1) = diag(1/(u - s)) minus the rank-one D^(-1) w d^T D^(-1)
-    over d^T D^(-1) w, formed in place.  The two infinite eigenvalues are
-    the dropped first column and one exact zero of the block, whose null
-    vector is w; it comes out below 1e-14 (on all n + 1 values the block
-    has a Jordan pair there instead, which LAPACK splits to modulus 1e-8),
-    while a zero in [-1, 1] has |mu| >= 1/4, so mu of modulus 1e-3 or less
-    are dropped.  The zeros are within 1e-11 of the node spacing of those
-    of the pencil on all n + 1 values.  A real matrix's real eigenvalues
-    come out of LAPACK with a zero imaginary part; a complex pair means two
-    zeros of M' that rounding cannot separate.
-    """
-    n = len(u) - 1
-    v, d = u[:-1], d1[:-1]
-    r = 1.0 / (v - 3.0)
-    rw = r * w[:-1] * (v - u[-1])
-    block = np.multiply.outer(rw / -(rw @ d), d * r)
-    block.reshape(-1)[::n + 1] += r
-    mu = np.linalg.eigvals(block)
-    mu = mu[np.abs(mu) > 1e-3]
-    if len(mu) != n - 1 or mu.imag.any():
-        return None
-    crit = 3.0 + 1.0 / mu.real
-    crit.sort()
-    return crit
 
 
 def _compressed(d, v):

@@ -5,35 +5,30 @@ covariant, L_n(s E + t) = |s|^n L_n(E), which is how results return to the
 original frame.  Each iterate is the leveled interpolant on the reference,
 in the barycentric form of `leveled`, whose evaluation error on the set does
 not grow with the size of M in the gaps.  One pass over the reference nodes
-(`leveled.leveled`) gives its weights and level, M' at every node and M'' at
-the interior ones.  Every iteration first seeks the extrema from the
-reference nodes (`_node_extrema`): M has one zero between consecutive nodes
-and M' one between consecutive zeros of M, so |M| has one peak near each
-node, which Newton from the node finds, or the search declines.  It
-certifies the first iterate on an inverse image, whose first reference is
-its minimizer's extrema, and the later iterates once the exchange
-converges.  Up to degree EIG_MAX the pencil search (`_pencil_extrema`) then
-takes all n - 1 zeros of M' from one eigenvalue solve of its barycentric
-companion pencil on n of the node values of M' (`leveled.critical_points`,
-after Pachon & Trefethen's barycentric Remez, BIT 2009, and Lawrence &
-Corless, Numer. Algorithms 2014), with no Newton polish, or declines
-where it does not give n - 1 real zeros.  Above EIG_MAX, and where the
-pencil declines, the interlaced search (`_interlaced_extrema`) takes the
+(`leveled.leveled`) gives its weights and level, M' at every node and M''
+at the interior ones.  Every iteration then makes one pass over the
+interior nodes (`_node_pass`): M has one zero between consecutive nodes,
+so |M| has one peak in each node's window between them, where log|M| is
+strongly concave, and one Newton step from each node and one evaluation
+there give a bound U on sup |M| (and the exchange's next candidates).
+Where U is within LEVEL_TOL of the level h the exchange stops, with U as
+the deviation.  Otherwise it moves on the pass's candidates with |M| >= h
+(the barycentric exchange of Pachon & Trefethen, BIT 2009): an exchange
+onto any alternating points where |M| >= h raises the level (de la Vallee
+Poussin), so the move needs no certified extrema.  The interlaced search
+(`_interlaced_extrema`) runs only where the pass cannot serve: where its
+candidates lack a sign run, give back the reference or did not raise the
+level on the last move, where the largest |M| it evaluated shows no gap
+above LEVEL_TOL, at MAX_ITER, and on a set whose narrowest component is at
+the rounding floor wherever U does not stop the exchange.  It takes the
 zeros of M, then of M', from two symmetric eigenvalue solves
 (`leveled.interlaced_zeros`), always real, and polishes those in the set by
-one Newton step; it never declines.  Each search hands its candidates to
-`_next_reference`, which keeps one extremum per sign run of M and so
-enforces the alternation.  Only the stop needs the certified sup: an
-exchange onto any alternating points with |M| >= h raises the level (de la
-Vallee Poussin).  So above EIG_MAX, on a set whose narrowest component is
-not at the rounding floor, an iteration the node search declines first
-takes two Newton steps on M'/M from the nodes (`_log_newton_extrema`), and
-exchanges on those candidates with no eigenvalue solve while the largest
-|M| they evaluate shows a leveling gap above LEVEL_TOL; the interlaced
-search runs only where it may stop the exchange.  `blow_up_set` reads C'
-gap by gap between the zeros of M and M' of one interlaced solve, with no
-grid, through the first barycentric form (`leveled.gap_terms`), and
-`evaluate` reads M through that form everywhere.  Monomial coefficients of
+one Newton step: every local maximum of |M| on the set.  Each search hands
+its candidates to `_next_reference`, which keeps one extremum per sign run
+of M and so enforces the alternation.  `blow_up_set` reads C' gap by gap
+between the zeros of M and M' of one interlaced solve, with no grid,
+through the first barycentric form (`leveled.gap_terms`), and `evaluate`
+reads M through that form everywhere.  Monomial coefficients of
 near-minimal polynomials grow exponentially with the degree, so `poly` is
 for reporting only.
 """
@@ -66,29 +61,14 @@ STALL_ACCEPT = 1e-6
 # rad (c q)^2 / 2 from the end (c = d angle / dq, pi on one interval), far
 # below an ulp of the radius.
 END_SNAP = 1e-12
-# A node's first Newton step toward its extremum must be within this
-# fraction of the smaller neighbouring node spacing; the second step is then
-# of order NODE_STEP^2 of it, and must change M by under an ulp of h.
-NODE_STEP = 1e-3
-# Up to this degree an iteration that the node search does not certify takes
-# its critical points from the companion pencil (`leveled.critical_points`),
-# above it from the log-Newton search (`_log_newton_extrema`) while that
-# shows a gap above LEVEL_TOL, and otherwise from the interlaced solve
-# (`leveled.interlaced_zeros`).  At n <= 20 an interlaced call, node pass
-# included, took 1.37x (n = 11..20) to 1.61x (n = 2..5) the pencil's time,
-# and 360 solves 1.22x as long with EIG_MAX = 0; from n = 24 to 48 it took
-# 0.92x to 1.07x.  With the log-Newton search in the pencil's place the 104
-# solves of the verify fixtures at n = 2..14 took 1.00x as long (2-core
-# x86-64 VM), so below EIG_MAX the pencil stays.
-EIG_MAX = 30
 # |M| peaks on a gap end, and not in the gap, where a Newton step on M'/M
 # from the end would move log|M| by less than this; |M| is stationary there.
 PEAK_TOL = 1e-14
 # Passes of a blow-up set's crossing search before it is a numerical
 # failure; on the fixtures none takes more than 4.
 GAP_PASSES = 100
-# An ulp of the normalized hull's radius: a point past an interval end by
-# less is on it.
+# An ulp of the normalized hull's radius; over a component's width, M's
+# relative rounding there.
 _ULP = math.ulp(1.0)
 
 
@@ -99,10 +79,13 @@ class MinimalPolyResult:
     Numerical work should use `evaluate`, which reads the leveled
     interpolant of the final reference in the normalized frame: its `nodes`,
     scaled barycentric `weights` and `level` h, with M(nodes[j]) = +-h.
-    `residual` is the leveling gap sup|M| - min leveled |M| at acceptance
-    (above LEVEL_TOL only at MAX_ITER), in original-frame units; the reported
-    deviation is the actual sup of M on the set, so the true minimum
-    deviation lies within residual below it.
+    `deviation` is the node pass's bound U on sup |M| on the set, an upper
+    bound up to the evaluation's rounding, or where the interlaced search
+    took the stop, the largest |M| at every local maximum; `residual` is the
+    gap deviation - h at acceptance (above LEVEL_TOL only at MAX_ITER), in
+    original-frame units.  h <= L_n <= sup |M| (de la Vallee Poussin), so
+    the true minimum deviation lies within residual below the deviation,
+    up to that rounding.
     `poly`, the monomial coefficients in the original frame, for reporting,
     is computed from the reference on first read.
     """
@@ -234,170 +217,112 @@ def _interlaced_extrema(ends: np.ndarray, u, w, h, crit):
             np.concatenate((m[k:], (m[:k] + dx * (dm + 0.5 * dx * d2m))[keep])))
 
 
-def _pencil_extrema(ends: np.ndarray, u, w, h, d1):
-    """The candidates of `_interlaced_extrema` from the zeros of M' that
-    `leveled.critical_points` finds from M' at the nodes (d1), and M at
-    them from one order-0 `leveled.evaluate`, as two arrays; None where the
-    pencil does not give n - 1 real zeros.  The zeros need no Newton polish:
-    M is stationary there, and they are within about 1e-11 of the node
-    spacing of the polished ones."""
-    crit = leveled.critical_points(u, w, d1)
-    if crit is None:
-        return None
-    xs = np.concatenate((ends, crit[np.searchsorted(ends, crit) % 2 == 1]))
-    return xs, leveled.evaluate(xs, u, w, h, 0)[0]
+def _node_pass(ends: np.ndarray, u, w, h, d1, d2, move: bool):
+    """One pass over the interior nodes: (U, low, candidates).  U bounds
+    sup |M| on the union with the endpoints `ends`; low, the largest |M|
+    evaluated, is a lower bound on it, and the candidates, as two arrays, are
+    the exchange's next points, both None where U certifies the stop or
+    `move` is false.  d1 and d2 are M' at every node and M'' at the interior
+    ones, from `leveled.leveled`.
 
+    M(u_j) = s_j h alternates in sign, so M has one zero z_j in each
+    (u_j, u_{j+1}), and M' one zero in each window W_j = (z_{j-1}, z_j),
+    j = 1..n-1, and none outside them: |M| is monotone beyond z_0 and
+    z_{n-1}, so |M(-1)| and |M(1)| hold the sup there.  On W_j,
+    (log|M|)'' = -sum_i 1/(x - z_i)^2 <= -8/d_j^2, d_j = u_{j+1} - u_{j-1},
+    and strong concavity (Boyd & Vandenberghe, Convex Optimization, 9.1.2)
+    bounds the window's peak by U_j = |M(x)| exp(g(x)^2 d_j^2 / 16),
+    g = M'/M, at any x in (u_{j-1}, u_{j+1}) where M has u_j's sign, which
+    puts x in W_j; U_j is inf at any other x.  x is one Newton step on g from
+    the node, g' = M''/M - g^2 < 0 there, clipped to the box: the node's
+    interval and the midpoints to its neighbours.  Where the step leaves the
+    interval at its end e, and |M| grows out of the set there, the peak lies
+    in the gap beyond e: the window's sup on the set is |M(e)| if M has the
+    other sign at the gap's far end a' (a' lies past z_j), or the larger of
+    |M(e)| and |M(a')| if |M| falls into a''s interval there.  U is the
+    largest of |M(+-1)| and the U_j, from one order-1 `leveled.evaluate` at
+    the points and the interval ends; it bounds the sup of the computed M up
+    to the evaluation's rounding.
 
-def _node_extrema(ends: np.ndarray, u, w, h, d1, d2):
-    """The candidates of `_interlaced_extrema` found from the reference nodes
-    alone, on the union with the endpoints `ends`, or None where they cannot
-    be certified that way.  d1 and d2 are M' at every node and M'' at the
-    interior ones, from `leveled.leveled`.
-
-    M(u_j) = s_j h alternates in sign, so the degree-n M has one zero z_j in
-    each (u_j, u_{j+1}), and M' has one zero c_j in each window
-    (z_{j-1}, z_j), j = 1..n-1, and none outside them: |M| is unimodal on
-    each window, with its peak at c_j, and monotone beyond z_0 and z_{n-1}.
-    So the interior critical points on the set are the c_j that lie inside
-    an interval, and each is sought from u_j alone.
-
-    A node inside an interval takes one Newton step on M'.  The step must
-    be within NODE_STEP of the smaller neighbouring node spacing, M'' must
-    make the point a peak of |M|, and the point must stay in the interval;
-    a point past its end by less than an ulp of the hull's radius 1 is that
-    end, where the rounding of the step puts a peak that sits on the end.
-    One batched `leveled.evaluate` at the Newton points and all interval
-    ends (an end on a node takes s_j h there exactly) then gives a second
-    step; M must have the node's sign there, the point must still be in the
-    interval, and M' times the step must be within an ulp of h, so the
-    second-order Taylor value taken there is off by far less (M'' at the
-    node is within about NODE_STEP of M'' at the point).  The point has the node's sign and lies
-    within a small part of a node spacing of u_j, so it is c_j.
-
-    A node on an interval end is certified when |M| grows out of the set
-    there, so c_j lies beyond it, or when M'' makes the node a peak of |M|
-    and the Newton step -M'/M'' is within an ulp, so c_j is the node, as a
-    point within an ulp past an end is that end; and at the gap's other end
-    a' either M has the other sign (a' is past z_j, as a node there is) or
-    |M| falls into a''s interval (c_j lies in the gap).  The end nodes u_0
-    and u_n need nothing.  The candidates are the interval ends and the c_j
-    found inside an interval, and M at them, as two arrays: a c_j on an end
-    is that end's candidate, as in the interlaced search.
-
-    The same windows give every reference that follows n + 1 sign runs.
-    The window of u_j holds a candidate of u_j's sign with |M| >= h: c_j if
-    it lies in the set, else the end of u_j's interval between u_j and c_j,
-    up to which |M| grows from h.  Beyond z_0 and z_{n-1} that candidate is
-    the hull's end.  The windows are disjoint and ordered, so these n + 1
-    candidates alternate in sign, and `_next_reference` finds at least
-    n + 1 runs among the candidates of either search, as long as it finds
-    every critical point on the set.
-
-    The nodes are checked in one Python pass before the evaluation and one
-    after it, as `_gap_search` keeps its cells: the same checks on arrays
-    take some sixty small numpy calls, whose fixed cost is most of the work
-    at these sizes (the search took twice as long at n = 10 that way, 1.1x
-    as long at n = 48 and 0.8x at n = 100).
+    Each candidate is a second Newton step on g from x, with M'' taken from
+    the secant of M' between the node and x and M there its Taylor value;
+    where that is not of the node's sign and at least h in modulus, x is
+    the candidate if it is, else the node.  With u_0, u_n and the interval
+    ends they hold n + 1 alternating sign runs, and every alternating
+    reference on them with |M| >= h raises the level (de la Vallee Poussin).
+    The pass runs in Python, as `_gap_search` keeps its cells: on arrays the
+    same work takes some forty small numpy calls, whose fixed cost is most
+    of an iteration at these sizes.
     """
     n = len(u) - 1
     e = ends.tolist()
     ul = u.tolist()
-    nodes = zip(ends.searchsorted(u[1:-1]).tolist(), ul[:-2], ul[1:-1], ul[2:],
-                d1[1:-1].tolist(), d2.tolist())
+    pieces = (2 * ends[1::2].searchsorted(u[1:-1])).tolist()  # the node's interval starts at e[q]
     s = -1.0 if n % 2 else 1.0  # s_0, the sign of M(u_0)
-    points, inner, edges = [], [], []
-    for p, left, x0, right, m1, m2 in nodes:  # x0 lies in (e[p - 1], e[p]]
+    points, rows = [], []
+    for q, left, x0, right, m1, m2 in zip(pieces, ul[:-2], ul[1:-1], ul[2:],
+                                          d1[1:-1].tolist(), d2.tolist()):
         s = -s
-        hi = e[p]
-        if hi == x0:  # on an end: |M| grows out of the set there, or peaks on it
-            out = 1.0 if p & 1 else -1.0
-            if not (s * m1 * out > 0.0 or (s * m2 < 0.0 and abs(m1) <= _ULP * abs(m2))):
-                return None
-            edges.append((s, p + int(out), out))  # the gap's other end a'
-            continue
-        lo = e[p - 1]
-        x = x0 - m1 / m2 if s * m2 < 0.0 else math.nan  # no peak of |M|: refused below
-        spacing = x0 - left if x0 - left < right - x0 else right - x0
-        if not (abs(x - x0) <= NODE_STEP * spacing and lo - _ULP <= x <= hi + _ULP):
-            return None
-        points.append(lo if x < lo else hi if x > hi else x)
-        inner.append((s, m2, lo, hi))
-    k = len(points)
+        g = s * m1 / h
+        dg = s * m2 / h - g * g
+        x = x0 - g / dg if dg < 0.0 else x0
+        lo, hi = 0.5 * (left + x0), 0.5 * (x0 + right)
+        lo, hi = (e[q] if e[q] > lo else lo), (e[q + 1] if e[q + 1] < hi else hi)
+        x = lo if x < lo else hi if x > hi else x
+        points.append(x)
+        rows.append((s, q, x0, m1, lo, hi, (right - left) ** 2 / 16.0))
+    k = n - 1
     m, dm = (v.tolist() for v in leveled.evaluate(np.array(points + e), u, w, h, 1))
-    ulp_h = math.ulp(h)
-    xs, vals = e, m[k:]
-    for x, mx, dmx, (s, m2, lo, hi) in zip(points, m, dm, inner):
-        step = -dmx / m2
-        x += step
-        if not (s * mx > 0.0 and abs(step * dmx) <= ulp_h and lo - _ULP <= x <= hi + _ULP):
-            return None
-        if lo < x < hi:  # a point on or past an end is that end's candidate
+    me, dme = m[k:], dm[k:]
+    bound = max(abs(me[0]), abs(me[-1]))
+    for x, mx, dmx, (s, q, _, _, _, _, dd) in zip(points, m, dm, rows):
+        if not s * mx > 0.0:
+            bound = math.inf
+            continue
+        g = dmx / mx
+        t = g * g * dd
+        peak = abs(mx) * math.exp(t) if t < 700.0 else math.inf  # exp overflows past 709.78
+        if x == e[q + 1] and s * dmx > 0.0:  # |M| grows out of the set at the right end
+            far = q + 2
+        elif x == e[q] and s * dmx < 0.0:  # and at the left end
+            far = q - 1
+        else:
+            far = None
+        if far is not None:  # at a', the other sign, or |M| falling away from the gap
+            if s * me[far] < 0.0:
+                peak = abs(mx)
+            elif s * dme[far] * (far - q) < 0.0:
+                peak = max(abs(mx), abs(me[far]))
+        if peak > bound:
+            bound = peak
+    if bound != bound:  # a nan value
+        bound = math.inf
+    if not move or bound - h <= LEVEL_TOL * bound < math.inf:
+        return bound, None, None
+    low = max(h, max(map(abs, m)))
+    xs, vals = [ul[0], ul[-1]], [-h if n % 2 else h, h]
+    for x, mx, dmx, (s, q, x0, m1, lo, hi, _) in zip(points, m, dm, rows):
+        cx, val = x0, s * h
+        if s * mx > 0.0 and x != x0:
+            d2x = (dmx - m1) / (x - x0)
+            g = dmx / mx
+            dg = d2x / mx - g * g
+            if dg < 0.0:
+                x2 = x - g / dg
+                x2 = lo if x2 < lo else hi if x2 > hi else x2
+                dx = x2 - x
+                v = mx + dx * (dmx + 0.5 * dx * d2x)
+                if s * v >= h:
+                    cx, val = x2, v
+            if cx == x0 and s * mx >= h:
+                cx, val = x, mx
+        xs.append(cx)
+        vals.append(val)
+    for x, v in zip(e, me):
+        if abs(v) >= h:
             xs.append(x)
-            vals.append(mx + 0.5 * step * dmx)
-    for s, far, out in edges:
-        if not (s * m[k + far] < 0.0 or s * dm[k + far] * out < 0.0):
-            return None
-    return np.array(xs), np.array(vals)
-
-
-def _log_newton_extrema(ends: np.ndarray, u, w, h, d1, d2):
-    """Uncertified candidates from two Newton steps on g = M'/M from each
-    interior node: the points, M at them, and the largest |M| evaluated, a
-    lower bound on sup |M| on the union with the endpoints `ends`.  d1 and
-    d2 are M' and M'' at the nodes, from `leveled.leveled`.
-
-    log|M| is strictly concave between consecutive zeros of M, so
-    g' = M''/M - g^2 < 0 there and a step on g heads for the peak of |M| in
-    the node's window (see `_node_extrema`), where plain Newton on M' from a
-    node beside a gap end misses it.  The first step reads the node's M' and
-    M''; one order-2 `leveled.evaluate` at the stepped points and the
-    interval ends gives the second, and M at its point is the Taylor value
-    from there.  Each point is clipped to its node's interval and to the
-    midpoints to the neighbouring nodes, one per window; a node whose point
-    has the wrong sign or |M| <= h keeps itself.  With u_0, u_n and the
-    interval ends the candidates hold n + 1 alternating sign runs, but
-    nothing shows that they hold every peak on the set."""
-    node = u[1:-1]
-    f = np.sign(w[1:-1]) * h  # M at the interior nodes
-    right = ends[1::2]
-    piece = right.searchsorted(node)  # the node's interval ends at right[piece]
-    lo = np.maximum(ends[0::2][piece], 0.5 * (u[:-2] + node))
-    hi = np.minimum(right[piece], 0.5 * (node + u[2:]))
-
-    def stepped(x, m, dm, d2m):  # a step only where g' < 0, as it is in exact arithmetic
-        g = dm / m
-        dg = d2m / m - g * g
-        return np.minimum(np.maximum(x + np.where(dg < 0.0, -g / dg, 0.0), lo), hi)
-
-    k = len(node)
-    with np.errstate(divide="ignore", invalid="ignore"):  # g' = 0, or M = 0 at a point
-        x = stepped(node, f, d1[1:-1], d2)
-        m, dm, d2m = leveled.evaluate(np.concatenate((x, ends)), u, w, h, 2)
-        mx, dm, d2m = m[:k], dm[:k], d2m[:k]
-        dx = stepped(x, mx, dm, d2m) - x
-        val = mx + dx * (dm + 0.5 * dx * d2m)
-    ok = (f * val > 0.0) & (np.abs(val) > h)
-    return (np.concatenate((ends, u[[0, -1]], np.where(ok, x + dx, node))),
-            np.concatenate((m[k:], np.sign(w[[0, -1]]) * h, np.where(ok, val, f))),
-            max(h, float(np.abs(m).max())))
-
-
-def _uncertified_reference(ends: np.ndarray, u, w, h, d1, d2):
-    """The next reference from `_log_newton_extrema`'s candidates with |M| >= h,
-    or None where the iteration needs the certified search: where the gap
-    that the largest evaluated |M| shows is not above LEVEL_TOL, where those
-    candidates lack a sign run, or where they give back the reference u.  On
-    candidates with |M| >= h every alternating reference raises the level (de
-    la Vallee Poussin), so moving on them is sound whatever they miss."""
-    xs, vals, low = _log_newton_extrema(ends, u, w, h, d1, d2)
-    if not low - h > LEVEL_TOL * low:
-        return None
-    keep = np.abs(vals) >= h
-    try:
-        nxt = _next_reference(xs[keep], vals[keep], len(u))
-    except ConvergenceError:
-        return None
-    return None if np.array_equal(nxt, u) else nxt
+            vals.append(v)
+    return bound, low, (np.array(xs), np.array(vals))
 
 
 def _next_reference(xs: np.ndarray, vals: np.ndarray, m: int) -> np.ndarray:
@@ -407,9 +332,9 @@ def _next_reference(xs: np.ndarray, vals: np.ndarray, m: int) -> np.ndarray:
     (the leftmost on ties), and the run at whichever end has the smaller
     |M| (the left on ties) is dropped until m remain.
 
-    Fewer than m sign runs cannot happen in exact arithmetic (see
-    `_node_extrema`), so it raises ConvergenceError rather than exchange a
-    reference that does not alternate.
+    Fewer than m sign runs cannot happen in exact arithmetic on every local
+    maximum of |M| (see `_node_pass`), so it raises ConvergenceError rather
+    than exchange a reference that does not alternate.
     """
     runs = []  # (x, M) of the largest |M| in each sign run so far
     last = -math.inf
@@ -442,16 +367,16 @@ def minimal_polynomial(c: IntervalUnion, n: int) -> MinimalPolyResult:
     Convergence is a relative leveling gap at most LEVEL_TOL within MAX_ITER
     iterations; after MAX_ITER the smallest-gap iterate is accepted if its
     gap is at most STALL_ACCEPT, reported in `residual`, and otherwise
-    carried by a ConvergenceError.  Above EIG_MAX, on a set whose narrowest
-    component w on the hull [-1, 1] has eps / w <= LEVEL_TOL (not 1e3 T_4
-    or 1e5 T_k, whose exchange is chaotic at the rounding floor), an
-    iteration may move on uncertified candidates (`_uncertified_reference`);
-    it counts toward `iterations` and MAX_ITER, but only an iterate of a
-    certified search, as the one at MAX_ITER always is, is accepted or
-    carried.  Degrees above DEGREE_CAP are refused.  An extremum search that
-    leaves fewer than n + 1 sign runs of M, which cannot happen in exact
-    arithmetic (see `_node_extrema`), raises ConvergenceError with the run
-    count, carrying the best iterate so far.
+    carried by a ConvergenceError.  The gap of an iterate is read from the
+    node pass's bound U, or from the interlaced search where that runs; on a
+    set whose narrowest component w on the hull [-1, 1] has eps / w above
+    LEVEL_TOL (1e3 T_4 or 1e5 T_k, whose exchange is chaotic at the rounding
+    floor) the interlaced search runs wherever U does not stop the
+    exchange, which moves on the pass's candidates where U is finite.
+    Degrees above DEGREE_CAP are refused.  An interlaced search that leaves
+    fewer than n + 1 sign runs of M, which cannot happen in exact arithmetic
+    (see `_node_pass`), raises ConvergenceError with the run count,
+    carrying the best iterate so far.
     A hull radius whose n-th power overflows, or a deviation below the
     normal double range, raises InvalidInputError.
     """
@@ -469,34 +394,44 @@ def minimal_polynomial(c: IntervalUnion, n: int) -> MinimalPolyResult:
 
     u = _init_reference(cn, n)
     ends = np.array(cn.endpoints)
-    # eps over the narrowest component's width is M's relative rounding there.
-    uncertified = n > EIG_MAX and _ULP <= LEVEL_TOL * float(np.min(ends[1::2] - ends[0::2]))
-    best = None
+    narrow = _ULP > LEVEL_TOL * float(np.min(ends[1::2] - ends[0::2]))
+    best = moved_from = None  # moved_from: h where the pass's candidates last moved the exchange
     for it in range(1, MAX_ITER + 1):
         w, h, d1, d2 = leveled.leveled(u)
-        cands = _node_extrema(ends, u, w, h, d1, d2)
-        if cands is None and uncertified and it < MAX_ITER:
-            nxt = _uncertified_reference(ends, u, w, h, d1, d2)
-            if nxt is not None:
-                u = nxt
-                continue
-        if cands is None and n <= EIG_MAX:
-            cands = _pencil_extrema(ends, u, w, h, d1)
-        if cands is None:
+        dev, low, cands = _node_pass(ends, u, w, h, d1, d2, it < MAX_ITER)
+        stop = dev - h <= LEVEL_TOL * dev < math.inf
+        # The pass's candidates move the exchange where |M| shows a gap above
+        # LEVEL_TOL (on a narrow set: where U is finite), unless they lack a
+        # sign run, give back u, or their last move did not raise the level;
+        # elsewhere the interlaced search runs.
+        nxt = None
+        if (cands is not None and (moved_from is None or h > moved_from)
+                and (dev < math.inf if narrow else low - h > LEVEL_TOL * low)):
+            try:
+                nxt = _next_reference(*cands, n + 1)
+            except ConvergenceError:
+                pass
+            if nxt is not None and np.array_equal(nxt, u):
+                nxt = None
+        if not stop and (nxt is None or narrow):
             cands = _interlaced_extrema(ends, u, w, h, leveled.interlaced_zeros(u, w)[1])
-        emax = float(np.abs(cands[1]).max())
-        gap = max(emax - h, 0.0)
-        gap_rel = gap / emax if emax > 0 else 0.0
+            dev = float(np.abs(cands[1]).max())
+            stop = dev - h <= LEVEL_TOL * dev
+        gap = max(dev - h, 0.0)
+        gap_rel = gap / dev if 0.0 < dev < math.inf else 1.0
         if best is None or gap_rel < best[0]:
-            best = (gap_rel, u, w, h, emax, gap, it)
-        if gap_rel <= LEVEL_TOL:
+            best = (gap_rel, u, w, h, dev, gap, it)
+        if stop:
             break
-        try:
-            u = _next_reference(*cands, n + 1)
-        except ConvergenceError as exc:
-            exc.last_iterate = _finalize(best, fwd, hull_scale)
-            raise
-    if not best[0] <= STALL_ACCEPT:  # only after MAX_ITER; also a nan gap
+        moved_from = h if nxt is not None else None
+        if nxt is None:
+            try:
+                nxt = _next_reference(*cands, n + 1)
+            except ConvergenceError as exc:
+                exc.last_iterate = _finalize(best, fwd, hull_scale)
+                raise
+        u = nxt
+    if not best[0] <= STALL_ACCEPT:  # only after MAX_ITER
         raise ConvergenceError(f"leveling gap {best[0]:.3e} after {MAX_ITER} iterations "
                                f"(degree {n})", last_iterate=_finalize(best, fwd, hull_scale))
     result = _finalize(best, fwd, hull_scale)
@@ -642,7 +577,7 @@ def blow_up_set(c: IntervalUnion, result: MinimalPolyResult) -> BlowUpResult:
     """C' = M_n^{-1}([-L, L]), the largest set on which M_n stays minimal.
 
     Read gap by gap from the result's leveled interpolant in the normalized
-    frame, with no grid, by the interlacing argument of `_node_extrema`.  The
+    frame, with no grid, by the interlacing argument of `_node_pass`.  The
     n zeros of M are real and interlace the nodes, which lie in E, so a gap
     (b, a) holds at most one zero z, and M' has one zero between consecutive
     zeros of M.  log|M| = sum_i log|x - z_i| is strictly concave between

@@ -140,6 +140,33 @@ def node_derivatives(u, w, h, k):
     return t.sum(axis=1), 2.0 * (t * (inv.sum(axis=1)[:, None] - inv)).sum(axis=1)
 
 
+def pencil_zeros(u, w, d1):
+    """The n - 1 zeros of M' in ascending order, from one eigenvalue solve,
+    or None where the solve does not give n - 1 real ones; d1 is M' at the
+    nodes.  M' has degree n - 1, so its values d_j = M'(u_j) at the first n
+    nodes give it exactly in barycentric form on those nodes, whose weights
+    are w_j (u_j - u_n), and its zeros are the finite eigenvalues of the
+    companion pencil A = [[0, -d^T], [w, diag(u)]], B = diag(0, 1, ..., 1)
+    (Lawrence & Corless, Numer. Algorithms 65, 2014), backward stable in the
+    values d.  numpy has no generalized eigenvalue solver, so the pencil is
+    shift-inverted at s = 3, outside the hull [-1, 1]: the eigenvalues mu of
+    (A - s B)^(-1) B give lambda = s + 1/mu.  Its trailing n x n block is
+    diag(1/(u - s)) minus a rank-one term, whose one exact zero eigenvalue
+    (null vector w) comes out below 1e-14 while a zero in [-1, 1] has
+    |mu| >= 1/4, so mu of modulus 1e-3 or less are dropped."""
+    n = len(u) - 1
+    v, d = u[:-1], d1[:-1]
+    r = 1.0 / (v - 3.0)
+    rw = r * w[:-1] * (v - u[-1])
+    block = np.multiply.outer(rw / -(rw @ d), d * r)
+    block.reshape(-1)[::n + 1] += r
+    mu = np.linalg.eigvals(block)
+    mu = mu[np.abs(mu) > 1e-3]
+    if len(mu) != n - 1 or mu.imag.any():
+        return None
+    return np.sort(3.0 + 1.0 / mu.real)
+
+
 def grid_extrema(ends, u, w, h, evaluate):
     """The interval ends and every zero of M' inside an interval, with M at
     them, from a grid search with no eigenvalue solve: each cell of

@@ -20,13 +20,14 @@ from oracles import (
     minimax_deviation_oracle,
     next_reference_oracle,
     node_derivatives,
+    pencil_zeros,
 )
 
 from chebcap import leveled
 from chebcap import remez as _remez
 from chebcap.chebpoly import Polynomial
 from chebcap.cli import _random_union, _verify_fixtures, main
-from chebcap.errors import ConvergenceError, DegreeCapError, InvalidInputError
+from chebcap.errors import ChebcapError, ConvergenceError, DegreeCapError, InvalidInputError
 from chebcap.intervals import IntervalUnion, is_subset, normalize
 from chebcap.inverse_image import e_alpha, inverse_image, symmetric_two_interval_minpoly
 from chebcap.leveled import equilibrium, evaluate
@@ -752,9 +753,9 @@ def _sweep_solves():
 @pytest.mark.parametrize("solves, bound", [(_frontier_solves, 1.5), (_sweep_solves, 1.5)],
                          ids=["frontier", "sweep"])
 def test_evaluate_passes_per_exchange_iteration(monkeypatch, solves, bound):
-    # One evaluate pass per iteration: the node search's second step, the
-    # pencil's values, the log-Newton search's second step, or the
-    # interlaced search's Newton step and Taylor values, 1.00 per iteration
+    # One evaluate pass per iteration: the node pass's values at its Newton
+    # points and the interval ends, or where it runs, the interlaced
+    # search's Newton step and Taylor values, 1.00 per iteration
     # on the 21 frontier solves (n = 32/40/48) and on the 360 sweep solves
     # (the verify fixtures at n <= 20, 20 random unions at n = 1..10 each).
     # A further pass over the interpolant shows here.
@@ -769,8 +770,7 @@ def test_plain_newton_phase_ends_the_exchange_refines():
     # The interlaced search's one Newton step ends the refine on every
     # reference of the 21 frontier solves and the 360 sweep solves: a
     # second step at its points would change M by at most 1e-3 of an ulp of
-    # h (1.4e-11 measured): the node search's stop rule, |M' step| <=
-    # ulp(h), holds after the one step.
+    # h (1.4e-11 measured): |M' step| <= ulp(h) holds after the one step.
     worst = 0.0
     for e, n in _frontier_solves() + _sweep_solves():
         cn, _ = normalize(e)
@@ -872,7 +872,7 @@ def test_evaluate_allocates_no_array_beyond_the_terms():
 def test_init_reference_puts_end_quantiles_on_the_interval_ends(alpha):
     # The quantiles q = 0 and q = 1 of an interval are its ends exactly: at
     # -alpha, mid + rad rounds to one ulp inside the end, and a node there
-    # would read as interior to the node search.
+    # would read as interior to the node pass.
     e = e_alpha(alpha)
     for n in range(32, 101):
         u = _init_reference(e, n)
@@ -884,47 +884,30 @@ NODE_SETS = {**{f"e_{a}": e_alpha(a) for a in (0.3, 0.5, 0.6, 0.7)},
              "triple": TRIPLE, "quad": QUAD, "asym": IntervalUnion((-1.0, 0.0, 0.5, 1.0))}
 
 
-def _sorted_candidates(xs, vals):
-    """A search's candidate arrays in ascending order of x."""
-    order = np.argsort(xs, kind="stable")
-    return xs[order], vals[order]
+def _node_bound(ends, u):
+    """The node pass's bound U on sup |M| over the union with the endpoints
+    `ends`, on the reference u, and the level h there."""
+    w, h, d1, d2 = leveled.leveled(u)
+    return _remez._node_pass(ends, u, w, h, d1, d2, False)[0], h
 
 
 @pytest.mark.parametrize("name", sorted(NODE_SETS))
 def test_node_search_matches_the_grid_search_on_converged_references(name):
-    # On the final reference of each solve the node search returns the
-    # candidates of the tests' grid search (`oracles.grid_extrema`): the
-    # same points once points within 1e-14 merge, as `_next_reference`
-    # merges them (a peak next to an interval end comes out of either search
-    # on the end or a few ulps inside), values within 1e-15 h, positions
-    # within 1e-12 of the node spacing (4.4e-13 at most, on e_0.7).  Its own
-    # points are within 1e-12 of the spacing of three more order-2 Newton
-    # steps.  It certifies every one of the 693 references, those with a
-    # peak on an interval end (asym at n = 2, 3 and 4, e_0.5 at n = 3)
+    # On the final reference of each solve the node pass's bound U is the
+    # sup of the tests' grid search (`oracles.grid_extrema`) within 1e-15 h
+    # (equal on all 693 references: the peaks are leveled to rounding), and
+    # it certifies the stop, U - h <= LEVEL_TOL U, on every one of them, those
+    # with a peak on an interval end (asym at n = 2, 3 and 4, e_0.5 at n = 3)
     # included.
     cn, _ = normalize(NODE_SETS[name])
     ends = np.array(cn.endpoints)
-    refused = 0
     for n in range(2, 101):
         r = minimal_polynomial(cn, n)
-        u, w, h = np.array(r.nodes), np.array(r.weights), r.level
-        got = _remez._node_extrema(ends, u, w, h, *leveled.leveled(u)[2:])
-        if got is None:
-            refused += 1
-            continue
-        want = grid_extrema(ends, u, w, h, evaluate)
-        (x, v), (x_grid, v_grid) = _merged_candidates(*got), _merged_candidates(*want)
-        assert len(x) == len(x_grid), (n, len(x), len(x_grid))
-        spacing = np.min(np.diff(u))
-        assert np.max(np.abs(v - v_grid)) <= 1e-15 * h, n
-        assert np.max(np.abs(x - x_grid)) <= 1e-12 * spacing, n
-        crit = ~np.isin(x, ends)
-        polished = x[crit]
-        for _ in range(3):
-            _, d1, d2 = evaluate(polished, u, w, h, 2)
-            polished = polished - d1 / d2
-        assert np.max(np.abs(x[crit] - polished), initial=0.0) <= 1e-12 * spacing, n
-    assert refused == 0, refused
+        u, w = np.array(r.nodes), np.array(r.weights)
+        bound, h = _node_bound(ends, u)
+        sup = np.max(np.abs(grid_extrema(ends, u, w, h, evaluate)[1]))
+        assert abs(bound - sup) <= 1e-15 * h, n
+        assert bound - h <= _remez.LEVEL_TOL * bound, n
 
 
 def _weights_reference(u):
@@ -968,15 +951,15 @@ def _quadratic_reference(u1, a):
 
 def test_node_search_certifies_an_extremum_in_the_gap():
     # u1 = -0.1 on the right end of [-1, u1]: |M| grows out of the set, and
-    # from a = 0.05, past the extremum at 0, |M| falls into [a, 1].
+    # from a = 0.05, past the extremum at 0, |M| falls into [a, 1], so the
+    # window's sup on the set is |M(a)| = 0.505 - a^2, the grid search's sup:
+    # that is the bound, and a is a candidate with M(a).
     ends, u, w, h, d1, d2 = _quadratic_reference(-0.1, 0.05)
-    got = _remez._node_extrema(ends, u, w, h, d1, d2)
-    assert got is not None
-    got = _sorted_candidates(*got)
-    want = _sorted_candidates(*grid_extrema(ends, u, w, h, evaluate))
-    assert len(got[0]) == len(want[0]) == 4
-    assert np.allclose(got, want, rtol=0.0, atol=1e-15)
-    assert got[1][2] == pytest.approx(0.05**2 - 0.505, rel=1e-14)
+    bound, _, (xs, vals) = _remez._node_pass(ends, u, w, h, d1, d2, True)
+    want = np.max(np.abs(grid_extrema(ends, u, w, h, evaluate)[1]))
+    assert bound == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert bound == pytest.approx(0.505 - 0.05**2, rel=1e-14, abs=0.0)
+    assert vals[xs == 0.05].tolist() == pytest.approx([0.05**2 - 0.505], rel=1e-14)
 
 
 @pytest.mark.parametrize("u1, a", [(0.1, 0.3), (-0.1, -0.05)],
@@ -985,49 +968,62 @@ def test_node_search_refuses_what_it_cannot_certify(u1, a):
     # At u1 = 0.1 on the right end of [-1, u1], |M| rises into the set: the
     # extremum at 0 lies inside it.  At u1 = -0.1 it grows out of the set,
     # but a = -0.05 lies in the same window before the extremum at 0, where
-    # |M| rises into [a, 1]: the extremum may lie in that interval.
-    assert _remez._node_extrema(*_quadratic_reference(u1, a)) is None
+    # |M| rises into [a, 1]: the extremum lies in that interval.  Neither
+    # reads the window's sup from the gap's ends; the bound is at least the
+    # sup |M(0)| = (1 + u1^2)/2.
+    bound = _remez._node_pass(*_quadratic_reference(u1, a), False)[0]
+    assert bound >= (1.0 + u1 * u1) / 2.0 * (1.0 - 1e-15)
 
 
 @pytest.mark.parametrize("u1", [0.0, -2.0**-52], ids=["edge_node", "inner_node"])
 def test_node_search_certifies_a_peak_on_an_interval_end(u1):
     # M = x^2 - (1 + u1^2)/2 peaks at 0, the right end of [-1, 0].  On the
-    # edge node u1 = 0, M'(0) = 0 exactly and M'' < 0 makes it a peak of |M|;
-    # from the inner node u1 = -2^-52, Newton lands on the end to rounding.
-    # Either way the end is the window's candidate, as in the tests' grid
-    # search.
+    # edge node u1 = 0, M'(0) = 0 exactly; from the inner node u1 = -2^-52
+    # Newton is clipped onto the end.  Either way the bound is the grid
+    # search's sup and certifies the stop: the pass returns no candidates.
     ends, u = np.array([-1.0, 0.0, 0.5, 1.0]), np.array([-1.0, u1, 1.0])
     w, h, d1, d2 = leveled.leveled(u)
-    got = _remez._node_extrema(ends, u, w, h, d1, d2)
-    assert got is not None
-    got = _sorted_candidates(*got)
-    want = _sorted_candidates(*grid_extrema(ends, u, w, h, evaluate))
-    assert got[0].tolist() == want[0].tolist() == ends.tolist()
-    assert np.allclose(got[1], want[1], rtol=0.0, atol=1e-15)
+    bound, _, cands = _remez._node_pass(ends, u, w, h, d1, d2, True)
+    want = np.max(np.abs(grid_extrema(ends, u, w, h, evaluate)[1]))
+    assert cands is None
+    assert abs(bound - want) <= 1e-15 * h
 
 
 def test_node_search_certifies_a_peak_on_an_end_to_an_ulp():
     # The final reference of the e_0.5 solve at n = 3, with its node 0.5 on
     # the left end of [0.5, 1], where M' = -1.1e-16 has the sign of |M|
-    # growing into the set: M'' makes the node a peak of |M| and the Newton
-    # step -M'/M'' is within an ulp, so the peak is on the end, and the
-    # candidates are the grid search's, as on the converged references.
+    # growing into the set: the peak is on the end to rounding, and the
+    # bound is the grid search's sup and certifies the stop.
     ends = np.array([-1.0, -0.5, 0.5, 1.0])
     u = np.array([-1.0, float.fromhex("-0x1.00000001c04c9p-1"), 0.5, 1.0])
     w, h, d1, d2 = leveled.leveled(u)
     assert d1[2] < 0.0 and abs(d1[2] / d2[1]) <= math.ulp(1.0)
-    got = _remez._node_extrema(ends, u, w, h, d1, d2)
-    assert got is not None
-    (x, v), (x_grid, v_grid) = (_merged_candidates(*got),
-                                _merged_candidates(*grid_extrema(ends, u, w, h, evaluate)))
-    assert x.tolist() == x_grid.tolist() == ends.tolist()
-    assert np.max(np.abs(v - v_grid)) <= 1e-15 * h
+    bound, _, cands = _remez._node_pass(ends, u, w, h, d1, d2, True)
+    want = np.max(np.abs(grid_extrema(ends, u, w, h, evaluate)[1]))
+    assert cands is None
+    assert abs(bound - want) <= 1e-15 * h
+
+
+def test_node_bound_where_the_interval_end_lies_past_the_next_node():
+    # On [-1, 0] u [0.5, 1] at n = 5 the node u_1 = -0.85 has its peak,
+    # 1.053 h near -0.815, inside [-1, 0]; that interval's end 0 lies past
+    # u_2 = -0.34, in u_3's window, where M has u_1's sign and |M| grows out
+    # of the set, and at 0.5 |M| = h falls into [0.5, 1].  A read of u_1's
+    # window from those ends would give h; the bound reads the peak.
+    ends = np.array([-1.0, 0.0, 0.5, 1.0])
+    u = np.array([-1.0, -0.85, -0.34, 0.5, 0.82, 1.0])
+    w, h = leveled.leveled(u)[:2]
+    m, dm = evaluate(ends[1:3], u, w, h, 1)
+    assert m[0] * w[1] > 0.0 and dm[0] * w[1] > 0.0 and m[1] * dm[1] < 0.0
+    sup = np.max(np.abs(_interlaced_candidates(ends, u, w, h)[1]))
+    assert max(abs(m[0]), abs(m[1])) < 0.96 * sup
+    assert _node_bound(ends, u)[0] >= (1.0 - 1e-15) * sup
 
 
 def test_every_iteration_tries_the_node_search_first(monkeypatch):
-    # One node search per iteration, also before the exchange has
-    # converged and on a set whose masses are not multiples of 1/n.
-    calls = _counting(monkeypatch, _remez, "_node_extrema")
+    # One node pass per iteration, also before the exchange has converged
+    # and on a set whose masses are not multiples of 1/n.
+    calls = _counting(monkeypatch, _remez, "_node_pass")
     r = minimal_polynomial(TRIPLE, 20)
     assert r.iterations > 1 and len(calls) == r.iterations
 
@@ -1043,7 +1039,8 @@ PENCIL_SETS = _pencil_sets()
 def _merged_candidates(xs, vals):
     """A search's candidates in ascending order of x, less each point within
     1e-14 of the last one kept, as `_next_reference` reads them."""
-    x, v = _sorted_candidates(xs, vals)
+    order = np.argsort(xs, kind="stable")
+    x, v = xs[order], vals[order]
     keep, last = [], -math.inf
     for i, xi in enumerate(x.tolist()):
         if xi - last > 1e-14:
@@ -1052,27 +1049,41 @@ def _merged_candidates(xs, vals):
     return x[keep], v[keep]
 
 
+def _pencil_extrema(ends, u, w, h, d1):
+    """The tests' pencil search: the interval ends and the zeros of M' of
+    `oracles.pencil_zeros` inside an interval, with M at them, as two
+    arrays; None where the pencil does not give n - 1 real zeros."""
+    crit = pencil_zeros(u, w, d1)
+    if crit is None:
+        return None
+    xs = np.concatenate((ends, crit[np.searchsorted(ends, crit) % 2 == 1]))
+    return xs, evaluate(xs, u, w, h, 0)[0]
+
+
 @pytest.mark.parametrize("name", sorted(PENCIL_SETS))
 def test_pencil_search_matches_the_grid_search_on_the_references_it_visits(name):
-    # On every reference that the solves at n = 1..EIG_MAX visit, the pencil
+    # On every reference that the solves at n = 1..30 visit, the tests' pencil
     # search returns the candidates of the tests' grid search
-    # (`oracles.grid_extrema`): as many once points within
-    # 1e-14 merge, as `_next_reference` merges them (a zero of M' on an
-    # interval end comes out of either search on it or a few ulps to either
-    # side), values within 1e-15 of the largest |M| (the rounding of M grows
-    # with |M|, up to 1.7 h on the early references), and zeros of M' within
-    # 1e-10 of the node spacing of three more order-2 Newton steps.
+    # (`oracles.grid_extrema`): as many once points within 1e-14 merge, as
+    # `_next_reference` merges them (a zero of M' on an interval end comes
+    # out of either search on it or a few ulps to either side), values
+    # within 1e-15 of the largest |M| (the rounding of M grows with |M|, up
+    # to 1.7 h on the early references), and zeros of M' within 1e-10 of the
+    # node spacing of three more order-2 Newton steps.  The node pass's
+    # bound is at least their sup, to 1e-15 of it.
     cn, _ = normalize(PENCIL_SETS[name])
     ends = np.array(cn.endpoints)
-    for n in range(1, _remez.EIG_MAX + 1):
+    for n in range(1, 31):
         for u in _exchange_references(cn, n):
             w, h, d1 = leveled.leveled(u)[:3]
-            got = _remez._pencil_extrema(ends, u, w, h, d1)
+            got = _pencil_extrema(ends, u, w, h, d1)
             assert got is not None, n
             x, v = _merged_candidates(*got)
             x_grid, v_grid = _merged_candidates(*grid_extrema(ends, u, w, h, evaluate))
             assert len(x) == len(x_grid), (n, len(x), len(x_grid))
-            assert np.max(np.abs(v - v_grid)) <= 1e-15 * np.max(np.abs(v_grid)), n
+            sup = np.max(np.abs(v_grid))
+            assert np.max(np.abs(v - v_grid)) <= 1e-15 * sup, n
+            assert _node_bound(ends, u)[0] >= (1.0 - 1e-15) * sup, n
             crit = x[~np.isin(x, ends)]
             polished = crit
             for _ in range(3):
@@ -1098,23 +1109,32 @@ def _pencil_on_all_values(u, w, h, eigvals):
 
 @pytest.mark.parametrize("name", sorted(PENCIL_SETS))
 def test_pencil_on_n_values_matches_the_pencil_on_all_of_them(monkeypatch, name):
-    # On every reference that the solves at n = 1..EIG_MAX visit, the block
-    # on the first n values of M' has one exact zero eigenvalue, which comes
+    # The tests' pencil search rests on `oracles.pencil_zeros`, the pencil on
+    # the first n values of M'.  On every reference that the solves at
+    # n = 1..30 visit, its block has one exact zero eigenvalue, which comes
     # out below 1e-14 (the block on all n + 1 values has a Jordan pair near
-    # 1e-8 there), and exactly n - 1 kept; its zeros are within 1e-11 of the
-    # node spacing of those of the pencil on all n + 1 values.
+    # 1e-8 there), and exactly n - 1 kept.  Its zeros are within 1e-11 of the
+    # node spacing of the zeros of M' that the interlaced search takes
+    # (8.1e-12 measured over the 27 sets), and within 2e-11 of those of the
+    # pencil on all n + 1 values, the tolerance that
+    # `test_interlaced_zeros_on_the_references_the_exchange_visits` gives
+    # that pencil at n <= 30 (1.4e-11 measured, on e_0.7).
     cn, _ = normalize(PENCIL_SETS[name])
-    refs = [(n, u) for n in range(1, _remez.EIG_MAX + 1) for u in _exchange_references(cn, n)]
+    refs = [(n, u) for n in range(1, 31) for u in _exchange_references(cn, n)]
     eigvals, solved = np.linalg.eigvals, []
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: solved.append(eigvals(a)) or solved[-1])
     for n, u in refs:
         w, h, d1 = leveled.leveled(u)[:3]
         want = _pencil_on_all_values(u, w, h, eigvals)
-        got = leveled.critical_points(u, w, d1)
+        got = pencil_zeros(u, w, d1)
         mu = np.sort(np.abs(solved[-1]))
         assert len(mu) == n and mu[0] <= 1e-14 and (n == 1 or mu[1] > 1e-3), (n, mu[:2])
         assert got is not None and want is not None and len(got) == n - 1, n
-        assert np.max(np.abs(got - want), initial=0.0) <= 1e-11 * np.min(np.diff(u)), n
+        spacing = np.min(np.diff(u))
+        assert np.max(np.abs(got - want), initial=0.0) <= 2e-11 * spacing, n
+        if n > 1:
+            crit = leveled.interlaced_zeros(u, w)[1]
+            assert np.max(np.abs(got - crit)) <= 1e-11 * spacing, n
 
 
 @pytest.mark.parametrize("name", sorted(PENCIL_SETS))
@@ -1124,8 +1144,10 @@ def test_interlaced_zeros_on_the_references_the_exchange_visits(name):
     # n - 1 zeros of M', each strictly between consecutive z; those are
     # within 2e-11, 2e-10 and 1e-9 of the node spacing of the companion
     # pencil's on all n + 1 values at n <= 30, 31..60 and 61..100 (7.2e-12,
-    # 7.3e-11 and 4.3e-10 measured over the 28 sets).
+    # 7.3e-11 and 4.3e-10 measured over the 28 sets).  The node pass's bound
+    # is at least the interlaced search's sup, to 1e-15 of it.
     cn, _ = normalize(PENCIL_SETS[name])
+    ends = np.array(cn.endpoints)
     for n in range(2, 101):
         tol = 2e-11 if n <= 30 else 2e-10 if n <= 60 else 1e-9
         for u in _exchange_references(cn, n):
@@ -1136,27 +1158,35 @@ def test_interlaced_zeros_on_the_references_the_exchange_visits(name):
             assert np.all((z[:-1] < crit) & (crit < z[1:])), n
             want = _pencil_on_all_values(u, w, h, np.linalg.eigvals)
             assert np.max(np.abs(crit - want)) <= tol * np.min(np.diff(u)), n
+            sup = np.max(np.abs(_remez._interlaced_extrema(ends, u, w, h, crit)[1]))
+            assert _node_bound(ends, u)[0] >= (1.0 - 1e-15) * sup, n
 
 
 def test_pencil_at_degrees_one_and_two():
     # At n = 1 M' is a nonzero constant, all of the pencil's eigenvalues are
-    # infinite, and the candidates are the interval ends, where M = x on the
-    # reference [-1, 1].  At n = 2, M = x^2 - (1 + u1^2)/2 on [-1, u1, 1] has
-    # its critical point at 0, a candidate where 0 lies in the set.
+    # infinite, and M = x on the reference [-1, 1]: the bound is |M(+-1)| = 1
+    # = h, which certifies the stop.  At n = 2, M = x^2 - (1 + u1^2)/2 on
+    # [-1, u1, 1] has its critical point at 0, the pencil's one zero.  Where
+    # 0 lies in the gap (-0.2, 0.3), Newton from u1 leaves u1's interval at
+    # the end next to 0 (from -0.25 and 0.5) and |M| falls into the interval
+    # across the gap, so the bound is the larger |M| at the gap's ends, the
+    # sup on the set;
+    # where 0 lies in the set, the bound is at least |M(0)|.
     u = np.array([-1.0, 1.0])
-    w, h, d1 = leveled.leveled(u)[:3]
-    assert leveled.critical_points(u, w, d1).tolist() == []
-    ends = np.array([-1.0, -0.2, 0.3, 1.0])
-    xs, vals = _remez._pencil_extrema(ends, u, w, h, d1)
-    assert xs.tolist() == ends.tolist() and np.allclose(vals, ends, rtol=0.0, atol=1e-15)
-    for u1 in (-0.5, 0.1, 0.25):
+    w, h, d1, d2 = leveled.leveled(u)
+    assert pencil_zeros(u, w, d1).tolist() == []
+    assert _remez._node_pass(np.array([-1.0, -0.2, 0.3, 1.0]), u, w, h, d1, d2, True) == (1.0, None, None)
+    for u1 in (-0.5, -0.25, 0.5):
         u = np.array([-1.0, u1, 1.0])
         w, h, d1 = leveled.leveled(u)[:3]
-        crit = leveled.critical_points(u, w, d1)
+        crit = pencil_zeros(u, w, d1)
         assert len(crit) == 1 and abs(crit[0]) <= 1e-14, (u1, crit)
-        assert len(_remez._pencil_extrema(ends, u, w, h, d1)[0]) == 4  # 0 lies in the gap
-        xs, vals = _remez._pencil_extrema(np.array([-1.0, 0.1, 0.3, 1.0]), u, w, h, d1)
-        assert len(xs) == 5 and vals[-1] == pytest.approx(-(1.0 + u1 * u1) / 2.0, rel=1e-14)
+        peak = (1.0 + u1 * u1) / 2.0
+        if u1 > -0.5:  # Newton from -0.5 stops short of -0.2
+            bound = _node_bound(np.array([-1.0, -0.2, 0.3, 1.0]), u)[0]
+            assert bound == pytest.approx(peak - 0.04, rel=1e-15, abs=0.0), u1
+        if u1 < 0.1:
+            assert _node_bound(np.array([-1.0, 0.1, 0.3, 1.0]), u)[0] >= peak * (1.0 - 1e-15), u1
 
 
 def _counting(monkeypatch, module, name):
@@ -1166,50 +1196,42 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-def test_pencil_search_runs_up_to_eig_max_and_the_interlaced_search_above(monkeypatch):
-    # At EIG_MAX the iterations that the node search does not certify take
-    # the pencil, and neither an interlaced solve nor a log-Newton search
-    # runs.  At EIG_MAX + 1 no pencil is solved: on quad those iterations
-    # take the log-Newton search and the node search certifies the stop; on
-    # 1e5*T_4, whose components are too narrow for it, they take the
-    # interlaced search.
-    solved = _counting(monkeypatch, leveled, "critical_points")
+def test_node_pass_runs_at_every_degree_and_the_interlaced_search_on_narrow_sets(monkeypatch):
+    # Every iteration takes the node pass, at n = 30 and 31 alike, and on
+    # quad no interlaced solve runs.  On 1e5*T_4, whose components are too
+    # narrow for the bound, the iterations that it does not stop take the
+    # interlaced search as well.
+    passes = _counting(monkeypatch, _remez, "_node_pass")
     interlaced = _counting(monkeypatch, leveled, "interlaced_zeros")
-    stepped = _counting(monkeypatch, _remez, "_log_newton_extrema")
-    assert minimal_polynomial(QUAD, _remez.EIG_MAX).iterations > 1
-    assert solved and interlaced == [] and stepped == []
-    solved.clear()
-    assert minimal_polynomial(QUAD, _remez.EIG_MAX + 1).iterations > 1
-    assert stepped and solved == [] and interlaced == []
-    stepped.clear()
-    assert minimal_polynomial(_scaled_image(1e5, 4), _remez.EIG_MAX + 1).iterations > 1
-    assert interlaced and solved == [] and stepped == []
+    for n in (30, 31):
+        r = minimal_polynomial(QUAD, n)
+        assert r.iterations > 1 and len(passes) == r.iterations and interlaced == [], n
+        passes.clear()
+    r = minimal_polynomial(_scaled_image(1e5, 4), 31)
+    assert r.iterations > 1 and len(passes) == r.iterations and len(interlaced) >= r.iterations - 1
 
 
-def test_pencil_with_a_complex_pair_falls_back_to_the_interlaced_search(monkeypatch):
-    # A pencil whose eigenvalue solve returns a complex pair gives no zeros
-    # of M'; the iteration runs the interlaced search instead, so a solve in
-    # which every pencil does returns the interlaced search's result, and
-    # the pencil search's deviation to rounding.  The interlaced solve is
-    # the one of a pencil that always declines.
-    pencil = minimal_polynomial(QUAD, 12)
-    monkeypatch.setattr(leveled, "critical_points", lambda *a: None)
-    interlaced = minimal_polynomial(QUAD, 12)
-    monkeypatch.undo()
-    eigvals = np.linalg.eigvals
+def test_candidates_without_a_sign_run_fall_back_to_the_interlaced_search(monkeypatch):
+    # Node-pass candidates that keep only the interval ends lack a sign run:
+    # the selection raises on them, and every iteration runs the interlaced
+    # search instead, whose candidates move the exchange, so the solve ends
+    # at the deviation of the unpatched one to rounding.
+    want = minimal_polynomial(QUAD, 12)
+    search = _remez._node_pass
 
-    def paired(a):
-        mu = eigvals(a).astype(complex)
-        k = np.flatnonzero(np.abs(mu) > 1e-3)[:2]
-        mu[k] = mu[k].real.mean() + np.array([1e-3j, -1e-3j])
-        return mu
+    def ends_only(ends, *args):
+        bound, low, cands = search(ends, *args)
+        if cands is None:
+            return bound, low, None
+        keep = np.isin(cands[0], ends)
+        return bound, low, (cands[0][keep], cands[1][keep])
 
-    monkeypatch.setattr(np.linalg, "eigvals", paired)
+    monkeypatch.setattr(_remez, "_node_pass", ends_only)
     calls = _counting(monkeypatch, leveled, "interlaced_zeros")
     got = minimal_polynomial(QUAD, 12)
-    assert calls
-    assert got.nodes == interlaced.nodes and got.deviation == interlaced.deviation
-    assert got.deviation == pytest.approx(pencil.deviation, rel=1e-14)
+    assert len(calls) >= got.iterations - 1 and got.iterations > 1
+    assert got.deviation == pytest.approx(want.deviation, rel=1e-12, abs=0.0)
+    assert got.residual <= _remez.LEVEL_TOL * got.deviation
 
 
 @pytest.mark.parametrize("c, k, n, most", [(1e5, 4, 31, 7), (1e5, 4, 52, 8), (1e5, 3, 93, 8),
@@ -1271,81 +1293,120 @@ def test_narrow_images_stop_only_on_level_tol_or_at_max_iter():
 def test_one_iteration_frontier_solves_build_no_extremum_grid(monkeypatch):
     # The 15 frontier solves on inverse images (the interval, e_0.3, e_0.6,
     # 1.25*T_3 and 1.25*T_4 at n = 32/40/48) end in their first iteration,
-    # certified from the nodes: no grid and no eigenvalue solve; triple at
-    # n = 32 takes the log-Newton search, and no pencil.
+    # stopped by the node pass's bound: no grid and no eigenvalue solve; nor
+    # does triple at n = 32, which moves on the pass's candidates.
     solved = _counting(monkeypatch, leveled, "interlaced_zeros")
-    pencils = _counting(monkeypatch, leveled, "critical_points")
-    stepped = _counting(monkeypatch, _remez, "_log_newton_extrema")
     solves = _frontier_solves()[:15]
     assert [minimal_polynomial(e, n).iterations for e, n in solves] == [1] * 15
-    assert solved == [] and pencils == [] and stepped == []
-    minimal_polynomial(TRIPLE, 32)
-    assert stepped and pencils == []
+    assert solved == []
+    assert minimal_polynomial(TRIPLE, 32).iterations > 1 and solved == []
 
 
 @pytest.mark.parametrize("e", [TRIPLE, QUAD], ids=["triple", "quad"])
 @pytest.mark.parametrize("n", [32, 40, 48])
 def test_frontier_solves_take_at_most_one_interlaced_solve(monkeypatch, e, n):
-    # Above EIG_MAX the exchange moves on the log-Newton search's
-    # uncertified candidates, and only a stop needs the certified sup: the
-    # interlaced search runs at most once per solve (on these, never: the
-    # node search certifies the stop).
+    # The exchange moves on the node pass's candidates, and its bound stops
+    # it: on these frontier solves the interlaced search never runs.
     solved = _counting(monkeypatch, leveled, "interlaced_zeros")
-    stepped = _counting(monkeypatch, _remez, "_log_newton_extrema")
+    passes = _counting(monkeypatch, _remez, "_node_pass")
     r = minimal_polynomial(e, n)
-    assert r.iterations > 1 and stepped and len(solved) <= 1
+    assert r.iterations > 1 and len(passes) == r.iterations and solved == []
 
 
-def _drop_the_largest(xs, vals, low):
+def _drop_the_largest(xs, vals):
     k = np.argmax(np.abs(vals))
-    return np.delete(xs, k), np.delete(vals, k), low
+    return np.delete(xs, k), np.delete(vals, k)
 
 
-def _nodes_only(xs, vals, low, u, w, h):
-    return u, np.sign(w) * h, low
+def _nodes_only(xs, vals, u, w, h):
+    return u, np.sign(w) * h
 
 
 @pytest.mark.parametrize("e, n", [(TRIPLE, 40), (QUAD, 48)], ids=["triple", "quad"])
 @pytest.mark.parametrize("patch", ["drop-largest", "nodes-only"])
 def test_uncertified_candidates_cannot_move_the_stop(monkeypatch, e, n, patch):
     # The exchange may move on any alternating candidates whose |M| is at
-    # least h; only the certified search stops it.  A log-Newton search that
-    # loses its largest |M| (the exchange on its candidates may then lack a
-    # sign run, and the iteration takes the certified search), or that
-    # returns the nodes only (the exchange would give back the same
-    # reference), converges to the same deviation within LEVEL_TOL.
+    # least h; only the bound, or the interlaced search, stops it.  Node-pass
+    # candidates that lose their largest |M| (the exchange on them may then
+    # lack a sign run, and the iteration takes the interlaced search), or
+    # that are the nodes only (the exchange would give back the same
+    # reference), converge to the same deviation within LEVEL_TOL.
     want = minimal_polynomial(e, n)
-    search = _remez._log_newton_extrema
+    search = _remez._node_pass
     calls = []
-    patched = ((lambda *a: _drop_the_largest(*search(*a))) if patch == "drop-largest"
-               else lambda *a: _nodes_only(*search(*a), *a[1:4]))
-    monkeypatch.setattr(_remez, "_log_newton_extrema", lambda *a: calls.append(1) or patched(*a))
+
+    def patched(ends, u, w, h, *rest):
+        bound, low, cands = search(ends, u, w, h, *rest)
+        if cands is None:
+            return bound, low, None
+        calls.append(1)
+        return bound, low, (_drop_the_largest(*cands) if patch == "drop-largest"
+                            else _nodes_only(*cands, u, w, h))
+
+    monkeypatch.setattr(_remez, "_node_pass", patched)
     r = minimal_polynomial(e, n)
     assert calls
     assert r.deviation == pytest.approx(want.deviation, rel=1e-12, abs=0.0)
     assert r.residual <= _remez.LEVEL_TOL * r.deviation
 
 
-def test_narrow_images_take_no_log_newton_search(monkeypatch):
+def test_narrow_images_take_the_interlaced_search_where_the_bound_does_not_stop(monkeypatch):
     # On 1e5*T_3 and 1e5*T_4 the narrowest component is about 2e-6 wide on
     # the hull [-1, 1], eps over it 5e-11 to 1e-10, above LEVEL_TOL: every
-    # iteration keeps the certified search, and their trajectories, chaotic
-    # at the rounding floor, stay as the narrow-image tests pin them.
-    stepped = _counting(monkeypatch, _remez, "_log_newton_extrema")
+    # iteration that the node pass's bound does not stop takes the
+    # interlaced search, whose exact sup reads the gap, and their
+    # trajectories, chaotic at the rounding floor, stay as the narrow-image
+    # tests pin them.
+    passes = _counting(monkeypatch, _remez, "_node_pass")
+    solved = _counting(monkeypatch, leveled, "interlaced_zeros")
     for k in (3, 4):
         e = _scaled_image(1e5, k)
-        for n in range(_remez.EIG_MAX + 1, 101):
+        for n in range(31, 101):
+            passes.clear()
+            solved.clear()
             minimal_polynomial(e, n)
-    assert stepped == []
+            assert len(solved) >= len(passes) - 1, (k, n)
 
 
-def test_verify_fixtures_iteration_totals_above_eig_max():
-    # The exchange's iteration count over n = 31..100 on each verify
+def test_verify_fixtures_iteration_totals():
+    # The exchange's iteration count over n = 1..100 on each verify
     # fixture: a drift in the search that moves the exchange shows here.
-    totals = {name: sum(minimal_polynomial(e, n).iterations for n in range(31, 101))
+    totals = {name: sum(minimal_polynomial(e, n).iterations for n in range(1, 101))
               for name, e in _verify_fixtures()}
-    assert totals == {"interval": 70, "pair-0.3": 210, "pair-0.5": 210, "pair-0.6": 210,
-                      "pair-0.7": 210, "asymmetric-pair": 346, "triple": 346, "quad": 365}
+    assert totals == {"interval": 100, "pair-0.3": 293, "pair-0.5": 292, "pair-0.6": 292,
+                      "pair-0.7": 292, "asymmetric-pair": 474, "triple": 468, "quad": 500}
+
+
+def _many_interval_unions(ells):
+    """Ten unions for each of ell = 10, 20, 30, 40 and 50 intervals, drawn in
+    that order from RandomState(4): 2 ell uniform endpoints on [-1, 1],
+    redrawn until their spacing is at least 0.2 / ell^2; those of `ells`."""
+    rng = np.random.RandomState(4)
+    sets = []
+    for ell in (10, 20, 30, 40, 50):
+        for _ in range(10):
+            while True:
+                pts = np.sort(rng.uniform(-1.0, 1.0, 2 * ell))
+                if np.min(np.diff(pts)) >= 0.2 / ell**2:
+                    break
+            if ell in ells:
+                sets.append(IntervalUnion(tuple(pts.tolist())))
+    return sets
+
+
+def test_many_interval_solves_converge_or_raise_a_chebcap_error():
+    # On unions of 40 and 50 intervals at n = 100 the equilibrium measure's
+    # masses are off by up to 160 and the exchange may not converge (8 of
+    # these 20 raise ConvergenceError), but each solve converges or raises a
+    # ChebcapError: no bare RuntimeWarning (an overflow in the exchange's
+    # search) escapes under the suite's warnings-as-errors filter, as it did
+    # on two of the unions of 50.
+    for e in _many_interval_unions((40, 50)):
+        try:
+            r = minimal_polynomial(e, 100)
+        except ChebcapError:
+            continue
+        assert r.residual <= _remez.STALL_ACCEPT * r.deviation
 
 
 def test_evaluate_reads_the_first_form_everywhere():
@@ -1381,12 +1442,12 @@ def test_evaluate_in_the_gaps_matches_the_oracle(alpha, n):
 
 def test_blow_up_set_builds_no_grid_and_solves_no_equilibrium(monkeypatch):
     # C' comes from the interlacing structure alone: the zeros of M and M'
-    # from one interlaced solve per blow-up set, no pencil and no
-    # equilibrium measure of the gaps' union.
+    # from one interlaced solve per blow-up set, and no equilibrium measure
+    # of the gaps' union.
     results = [(e, minimal_polynomial(e, n)) for e, n in
                ((TRIPLE, 32), (QUAD, 48), (e_alpha(0.6), 33), (BLOW_UP_SETS["10*T_4"], 42))]
     interlaced = _counting(monkeypatch, leveled, "interlaced_zeros")
-    built = _counting(monkeypatch, leveled, "critical_points")
+    built = []
     monkeypatch.setattr(leveled, "equilibrium", lambda ends: built.append(ends) or equilibrium(ends))
     for e, r in results:
         interlaced.clear()
@@ -1437,39 +1498,40 @@ def test_next_reference_matches_the_list_oracle():
 
 
 def _drop_the_middle_candidate(monkeypatch):
-    """Patches the three extremum searches to lose the interior candidate
-    nearest 0, and starts the exchange from equispaced points, which are not leveled
-    (the Chebyshev-Lobatto start on the interval is, and ends the exchange
-    before any selection).  Returns the list of search calls."""
+    """Patches the node pass's candidates and the interlaced search to lose
+    the interior candidate nearest 0, and starts the exchange from
+    equispaced points, which are not leveled (the Chebyshev-Lobatto start
+    on the interval is, and ends the exchange before any selection).
+    Returns the list of searches that gave candidates."""
     calls = []
 
-    def dropping(search):
-        def patched(*args):
-            cands = search(*args)
-            if cands is None:
-                return None
-            calls.append(1)
-            xs, vals = cands
-            inner = np.flatnonzero(np.abs(xs) < 1.0)
-            k = inner[np.argmin(np.abs(xs[inner]))]
-            return np.delete(xs, k), np.delete(vals, k)
-        return patched
+    def dropped(xs, vals):
+        calls.append(1)
+        inner = np.flatnonzero(np.abs(xs) < 1.0)
+        k = inner[np.argmin(np.abs(xs[inner]))]
+        return np.delete(xs, k), np.delete(vals, k)
+
+    node_pass, interlaced = _remez._node_pass, _remez._interlaced_extrema
+
+    def passing(*args):
+        bound, low, cands = node_pass(*args)
+        return bound, low, None if cands is None else dropped(*cands)
 
     monkeypatch.setattr(_remez, "_init_reference", lambda e, n: np.linspace(-1.0, 1.0, n + 1))
-    monkeypatch.setattr(_remez, "_interlaced_extrema", dropping(_remez._interlaced_extrema))
-    monkeypatch.setattr(_remez, "_node_extrema", dropping(_remez._node_extrema))
-    monkeypatch.setattr(_remez, "_pencil_extrema", dropping(_remez._pencil_extrema))
+    monkeypatch.setattr(_remez, "_interlaced_extrema", lambda *a: dropped(*interlaced(*a)))
+    monkeypatch.setattr(_remez, "_node_pass", passing)
     return calls
 
 
 def test_missing_sign_run_raises_at_the_first_selection(monkeypatch):
     # Without the middle window's peak the candidates hold 5 sign runs, not
-    # n + 1 = 7: no reference alternates over them, and the exchange stops
-    # at its first selection with the best iterate so far.
+    # n + 1 = 7: no reference alternates over them, neither the node pass's
+    # nor the interlaced search's, which runs in its place, and the exchange
+    # stops at its first selection with the best iterate so far.
     calls = _drop_the_middle_candidate(monkeypatch)
     with pytest.raises(ConvergenceError, match="5 sign runs") as info:
         minimal_polynomial(FULL, 6)
-    assert len(calls) == 1
+    assert len(calls) == 2
     assert info.value.last_iterate.iterations == 1
 
 
@@ -1533,30 +1595,32 @@ def test_missing_sign_run_exits_as_non_convergence(monkeypatch):
     ("asym", IntervalUnion((-1.0, 0.0, 0.5, 1.0)), 40), ("quad", QUAD, 60), ("triple", TRIPLE, 80),
 ], ids=["asym", "quad", "triple"])
 def test_witness_rejects_the_level_reported_as_the_deviation(monkeypatch, name, e, n):
-    # Stopped after four iterations, these solves accept an iterate whose
-    # leveling gap, in `residual`, is 1.4e-8 (asym) or 4.3e-8 of the
-    # deviation.  Reported with the level h as its deviation and no residual,
-    # |M| is h at the interval ends, and only the peaks of |M| inside the
-    # intervals are above it; the witness's sup reads them, to the gap.  The
-    # honest iterate passes.
-    monkeypatch.setattr(_remez, "MAX_ITER", 4)
+    # Stopped after three iterations, with STALL_ACCEPT raised to accept
+    # them, these solves accept an iterate whose leveling gap, in
+    # `residual`, is 1.7e-4 (asym) to 2.6e-4 of the deviation.  Reported with
+    # the level h as its deviation and no residual, |M| is h at the interval
+    # ends, and only the peaks of |M| inside the intervals are above it; the
+    # witness's sup reads them, to at most the gap, which the node pass's
+    # bound, the deviation, overstates.  The honest iterate passes.
+    monkeypatch.setattr(_remez, "MAX_ITER", 3)
+    monkeypatch.setattr(_remez, "STALL_ACCEPT", 1e-3)
     r = minimal_polynomial(e, n)
-    assert r.iterations == 4 and r.residual > 1e-8 * r.deviation
+    assert r.iterations == 3 and r.residual > 1e-8 * r.deviation
     low = dataclasses.replace(r, deviation=r.level * r.hull_scale, residual=0.0)
     w = minimality_witness(e, low)
     assert not w.sup_ok and not w.passed, name
-    assert w.sup_excess == pytest.approx(r.residual, rel=1e-6)
+    assert w.sup_excess <= r.residual
     assert minimality_witness(e, r).passed
 
 
 def test_witness_and_blow_up_share_one_interlaced_solve(monkeypatch):
     # The witness reads its sup and C' from one interlaced solve, and no
     # first form; `blow_up_set` takes one of its own, and none on one
-    # interval, where C' is the hull.  Up to EIG_MAX the re-solve on C' takes
-    # no interlaced solve.
+    # interval, where C' is the hull.  The re-solve on C' takes no
+    # interlaced solve.
     results = [(e, minimal_polynomial(e, n)) for e, n in
                ((FULL, 20), (e_alpha(0.6), 24), (IntervalUnion((-1.0, 0.0, 0.5, 1.0)), 12),
-                (TRIPLE, 20), (QUAD, _remez.EIG_MAX))]
+                (TRIPLE, 20), (QUAD, 30))]
     interlaced = _counting(monkeypatch, leveled, "interlaced_zeros")
     first = _counting(monkeypatch, leveled, "first_form")
     for e, r in results:
