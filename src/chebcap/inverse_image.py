@@ -17,10 +17,12 @@ and input whose estimate is too large for that is refused.
 The work runs in two stages.  Stage one (`_monotone_pieces`) reads the
 critical values, decides realness and refuses input whose estimate on the
 window of the critical points is too large.  Stage two, in `inverse_image`
-only, searches the crossings and judges the estimate again on the window
-that also holds them.  `composed_minimal_sequence` and
-`capacity_of_inverse_image` read only realness and the leading coefficient,
-so they run stage one alone, with no crossing search.
+only, searches the crossings, each by Newton from where the quadratic
+Taylor model of P at a critical end of its piece reaches the level, and
+judges the estimate again on the window that also holds them.
+`composed_minimal_sequence` and `capacity_of_inverse_image` read only
+realness and the leading coefficient, so they run stage one alone, with no
+crossing search.
 """
 
 from __future__ import annotations
@@ -46,8 +48,6 @@ ROUNDING_LIMIT = 1e-6
 # error of 2 cap^n and its monomial coefficients within this distance of P/c_n.
 SHARPNESS_REL_TOL = 1e-7
 SHARPNESS_COEFF_TOL = 1e-6
-# Scan points per monotone piece that bracket its crossings for Newton.
-_SCAN = 9
 _EPS = float(np.finfo(float).eps)
 
 
@@ -139,27 +139,20 @@ def _compensated_residual(c, x, level):
     return t + (r + ((s - (t - z)) + (-level - z)))
 
 
-def _crossings(cols, absc, a, b, ga, gb, level):
+def _crossings(cols, absc, a, b, x, ga, level):
     """The x in [a, b] with P(x) = level, for every row at once.
 
-    P is monotone on each [a, b], and P - level has the nonzero values ga, gb
-    of opposite sign at its ends.  A scan of each piece gives a tight
-    bracket; Newton runs inside it, and a step that leaves the bracket is
+    P is monotone on each [a, b], and P - level has the nonzero value ga at
+    a and the other sign at b.  Newton runs from the start x inside [a, b]
+    (`inverse_image` places it by a Taylor model at a critical point),
+    narrowing the bracket as it goes, and a step that leaves the bracket is
     replaced by bisection.  A row stops once P - level is below its rounding
     estimate or the step is a few ulps.  A last Newton step on the
     compensated residual then lands each crossing within about an ulp of
     the crossing of the polynomial the coefficients define exactly.
     """
-    xs = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, _SCAN)
-    xs[:, -1] = b
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = _values(xs, cols[:, :1], absc)[0][..., 0] - level[:, None]
-    g[:, 0], g[:, -1] = ga, gb
     s = np.sign(ga)
-    i = np.argmax(s[:, None] * g <= 0.0, axis=1)
-    rows = np.arange(len(a))
-    lo, hi = xs[rows, i - 1], xs[rows, i]
-    x = 0.5 * (lo + hi)
+    lo, hi = a, b
     done = np.zeros(len(a), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(100):  # bisection alone reaches adjacent floats in < 100
@@ -236,7 +229,11 @@ def inverse_image(p: Polynomial) -> InverseImageResult:
     sliver.  The image is real iff m = n - 1 and P covers [-1, 1] on every
     piece (`_monotone_pieces`).  On each piece P - 1 and P + 1 change sign
     at most once; all these crossings are found together (`_crossings`),
-    and the piece meets the image between them.
+    and the piece meets the image between them.  Each search starts where
+    the quadratic Taylor model of P at the piece's critical end whose value
+    is nearer the level reaches that level, or at the piece's midpoint when
+    that point is not strictly inside; the outer pieces end at the Cauchy
+    bound.
 
     Raises IllConditionedError when the rounding estimate eps * sum |c_i| r^i
     exceeds ROUNDING_LIMIT: first on the window [-r, r] of the critical
@@ -246,29 +243,27 @@ def inverse_image(p: Polynomial) -> InverseImageResult:
     """
     is_real, cols, absc, y, f, v, va, vb, lo_v, hi_v = _monotone_pieces(p)
 
-    # Every root of P - l, |l| <= 1, lies inside the Cauchy bound.  Beyond
-    # the outermost critical point, when all zeros of P' are real, every
-    # higher derivative keeps one sign (Gauss-Lucas), so P - l exceeds its
-    # quadratic Taylor term there, and twice the quadratic model's reach is
-    # a tight outer bracket; it is kept where P has left [-1, 1] there.
+    # Every root of P - l, |l| <= 1, lies inside the Cauchy bound, the far
+    # end of the outer pieces.
     cauchy = 1.0 + max([absc[0] + 1.0, *absc[1:-1]]) / absc[-1]
-    outer = np.array([-cauchy, cauchy])
-    if len(y):
-        ends = np.array([va[0], vb[-1]])
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            reach = 2.0 * np.sqrt(2.0 * (np.abs(v[[0, -1]]) + 1.0) / np.abs(f[[0, -1], 2]))
-            near = np.array([y[0] - reach[0], y[-1] + reach[1]])
-            pv = _values(near, cols[:, :1], absc)[0][:, 0]
-        tight = (np.sign(ends) * pv > 1.0) & (np.abs(near) < cauchy)
-        outer = np.where(tight, near, outer)
-        va[0], vb[-1] = np.where(tight, pv, ends)
-    a = np.concatenate(([outer[0]], y))
-    b = np.concatenate((y, [outer[1]]))
+    knots = np.concatenate(([-cauchy], y, [cauchy]))
+    a, b = knots[:-1], knots[1:]
 
     levels = np.array([-1.0, 1.0])
     li, pj = np.nonzero((lo_v < levels[:, None]) & (levels[:, None] < hi_v))
+    lv = levels[li]
+    # k indexes the knot of each crossing's Taylor model.  Beyond the
+    # outermost critical point, when all zeros of P' are real, every higher
+    # derivative keeps one sign (Gauss-Lucas), so the model's start lies
+    # beyond the crossing and Newton approaches it from that side.
+    k = np.where(np.abs(va[pj] - lv) < np.abs(vb[pj] - lv), pj, pj + 1)
+    kv = np.append(va, vb[-1])
+    curv = np.concatenate(([np.nan], f[:, 2], [np.nan]))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x0 = knots[k] + np.where(k == pj, 1.0, -1.0) * np.sqrt(2.0 * (lv - kv[k]) / curv[k])
+    x0 = np.where((a[pj] < x0) & (x0 < b[pj]), x0, 0.5 * (a[pj] + b[pj]))
     cross = np.full((2, len(a)), np.nan)
-    xs = _crossings(cols, absc, a[pj], b[pj], va[pj] - levels[li], vb[pj] - levels[li], levels[li])
+    xs = _crossings(cols, absc, a[pj], b[pj], x0, va[pj] - lv, lv)
     cross[li, pj] = xs
     _refuse_ill_conditioned(float(np.max(np.abs(np.concatenate((xs, y))), initial=0.0)), absc)
 

@@ -85,7 +85,9 @@ class MinimalPolyResult:
     gap deviation - h at acceptance (above LEVEL_TOL only at MAX_ITER), in
     original-frame units.  h <= L_n <= sup |M| (de la Vallee Poussin), so
     the true minimum deviation lies within residual below the deviation,
-    up to that rounding.
+    up to that rounding.  `iterations` counts the exchange iterations run:
+    the accepted iterate is the last of them on convergence, and the
+    smallest-gap one after MAX_ITER.
     `poly`, the monomial coefficients in the original frame, for reporting,
     is computed from the reference on first read.
     """
@@ -420,7 +422,7 @@ def minimal_polynomial(c: IntervalUnion, n: int) -> MinimalPolyResult:
         gap = max(dev - h, 0.0)
         gap_rel = gap / dev if 0.0 < dev < math.inf else 1.0
         if best is None or gap_rel < best[0]:
-            best = (gap_rel, u, w, h, dev, gap, it)
+            best = (gap_rel, u, w, h, dev, gap)
         if stop:
             break
         moved_from = h if nxt is not None else None
@@ -428,25 +430,25 @@ def minimal_polynomial(c: IntervalUnion, n: int) -> MinimalPolyResult:
             try:
                 nxt = _next_reference(*cands, n + 1)
             except ConvergenceError as exc:
-                exc.last_iterate = _finalize(best, fwd, hull_scale)
+                exc.last_iterate = _finalize(best, it, fwd, hull_scale)
                 raise
         u = nxt
     if not best[0] <= STALL_ACCEPT:  # only after MAX_ITER
         raise ConvergenceError(f"leveling gap {best[0]:.3e} after {MAX_ITER} iterations "
-                               f"(degree {n})", last_iterate=_finalize(best, fwd, hull_scale))
-    result = _finalize(best, fwd, hull_scale)
+                               f"(degree {n})", last_iterate=_finalize(best, it, fwd, hull_scale))
+    result = _finalize(best, it, fwd, hull_scale)
     if result.deviation < sys.float_info.min:
         raise InvalidInputError(f"the deviation {result.deviation:.3g} at n = {n} on the hull radius "
                                 f"{rad:.6g} is below the normal double range")
     return result
 
 
-def _finalize(state, fwd, hull_scale) -> MinimalPolyResult:
-    _, u, w, h, emax, gap, it = state
+def _finalize(state, iterations, fwd, hull_scale) -> MinimalPolyResult:
+    _, u, w, h, emax, gap = state
     return MinimalPolyResult(
         deviation=hull_scale * emax,
         alternation_points=tuple(fwd.inverse()(u).tolist()),
-        iterations=it,
+        iterations=iterations,
         residual=hull_scale * gap,
         frame=fwd,
         hull_scale=hull_scale,

@@ -184,13 +184,17 @@ def _outcome(f, *args):
         return type(exc)
 
 
-@pytest.mark.parametrize(
-    "p",
+# T_k up to the rounding limit, c T_k with bands down to 1e-3 wide, and
+# random real and non-real images
+_FAMILIES = (
     [pytest.param(cheb(k), id=f"T_{k}") for k in range(2, 27)]
     + [pytest.param(cheb(k, c), id=f"{c:g}*T_{k}")
        for c in (1.05, 1.25, 2.0, 10.0, 1e3) for k in range(3, 7)]
-    + [pytest.param(p, id=f"random-{i}") for i, p in enumerate(_random_images(16))],
+    + [pytest.param(p, id=f"random-{i}") for i, p in enumerate(_random_images(16))]
 )
+
+
+@pytest.mark.parametrize("p", _FAMILIES)
 def test_sequence_and_capacity_need_no_crossing_search(p, monkeypatch):
     # the full image decides realness; the sequence and the capacity must
     # agree with it bit for bit while reading the critical values alone
@@ -203,6 +207,45 @@ def test_sequence_and_capacity_need_no_crossing_search(p, monkeypatch):
     got = [_outcome(composed_minimal_sequence, p, k) for k in (1, 2, 4, 8)]
     assert got == expect
     assert _outcome(capacity_of_inverse_image, p) == expect_cap
+
+
+@pytest.mark.parametrize("p", _FAMILIES)
+def test_crossings_land_within_an_ulp(p):
+    # Every boundary point that is not a tangency is a crossing of P = +-1,
+    # within an ulp of the exact one: P - level, evaluated in twice the
+    # working precision, is at most an ulp's step along the slope.
+    res = inverse_image(p)
+    _, _, _, y, _, v, *_ = _inverse_image._monotone_pieces(p)
+    c, dp = np.asarray(p.coeffs), p.derivative()
+    crossings = [x for x in res.boundary_points if x not in y[np.abs(v) == 1.0]]
+    assert crossings
+    for x in crossings:
+        level = math.copysign(1.0, p(x))
+        residual = _inverse_image._compensated_residual(c, np.array([x]), level)[0]
+        bound = math.ulp(x) * abs(dp(x))
+        assert abs(residual) <= bound, (x, residual / bound)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [pytest.param(cheb(k), id=f"T_{k}") for k in range(5, 26)]
+    + [pytest.param(cheb(k, 1.25), id=f"1.25*T_{k}") for k in (3, 4)],
+)
+def test_crossings_run_no_scan_and_no_outer_bracket(p, monkeypatch):
+    # Two evaluations find the critical points; the crossings start from
+    # the critical points' Taylor models, with no scan of the pieces and no
+    # bracket evaluation on the outer ones: Newton and the last compensated
+    # step take the rest, at most 9 in all.
+    calls = []
+    values = _inverse_image._values
+
+    def counting(*args):
+        calls.append(None)
+        return values(*args)
+
+    monkeypatch.setattr(_inverse_image, "_values", counting)
+    inverse_image(p)
+    assert len(calls) <= 9
 
 
 def test_capacity_of_chebyshev_inverse_image():

@@ -1273,6 +1273,15 @@ def test_stall_accepted_solves_bracket_the_exact_deviation(c, k, n):
     assert r.deviation - r.residual - slack <= exact <= r.deviation + slack
 
 
+def test_stall_accepted_solve_reports_the_iterations_run():
+    # 1e5*T_3 at n = 39 runs all MAX_ITER iterations and is accepted at its
+    # smallest-gap iterate, the fifth: `iterations` counts the work done,
+    # not the index of the iterate it reports.
+    r = minimal_polynomial(_scaled_image(1e5, 3), 39)
+    assert r.iterations == _remez.MAX_ITER
+    assert r.residual > _remez.LEVEL_TOL * r.deviation
+
+
 def test_narrow_images_stop_only_on_level_tol_or_at_max_iter():
     # The exchange stops short of LEVEL_TOL only at MAX_ITER: on the 400
     # solves of 1e3*T_3, 1e3*T_4, 1e5*T_3 and 1e5*T_4 at n = 1..100 each one
