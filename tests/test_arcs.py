@@ -102,13 +102,13 @@ def test_arc_sup_norm_matches_mpmath_oracle(name, m):
         assert arc_sup_norm(lift(b, m), arcs) == pytest.approx(want, rel=1e-9), lift.__name__
 
 
-@pytest.mark.parametrize("m", [4, 8, 12, 16, 20, 24])
+@pytest.mark.parametrize("m", [4, 8, 12, 16, 20, 24, 28, 32])
 @pytest.mark.parametrize("name", ["pair-0.5", "asym", "triple"])
 def test_arc_sup_norm_within_evaluation_noise_of_oracle(name, m):
-    # Every grid peak near the best is polished, so the value is the oracle's
-    # up to Horner's evaluation noise eps sum|c_k| / |p|; polishing only the
-    # best sample's cells reads 5.2e-11 low on pair-0.5 at m = 16 and 1.3e-8
-    # on triple at m = 24, where the best sample and the highest peak differ.
+    # Every grid peak is polished, so the value is the oracle's up to
+    # Horner's evaluation noise eps sum|c_k| / |p|; polishing only the best
+    # sample's cells reads 5.2e-11 low on pair-0.5 at m = 16 and 1.3e-8 on
+    # triple at m = 24, where the best sample and the highest peak differ.
     arcs = {"pair-0.5": LAM05, "asym": ASYM, "triple": TRIPLE}[name]
     b = to_cheb(minimal_polynomial(arcs.projection, m).poly)
     p = lift_even(b, m)

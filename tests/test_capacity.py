@@ -352,6 +352,21 @@ def test_newton_ascent_takes_few_steps(monkeypatch):
     assert max(solves) <= 12 and sum(solves) <= 6.5 * len(solves), (max(solves), np.mean(solves))
 
 
+def test_gradient_steps_where_newton_has_none(monkeypatch):
+    # Where -H is not positive definite the ascent steps along the gradient.
+    # Taking that step every time, the ascent still reaches the Newton
+    # ascent's value to rounding on the multi-interval verify fixtures,
+    # never below the midpoint bound, with params that give the value.
+    sets = [to_angles(e) for _, e in _verify_fixtures() if e.ell > 1]
+    want = [solynin_optimized_bound(ang)[0] for ang in sets]
+    monkeypatch.setattr(_capacity, "_newton_step", lambda *a: None)
+    for ang, value in zip(sets, want):
+        got, params = solynin_optimized_bound(ang)
+        assert got == pytest.approx(value, rel=2e-16, abs=0.0)
+        assert got >= solynin_midpoint_bound(ang)
+        assert solynin_bound(ang, params) == got
+
+
 def test_midpoint_paths_disagreeing_is_numerical(monkeypatch):
     # The two evaluations of the midpoint bound guard each other; their
     # disagreement is a failure of the computation, not of the input.

@@ -74,6 +74,21 @@ def test_inverse_image_report(capsys):
     assert r["endpoints"] == pytest.approx([-1.0, 1.0], abs=1e-9)
 
 
+def test_inverse_image_coeffs_as_a_json_list(capsys):
+    _, plain, _ = run_cli(capsys, "inverse-image", "--coeffs", "0 -3 0 4")
+    code, listed, _ = run_cli(capsys, "inverse-image", "--coeffs", "[0, -3, 0, 4]")
+    assert code == 0
+    assert json.loads(listed)["results"] == json.loads(plain)["results"]
+
+
+@pytest.mark.parametrize("spec", ["[0, true]", '[0, "a"]', "[]", "[0, -3"])
+def test_inverse_image_bad_json_coeffs_exit_code(capsys, spec):
+    code, out, err = run_cli(capsys, "inverse-image", "--coeffs", spec)
+    assert code == cli.EXIT_INVALID == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_inverse_image_not_real(capsys):
     code, out, _ = run_cli(capsys, "inverse-image", "--coeffs", "0 1.5 0 -4 0 2.4")
     assert code == 0
@@ -157,6 +172,19 @@ def test_verify_battery_passes(capsys):
     assert doc["results"]["all_pass"] is True
     for row in doc["results"]["battery"]:
         assert row["rel_slack"] >= -1e-9
+
+
+def test_verify_exits_on_a_violation(capsys, monkeypatch):
+    # A lower bound raised 20% above the certified one breaks L_n >=
+    # 2 lower^n: verify exits 1 and still prints the full report.
+    lower_bound = cli.capacity_lower_bound
+    monkeypatch.setattr(cli, "capacity_lower_bound", lambda e: (1.2 * lower_bound(e)[0], None))
+    code, out, err = run_cli(capsys, "verify", "--seed", "0", "--random", "1", "--nmax", "3")
+    assert code == cli.EXIT_VIOLATION == 1 and err == ""
+    r = json.loads(out)["results"]
+    assert r["checks"] == len(r["battery"]) == 27
+    assert r["violations"] == sum(row["rel_slack"] < -r["tolerance"] for row in r["battery"]) == 23
+    assert r["all_pass"] is False
 
 
 def test_reports_are_deterministic(capsys):

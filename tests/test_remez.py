@@ -1282,6 +1282,52 @@ def test_stall_accepted_solve_reports_the_iterations_run():
     assert r.residual > _remez.LEVEL_TOL * r.deviation
 
 
+def test_refusal_at_max_iter_carries_the_best_iterate(monkeypatch):
+    # Quad at n = 20 converges in 5 iterations.  Cut to 2, with a stall
+    # tolerance below the gap left, the solve is refused: the error names
+    # the gap and the cap, and its last iterate is the best of the two,
+    # with the iterations run and that gap as residual over deviation.
+    assert minimal_polynomial(QUAD, 20).iterations == 5
+    monkeypatch.setattr(_remez, "MAX_ITER", 2)
+    monkeypatch.setattr(_remez, "STALL_ACCEPT", 1e-9)
+    with pytest.raises(ConvergenceError, match=r"^leveling gap \S+ after 2 iterations "
+                                               r"\(degree 20\)$") as info:
+        minimal_polynomial(QUAD, 20)
+    r = info.value.last_iterate
+    gap = float(str(info.value).split()[2])
+    assert r.iterations == 2
+    assert r.residual / r.deviation == pytest.approx(gap, rel=1e-3)
+    assert gap == pytest.approx(1.49e-2, rel=1e-2)
+
+
+@pytest.mark.parametrize("e, n", [(FULL, 4), (e_alpha(0.5), 6)], ids=["interval", "e_0.5"])
+def test_node_pass_refuses_a_point_of_the_other_sign(monkeypatch, e, n):
+    # The bound U_j holds only where M keeps its node's sign at the first
+    # Newton step.  With one such point read with the other sign, the node
+    # pass returns an infinite bound, and the iteration takes one
+    # interlaced solve, which stops the solve at the unpatched deviation.
+    want = minimal_polynomial(e, n)
+    evaluate_ = leveled.evaluate
+    flipped = []
+
+    def other_sign(x, u, w, h, order):
+        out = evaluate_(x, u, w, h, order)
+        if order == 1 and not flipped:
+            flipped.append(float(x[0]))
+            out[0][0] = -out[0][0]
+        return out
+
+    monkeypatch.setattr(leveled, "evaluate", other_sign)
+    node_pass, bounds = _remez._node_pass, []
+    monkeypatch.setattr(_remez, "_node_pass",
+                        lambda *a: bounds.append(node_pass(*a)) or bounds[-1])
+    solved = _counting(monkeypatch, leveled, "interlaced_zeros")
+    got = minimal_polynomial(e, n)
+    assert len(flipped) == 1 and bounds[0][0] == math.inf
+    assert got.iterations == 1 and len(solved) == 1
+    assert got.deviation == want.deviation
+
+
 def test_narrow_images_stop_only_on_level_tol_or_at_max_iter():
     # The exchange stops short of LEVEL_TOL only at MAX_ITER: on the 400
     # solves of 1e3*T_3, 1e3*T_4, 1e5*T_3 and 1e5*T_4 at n = 1..100 each one
