@@ -28,7 +28,8 @@ its candidates to `_next_reference`, which keeps one extremum per sign run
 of M and so enforces the alternation.  `blow_up_set` reads C' gap by gap
 between the zeros of M and M' of one interlaced solve, with no grid,
 through the first barycentric form (`leveled.gap_terms`), and `evaluate`
-reads M through that form everywhere.  Monomial coefficients of
+reads M through that form everywhere.  The result caches that solve and
+each C', which `minimality_witness` shares.  Monomial coefficients of
 near-minimal polynomials grow exponentially with the degree, so `poly` is
 for reporting only.
 """
@@ -90,6 +91,10 @@ class MinimalPolyResult:
     smallest-gap one after MAX_ITER.
     `poly`, the monomial coefficients in the original frame, for reporting,
     is computed from the reference on first read.
+    Cached the same way, read-only: the nodes and weights as arrays, the
+    final reference's `leveled.interlaced_zeros` pair and the blow-up set of
+    each input set, by its endpoints, which `blow_up_set` and
+    `minimality_witness` share.
     """
 
     deviation: float
@@ -108,9 +113,24 @@ class MinimalPolyResult:
 
     @functools.cached_property
     def poly(self) -> Polynomial:
-        cheb = ChebExpansion(tuple(_solve_on_reference(np.array(self.nodes), self.degree)[0]))
+        cheb = ChebExpansion(tuple(_solve_on_reference(self._reference[0], self.degree)[0]))
         mono = (self.hull_scale * to_monomial(cheb).compose_affine(self.frame)).coeffs
         return Polynomial(tuple(mono[:-1]) + (1.0,))  # snap the monic lead exactly
+
+    @functools.cached_property
+    def _reference(self) -> tuple:
+        """(nodes, weights) as read-only arrays, in the normalized frame."""
+        return leveled._read_only(np.array(self.nodes), np.array(self.weights))
+
+    @functools.cached_property
+    def _interlaced(self) -> tuple:
+        """The zeros of M and of M' in the normalized frame, ascending, as
+        read-only arrays from one `leveled.interlaced_zeros` solve."""
+        return leveled._read_only(*leveled.interlaced_zeros(*self._reference))
+
+    @functools.cached_property
+    def _blow_ups(self) -> dict:
+        return {}  # c.endpoints -> BlowUpResult, filled by `blow_up_set`
 
     def evaluate(self, x):
         """M_n(x) from the first barycentric form of the final reference
@@ -119,7 +139,7 @@ class MinimalPolyResult:
         outside the hull, where a value beyond the float range is inf.
         """
         t = self.frame(np.asarray(x, dtype=float))
-        m = leveled.first_form(t.ravel(), np.array(self.nodes), np.array(self.weights), self.level)
+        m = leveled.first_form(t.ravel(), *self._reference, self.level)
         return (self.hull_scale * m.reshape(t.shape))[()]
 
 
@@ -608,20 +628,21 @@ def blow_up_set(c: IntervalUnion, result: MinimalPolyResult) -> BlowUpResult:
     J. Numer. Anal. 2004), where the second is noise: in a gap of 10 T_3 at
     n = 40 it has the wrong sign at 116 of 399 points; at the gap ends, on
     E, from the second.
+
+    C' is computed once per result and set, from the result's cached
+    interlaced solve; a call that raises stores none.
     """
-    return _blow_up(c, result, np.array(_normalized_endpoints(c, result)), None)
-
-
-def _blow_up(c: IntervalUnion, result: MinimalPolyResult, pts: np.ndarray, zeros) -> BlowUpResult:
-    """`blow_up_set` on c's normalized endpoints, reusing the interlaced solve `zeros` if any."""
+    done = result._blow_ups.get(c.endpoints)
+    if done is not None:
+        return done
     n = result.degree
-    u, w = np.array(result.nodes), np.array(result.weights)
+    pts = np.array(_normalized_endpoints(c, result))
     edges = pts[[0, -1]]
     if len(pts) > 2:
-        zeros = leveled.interlaced_zeros(u, w) if zeros is None else zeros
+        u, w = result._reference
         with np.errstate(divide="ignore", invalid="ignore"):
             cuts = _gap_cuts(pts[1:-1], u, w, result.level,
-                             result.deviation / result.hull_scale, zeros)
+                             result.deviation / result.hull_scale, result._interlaced)
         edges = np.concatenate((pts[:1], cuts, pts[-1:]))
     ends = result.frame.inverse()(edges)
     keep = ends[0::2] < ends[1::2]  # a band around z narrower than an ulp of the original frame
@@ -631,32 +652,35 @@ def _blow_up(c: IntervalUnion, result: MinimalPolyResult, pts: np.ndarray, zeros
     if not 1 <= c_prime.ell <= n:
         raise ConvergenceError(f"blow-up produced {c_prime.ell} intervals for degree {n}",
                                last_iterate=c_prime)
-    return BlowUpResult(c_prime=c_prime, ell_prime=c_prime.ell)
+    result._blow_ups[c.endpoints] = done = BlowUpResult(c_prime=c_prime, ell_prime=c_prime.ell)
+    return done
 
 
 def minimality_witness(c: IntervalUnion, result: MinimalPolyResult) -> WitnessReport:
     """Check the two alternation facts and the sandwich invariance of L_n.
 
     sup |M| on c is the largest |M| at `_interlaced_extrema`'s candidates,
-    every local maximum of |M| on c, so `sup_excess` is exact to rounding, from
-    one `leveled.interlaced_zeros` solve that C' reads too, with the hull
-    snapped to [-1, 1]: mapped through the frame, the hull of a set far from
-    the origin lands just outside it, where |M| already exceeds L.
+    every local maximum of |M| on c, so `sup_excess` is exact to rounding,
+    from the result's cached `leveled.interlaced_zeros` solve that C' reads
+    too, with the hull snapped to [-1, 1]: mapped through the frame, the hull
+    of a set far from the origin lands just outside it, where |M| already
+    exceeds L.
     The sandwich: the blow-up set C' contains C and has the same minimal
     polynomial and deviation, up to 1e-8 relative plus the residual of each
     solve (a deviation accepted at MAX_ITER may sit that far above L_n).  It is
-    checked by solving again on C'; a C' that does not contain c to 1e-9 is
-    reported as not applicable rather than a failure, and a re-solve that
-    raises is reported in `sandwich_error`, with the sandwich not ok.
+    checked by solving again on C' from `blow_up_set`; a C' that does not
+    contain c to 1e-9 is reported as not applicable rather than a failure,
+    and a re-solve that raises is reported in `sandwich_error`, with the
+    sandwich not ok.
     """
     n = result.degree
     dev = result.deviation
     slack = result.residual + 1e-12 * dev
 
-    u, w, h = np.array(result.nodes), np.array(result.weights), result.level
+    (u, w), h = result._reference, result.level
     pts = np.array(_normalized_endpoints(c, result))
-    zeros = leveled.interlaced_zeros(u, w)
-    sup = result.hull_scale * float(np.abs(_interlaced_extrema(pts, u, w, h, zeros[1])[1]).max())
+    crit = result._interlaced[1]
+    sup = result.hull_scale * float(np.abs(_interlaced_extrema(pts, u, w, h, crit)[1]).max())
     sup_excess = max(0.0, sup - dev)
     sup_ok = sup_excess <= slack
 
@@ -668,7 +692,7 @@ def minimality_witness(c: IntervalUnion, result: MinimalPolyResult) -> WitnessRe
     level_ok = bool(np.max(np.abs(np.abs(vals) - dev)) <= slack + 1e-9 * dev)
     alternation_ok = signs_ok and level_ok
 
-    c_prime = _blow_up(c, result, pts, zeros).c_prime
+    c_prime = blow_up_set(c, result).c_prime
     applicable = is_subset(c, c_prime, tol=1e-9)
     diff = math.inf
     sandwich_ok = False

@@ -43,6 +43,24 @@ def test_minpoly_report(capsys):
     assert r["residual"] <= 1e-10
 
 
+@pytest.mark.parametrize("degree, noted", [(10, False), (30, False), (40, True)])
+def test_minpoly_notes_coefficients_below_their_rounding(capsys, degree, noted):
+    # On e_0.6 Horner's rounding bound eps sum |c_i| r^i over the deviation
+    # reads 0.20 at n = 30 and 2.5e4 at n = 40: past 1 one line on stderr
+    # says the coefficients do not describe M on the set; stdout is the
+    # report unchanged and the exit code 0.
+    argv = ("minpoly", "--intervals", "-1 -0.6; 0.6 1", "--degree", str(degree))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    text, _ = cli.run(RunConfig(command="minpoly", intervals="-1 -0.6; 0.6 1", degree=degree))
+    capsys.readouterr()
+    assert out == text
+    if noted:
+        assert err.count("\n") == 1 and err.startswith("note: the coefficients' rounding")
+    else:
+        assert err == ""
+
+
 def test_capacity_report(capsys):
     code, out, _ = run_cli(
         capsys, "capacity", "--intervals", "-1 -0.6; 0.6 1", "--degree", "8"

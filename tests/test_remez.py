@@ -1669,22 +1669,80 @@ def test_witness_rejects_the_level_reported_as_the_deviation(monkeypatch, name, 
 
 
 def test_witness_and_blow_up_share_one_interlaced_solve(monkeypatch):
-    # The witness reads its sup and C' from one interlaced solve, and no
-    # first form; `blow_up_set` takes one of its own, and none on one
-    # interval, where C' is the hull.  The re-solve on C' takes no
-    # interlaced solve.
-    results = [(e, minimal_polynomial(e, n)) for e, n in
-               ((FULL, 20), (e_alpha(0.6), 24), (IntervalUnion((-1.0, 0.0, 0.5, 1.0)), 12),
-                (TRIPLE, 20), (QUAD, 30))]
+    # The result caches its interlaced solve and each C', so the witness and
+    # `blow_up_set` take one interlaced solve per result between them, in
+    # either order with each called twice, and the witness reads no first
+    # form.  On one interval C' is the hull, and `blow_up_set` alone takes
+    # none.  The re-solve on C' takes no interlaced solve.
+    sets = ((FULL, 20), (e_alpha(0.6), 24), (IntervalUnion((-1.0, 0.0, 0.5, 1.0)), 12),
+            (TRIPLE, 20), (QUAD, 30))
     interlaced = _counting(monkeypatch, leveled, "interlaced_zeros")
     first = _counting(monkeypatch, leveled, "first_form")
-    for e, r in results:
-        interlaced.clear()
-        assert minimality_witness(e, r).passed
-        assert len(interlaced) == 1 and first == []
-        interlaced.clear()
-        blow_up_set(e, r)
-        assert len(interlaced) == (e.ell > 1)
+    for e, n in sets:
+        for calls in ((minimality_witness, blow_up_set), (blow_up_set, minimality_witness)):
+            r = minimal_polynomial(e, n)
+            interlaced.clear()
+            for call in calls + calls:
+                call(e, r)
+            assert len(interlaced) == 1 and first == [], (e, calls)
+    r = minimal_polynomial(FULL, 20)
+    interlaced.clear()
+    blow_up_set(FULL, r)
+    blow_up_set(FULL, r)
+    assert interlaced == []
+
+
+@pytest.mark.parametrize("name, n", [(name, n) for name in ("e_0.6", "triple", "quad")
+                                     for n in (8, 16, 24, 32)] + [("asym", 12)])
+def test_sharing_the_solve_changes_no_answer(name, n):
+    # `blow_up_set` and the witness on one result, in both orders and twice
+    # each, return field for field what each returns on a freshly solved
+    # result; the cache hands back the same C'.  A set with the same hull
+    # and other gaps gets its own C' from the same result.  The cached
+    # arrays are read-only.
+    e = {"e_0.6": e_alpha(0.6), "triple": TRIPLE, "quad": QUAD,
+         "asym": IntervalUnion((-1.0, 0.0, 0.5, 1.0))}[name]
+    a, b, *rest = e.endpoints  # the first interval's right end a tenth of its width in
+    other = IntervalUnion((a, b - 0.1 * (b - a), *rest))
+    want = {blow_up_set: blow_up_set(e, minimal_polynomial(e, n)),
+            minimality_witness: minimality_witness(e, minimal_polynomial(e, n))}
+    want_other = blow_up_set(other, minimal_polynomial(e, n))
+    for calls in ((blow_up_set, minimality_witness, minimality_witness, blow_up_set),
+                  (minimality_witness, blow_up_set, blow_up_set, minimality_witness)):
+        r = minimal_polynomial(e, n)
+        for call in calls:
+            assert call(e, r) == want[call], (name, n, call.__name__)
+        assert blow_up_set(e, r) is blow_up_set(e, r)
+        got = blow_up_set(other, r)
+        assert got == want_other and got is not blow_up_set(e, r)
+        assert set(r._blow_ups) == {e.endpoints, other.endpoints}
+        for a in r._reference + r._interlaced:
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+
+@pytest.mark.parametrize("defect", ["outside", "too_many"])
+def test_a_blow_up_set_that_raises_caches_nothing(monkeypatch, defect):
+    # Gap cuts that leave part of the set out of C', or give C' more than n
+    # intervals, raise ConvergenceError carrying that C', on every call: a
+    # raise stores no C'.  Unpatched, the same result then returns the C'
+    # of a freshly solved result.
+    e, n = e_alpha(0.6), 3
+    r = minimal_polynomial(e, n)
+    if defect == "outside":  # the first interval's right end cut in by 0.1
+        cuts = [-0.7, 0.6]
+        message = "does not contain the input set"
+    else:  # n bands in the gap, n + 2 intervals
+        cuts = [-0.6, *np.linspace(-0.5, 0.5, 2 * n), 0.6]
+        message = f"blow-up produced {n + 2} intervals for degree {n}"
+    monkeypatch.setattr(_remez, "_gap_cuts", lambda *a: cuts)
+    for _ in range(2):
+        with pytest.raises(ConvergenceError, match=message) as exc:
+            blow_up_set(e, r)
+        assert isinstance(exc.value.last_iterate, IntervalUnion)
+        assert r._blow_ups == {}
+    monkeypatch.undo()
+    assert blow_up_set(e, r) == blow_up_set(e, minimal_polynomial(e, n))
 
 
 MULTI_FIXTURES = {name: e for name, e in _verify_fixtures() if e.ell > 1}
