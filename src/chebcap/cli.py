@@ -179,21 +179,15 @@ def _parse_coeffs(text: str) -> Polynomial:
 
 
 def _cmd_minpoly(config: RunConfig) -> dict:
-    """The minimal polynomial's report.  Where Horner's rounding bound on the
-    set, eps sum |c_i| r^i with r the largest |x| on it, exceeds the
-    deviation, the coefficients do not describe M there, and one line on
-    standard error says so; the report is unchanged."""
+    """The minimal polynomial's report.  Where the coefficients' rounding
+    bound exceeds the deviation (`MinimalPolyResult.poly_rounding` > 1),
+    one line on standard error says so; the report is unchanged."""
     e = parse_intervals(config.intervals)
     r = minimal_polynomial(e, config.degree)
-    rad = max(abs(e.endpoints[0]), abs(e.endpoints[-1]))
-    noise = 0.0
-    for coef in reversed(r.poly.coeffs):
-        noise = noise * rad + abs(coef)
-    noise *= sys.float_info.epsilon
-    if noise > r.deviation:
-        print(f"note: the coefficients' rounding on the set, eps sum |c_i| r^i = {noise:.3g} "
-              f"(r = {rad:.6g}), exceeds the deviation {r.deviation:.3g}; they do not "
-              f"describe the polynomial there", file=sys.stderr)
+    if r.poly_rounding > 1.0:
+        print(f"note: the coefficients' rounding on the set, eps sum |c_i| r^i, is "
+              f"{r.poly_rounding:.3g} times the deviation; they do not describe the "
+              f"polynomial there", file=sys.stderr)
     return {
         "degree": config.degree,
         "deviation": r.deviation,

@@ -90,7 +90,8 @@ class MinimalPolyResult:
     the accepted iterate is the last of them on convergence, and the
     smallest-gap one after MAX_ITER.
     `poly`, the monomial coefficients in the original frame, for reporting,
-    is computed from the reference on first read.
+    is computed from the reference on first read; `poly_rounding` says
+    whether they describe M on the set.
     Cached the same way, read-only: the nodes and weights as arrays, the
     final reference's `leveled.interlaced_zeros` pair and the blow-up set of
     each input set, by its endpoints, which `blow_up_set` and
@@ -116,6 +117,18 @@ class MinimalPolyResult:
         cheb = ChebExpansion(tuple(_solve_on_reference(self._reference[0], self.degree)[0]))
         mono = (self.hull_scale * to_monomial(cheb).compose_affine(self.frame)).coeffs
         return Polynomial(tuple(mono[:-1]) + (1.0,))  # snap the monic lead exactly
+
+    @property
+    def poly_rounding(self) -> float:
+        """Horner's rounding bound for `poly` on the set over the deviation,
+        eps sum |c_i| r^i / deviation with r the largest |x| on the hull:
+        above 1 the coefficients do not describe M on the set."""
+        back = self.frame.inverse()
+        r = max(abs(back(-1.0)), abs(back(1.0)))
+        noise = 0.0
+        for c in reversed(self.poly.coeffs):
+            noise = noise * r + abs(c)
+        return sys.float_info.epsilon * noise / self.deviation
 
     @functools.cached_property
     def _reference(self) -> tuple:

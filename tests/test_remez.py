@@ -70,6 +70,20 @@ def test_poly_keeps_its_degree_and_monic_lead_on_a_shifted_hull(ends, n):
     assert poly.degree == n and poly.leading == 1.0
 
 
+@pytest.mark.parametrize("ends, n, above", [
+    ((-1.0, -0.6, 0.6, 1.0), 10, False), ((-1.0, -0.6, 0.6, 1.0), 30, False),
+    ((-1.0, -0.6, 0.6, 1.0), 40, True), ((100.0, 101.0), 8, True)])
+def test_poly_rounding_is_horners_bound_over_the_deviation(ends, n, above):
+    # eps sum |c_i| r^i / deviation, r the largest |x| on the set, from the
+    # reported coefficients.  On e_0.6 it passes 1 between n = 30 (0.20) and
+    # n = 40 (2.5e4); far from the origin the coefficients fail at n = 8.
+    r = minimal_polynomial(IntervalUnion(ends), n)
+    rad = max(abs(x) for x in ends)
+    noise = math.fsum(abs(c) * rad ** i for i, c in enumerate(r.poly.coeffs))
+    assert r.poly_rounding == pytest.approx(np.finfo(float).eps * noise / r.deviation, rel=1e-12)
+    assert (r.poly_rounding > 1.0) == above
+
+
 def test_symmetric_pair_closed_form():
     for alpha in (0.3, 0.5, 0.7):
         e = e_alpha(alpha)
@@ -1669,11 +1683,12 @@ def test_witness_rejects_the_level_reported_as_the_deviation(monkeypatch, name, 
 
 
 def test_witness_and_blow_up_share_one_interlaced_solve(monkeypatch):
-    # The result caches its interlaced solve and each C', so the witness and
-    # `blow_up_set` take one interlaced solve per result between them, in
-    # either order with each called twice, and the witness reads no first
-    # form.  On one interval C' is the hull, and `blow_up_set` alone takes
-    # none.  The re-solve on C' takes no interlaced solve.
+    # The witness passes.  The result caches its interlaced solve and each
+    # C', so the witness and `blow_up_set` take one interlaced solve per
+    # result between them, in either order with each called twice, and the
+    # witness reads no first form.  On one interval C' is the hull, and
+    # `blow_up_set` alone takes none.  The re-solve on C' takes no
+    # interlaced solve.
     sets = ((FULL, 20), (e_alpha(0.6), 24), (IntervalUnion((-1.0, 0.0, 0.5, 1.0)), 12),
             (TRIPLE, 20), (QUAD, 30))
     interlaced = _counting(monkeypatch, leveled, "interlaced_zeros")
@@ -1683,7 +1698,8 @@ def test_witness_and_blow_up_share_one_interlaced_solve(monkeypatch):
             r = minimal_polynomial(e, n)
             interlaced.clear()
             for call in calls + calls:
-                call(e, r)
+                got = call(e, r)
+                assert call is blow_up_set or got.passed, (e, n)
             assert len(interlaced) == 1 and first == [], (e, calls)
     r = minimal_polynomial(FULL, 20)
     interlaced.clear()
