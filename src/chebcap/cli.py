@@ -5,10 +5,13 @@ exits 0 on success, 2 on invalid input, 3 on numerical non-convergence; the
 verify subcommand exits 1 when the central inequality fails somewhere.  Input
 too ill-conditioned to answer, such as monomial coefficients whose rounding
 exceeds what an inverse image can resolve, is invalid input: exit 2, with
-the rounding estimate in the message on standard error.  JSON
-reports carry {command, inputs, version, results} with keys sorted; CSV is a
-fixed-column table.  All floating-point output is formatted at 17 significant
-digits, and identical invocations produce byte-identical output.
+the rounding estimate in the message on standard error.  Every handler
+returns one report shape, (results, CSV table as (columns, rows) or None,
+exit code), which `run` formats alike for all commands: JSON reports carry
+{command, inputs, version, results} with keys sorted, and CSV is the table or
+else a key,value listing of the results.  All floating-point output is
+formatted at 17 significant digits, and identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -62,18 +65,25 @@ class RunConfig:
     def to_inputs(self) -> dict:
         return {k: v for k, v in asdict(self).items() if v is not None}
 
-    @classmethod
-    def from_inputs(cls, inputs: dict) -> "RunConfig":
-        return cls(**inputs)
-
 
 # ---------------------------------------------------------------------------
 # Serialization.  The float format and key order are part of the output
 # contract, so the JSON writer is explicit rather than json.dumps.
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _scalar(value) -> str:
+    """One scalar as JSON prints it; CSV prints bools and numbers the same."""
+    if isinstance(value, str):
+        return json.dumps(value)
+    if value is None:
+        return "null"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def _to_json(value, indent: int = 0) -> str:
@@ -94,17 +104,7 @@ def _to_json(value, indent: int = 0) -> str:
         if sum(map(len, parts)) < 72 and not any("\n" in p for p in parts):
             return "[" + ", ".join(parts) + "]"
         return "[\n" + ",\n".join(pad + p for p in parts) + "\n" + end + "]"
-    if isinstance(value, bool) or isinstance(value, np.bool_):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _fmt(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if value is None:
-        return "null"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+    return _scalar(value)
 
 
 def _envelope(config: RunConfig, results: dict) -> str:
@@ -118,17 +118,13 @@ def _envelope(config: RunConfig, results: dict) -> str:
 
 
 def _csv_cell(value) -> str:
-    if isinstance(value, bool) or isinstance(value, np.bool_):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return _fmt(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, (list, tuple)):
         return ";".join(_csv_cell(v) for v in value)
     if value is None:
         return ""
-    return str(value)
+    if isinstance(value, str):
+        return value
+    return _scalar(value)
 
 
 def _flat_csv(results: dict) -> str:
@@ -178,7 +174,7 @@ def _parse_coeffs(text: str) -> Polynomial:
     return Polynomial(tuple(float(v) for v in vals))
 
 
-def _cmd_minpoly(config: RunConfig) -> dict:
+def _cmd_minpoly(config: RunConfig):
     """The minimal polynomial's report.  Where the coefficients' rounding
     bound exceeds the deviation (`MinimalPolyResult.poly_rounding` > 1),
     one line on standard error says so; the report is unchanged."""
@@ -195,28 +191,15 @@ def _cmd_minpoly(config: RunConfig) -> dict:
         "alternation_points": list(r.alternation_points),
         "iterations": r.iterations,
         "residual": r.residual,
-    }
+    }, None, EXIT_OK
 
 
-def _cmd_capacity(config: RunConfig) -> dict:
+def _cmd_capacity(config: RunConfig):
     e = parse_intervals(config.intervals)
-    b = capacity_bracket(e, config.degree)
-    params = None
-    if b.lower_params is not None:
-        params = {
-            "gamma": list(b.lower_params.gamma),
-            "delta": list(b.lower_params.delta),
-        }
-    return {
-        "lower": b.lower,
-        "upper": b.upper,
-        "degree_used": b.degree_used,
-        "scale": b.scale,
-        "lower_params": params,
-    }
+    return asdict(capacity_bracket(e, config.degree)), None, EXIT_OK
 
 
-def _cmd_inverse_image(config: RunConfig) -> dict:
+def _cmd_inverse_image(config: RunConfig):
     p = _parse_coeffs(config.coeffs)
     res = inverse_image(p)
     try:
@@ -230,7 +213,7 @@ def _cmd_inverse_image(config: RunConfig) -> dict:
         "component_count": res.image.ell,
         "is_real": res.is_real,
         "capacity": cap,
-    }
+    }, None, EXIT_OK
 
 
 def _cmd_ratio(config: RunConfig):
@@ -248,10 +231,10 @@ def _cmd_ratio(config: RunConfig):
         {"k": k + 1, "ratio": rep.ratios[k], "upper_ratio": rep.upper_ratios[k]}
         for k in range(len(rep.ratios))
     ]
-    return results, ("k", "ratio", "upper_ratio"), rows
+    return results, (("k", "ratio", "upper_ratio"), rows), EXIT_OK
 
 
-def _cmd_arcs(config: RunConfig) -> dict:
+def _cmd_arcs(config: RunConfig):
     e = parse_intervals(config.intervals)
     arcs = ArcSet(e)
     b = capacity_bracket(e, config.degree)
@@ -264,7 +247,7 @@ def _cmd_arcs(config: RunConfig) -> dict:
         "arc_capacity_lower": robinson_capacity(b.lower),
         "arc_capacity_upper": robinson_capacity(min(b.upper, 0.5)),
         "deviation_upper": arc_deviation_upper(arcs, config.degree),
-    }
+    }, None, EXIT_OK
 
 
 def _random_union(rng) -> IntervalUnion:
@@ -301,64 +284,45 @@ def _cmd_verify(config: RunConfig):
         (f"random-{i}", _random_union(rng)) for i in range(config.random_count)
     )
     rows = []
-    violations = 0
-    worst = math.inf
     for name, e in sets:
         lower = capacity_lower_bound(e)[0]
         for n in range(1, config.n_max + 1):
             dev = minimal_polynomial(e, n).deviation
             floor = 2.0 * lower**n
-            rel_slack = (dev - floor) / dev
-            if rel_slack < -tol:
-                violations += 1
-            worst = min(worst, rel_slack)
-            rows.append(
-                {
-                    "fixture": name,
-                    "n": n,
-                    "deviation": dev,
-                    "floor": floor,
-                    "rel_slack": rel_slack,
-                }
-            )
+            rows.append({"fixture": name, "n": n, "deviation": dev, "floor": floor,
+                         "rel_slack": (dev - floor) / dev})
+    violations = sum(r["rel_slack"] < -tol for r in rows)
     results = {
         "checks": len(rows),
         "violations": violations,
-        "worst_rel_slack": worst,
+        "worst_rel_slack": min(r["rel_slack"] for r in rows),
         "tolerance": tol,
         "all_pass": violations == 0,
         "battery": rows,
     }
     code = EXIT_OK if violations == 0 else EXIT_VIOLATION
-    return results, ("fixture", "n", "deviation", "floor", "rel_slack"), rows, code
+    return results, (("fixture", "n", "deviation", "floor", "rel_slack"), rows), code
+
+
+_COMMANDS = {
+    "minpoly": _cmd_minpoly,
+    "capacity": _cmd_capacity,
+    "inverse-image": _cmd_inverse_image,
+    "ratio": _cmd_ratio,
+    "arcs": _cmd_arcs,
+    "verify": _cmd_verify,
+}
 
 
 def run(config: RunConfig):
     """Execute one configured command; returns (report text, exit code)."""
-    code = EXIT_OK
-    columns = rows = None
-    if config.command == "minpoly":
-        results = _cmd_minpoly(config)
-    elif config.command == "capacity":
-        results = _cmd_capacity(config)
-    elif config.command == "inverse-image":
-        results = _cmd_inverse_image(config)
-    elif config.command == "ratio":
-        results, columns, rows = _cmd_ratio(config)
-    elif config.command == "arcs":
-        results = _cmd_arcs(config)
-    elif config.command == "verify":
-        results, columns, rows, code = _cmd_verify(config)
-    else:
+    handler = _COMMANDS.get(config.command)
+    if handler is None:
         raise InvalidInputError(f"unknown command {config.command!r}")
-    if config.output == "csv":
-        if columns is not None:
-            text = _table_csv(columns, rows)
-        else:
-            text = _flat_csv(results)
-    else:
-        text = _envelope(config, results)
-    return text, code
+    results, table, code = handler(config)
+    if config.output != "csv":
+        return _envelope(config, results), code
+    return (_flat_csv(results) if table is None else _table_csv(*table)), code
 
 
 # ---------------------------------------------------------------------------
@@ -420,17 +384,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    known = {f: getattr(args, f, None) for f in (
-        "command", "intervals", "coeffs", "degree", "k_max", "n_max",
-        "random_count", "seed", "tol", "out",
-    )}
-    return RunConfig(output=getattr(args, "output", "json"), **known)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    config = _config_from_args(args)
+    config = RunConfig(**{f.name: getattr(args, f.name, f.default) for f in fields(RunConfig)})
     try:
         text, code = run(config)
     except (InvalidInputError, EmptyImageError) as exc:

@@ -115,7 +115,10 @@ class MinimalPolyResult:
     @functools.cached_property
     def poly(self) -> Polynomial:
         cheb = ChebExpansion(tuple(_solve_on_reference(self._reference[0], self.degree)[0]))
-        mono = (self.hull_scale * to_monomial(cheb).compose_affine(self.frame)).coeffs
+        # coefficients beyond the double range come out inf or nan, which
+        # Polynomial refuses as invalid input
+        with np.errstate(over="ignore", invalid="ignore"):
+            mono = (self.hull_scale * to_monomial(cheb).compose_affine(self.frame)).coeffs
         return Polynomial(tuple(mono[:-1]) + (1.0,))  # snap the monic lead exactly
 
     @property
@@ -657,7 +660,12 @@ def blow_up_set(c: IntervalUnion, result: MinimalPolyResult) -> BlowUpResult:
             cuts = _gap_cuts(pts[1:-1], u, w, result.level,
                              result.deviation / result.hull_scale, result._interlaced)
         edges = np.concatenate((pts[:1], cuts, pts[-1:]))
-    ends = result.frame.inverse()(edges)
+    # Ends of C' that are E's own endpoints (the hull's, and a gap end that is
+    # its own crossing) are taken from c: mapped back through the frame, they
+    # move by the frame's rounding, outside c far from the origin.
+    own = dict(zip(pts.tolist(), c.endpoints))
+    back = result.frame.inverse()
+    ends = np.array([own.get(x, back(x)) for x in edges.tolist()])
     keep = ends[0::2] < ends[1::2]  # a band around z narrower than an ulp of the original frame
     c_prime = IntervalUnion(tuple(ends.reshape(-1, 2)[keep].ravel().tolist()))
     if not is_subset(c, c_prime, tol=1e-8):

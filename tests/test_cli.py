@@ -18,7 +18,7 @@ from chebcap import capacity as _capacity
 from chebcap import cli
 from chebcap import chebpoly as _chebpoly
 from chebcap.cli import RunConfig, main
-from chebcap.errors import ConvergenceError
+from chebcap.errors import ConvergenceError, InvalidInputError
 
 
 def run_cli(capsys, *argv):
@@ -244,6 +244,16 @@ def test_deviation_beyond_the_double_range_exits_invalid(capsys, spec, degree):
     assert err.startswith("error: ") and err.count("\n") == 1 and f"n = {degree}" in err
 
 
+def test_coefficients_beyond_the_double_range_exit_invalid(capsys):
+    # The solve is fine, but the monomial coefficients on a hull near 1e15
+    # overflow: one error line, not an overflow warning or a traceback.
+    code, out, err = run_cli(capsys, "minpoly", "--intervals", "1e15 1.0000001e15",
+                             "--degree", "30")
+    assert code == cli.EXIT_INVALID == 2
+    assert out == ""
+    assert err == "error: coefficients must be finite\n"
+
+
 @pytest.mark.parametrize("option", ["--nmax=0", "--random=-3", "--tol=nan", "--tol=inf",
                                     "--tol=-1e-9", "--seed=-1", "--seed=4294967296"])
 def test_verify_rejects_bad_numeric_options(capsys, option):
@@ -329,8 +339,17 @@ def test_config_roundtrip():
     cfg = RunConfig(
         command="ratio", intervals="-1 -0.6; 0.6 1", k_max=8, output="csv"
     )
-    again = RunConfig.from_inputs(cfg.to_inputs())
-    assert again == cfg
+    assert RunConfig(**cfg.to_inputs()) == cfg
+
+
+def test_run_refuses_an_unknown_command():
+    with pytest.raises(InvalidInputError, match="'bogus'"):
+        cli.run(RunConfig(command="bogus"))
+
+
+def test_json_writer_refuses_what_it_cannot_serialize():
+    with pytest.raises(TypeError, match="cannot serialize set"):
+        cli._to_json({"results": [1.0, {2.0}]})
 
 
 def test_flat_csv_fallback(capsys):

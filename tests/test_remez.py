@@ -275,14 +275,18 @@ def test_blow_up_rejects_result_from_another_hull():
 
 
 def test_blow_up_far_from_origin():
-    # The hull of this set maps onto [-1, 1] only to ~1.5e-11: the rounding
-    # of the frame map itself, which the hull check must tolerate.
-    e = IntervalUnion((31415.9, 31416.11, 31416.32, 31416.6))
-    for n in (3, 6):
-        r = minimal_polynomial(e, n)
-        b = blow_up_set(e, r)
-        assert is_subset(e, b.c_prime, tol=1e-8)
-        assert b.c_prime.ell <= n
+    # The hull of these sets maps onto [-1, 1] only to the frame map's
+    # rounding (~1.5e-11 for the first), which the hull check must tolerate;
+    # mapped back, the hull's ends would land 2e-6 outside [1e10, 1e10 + 3].
+    # C' takes E's own endpoints from E, so it contains E exactly.
+    for e, degrees in ((IntervalUnion((31415.9, 31416.11, 31416.32, 31416.6)), (3, 6)),
+                       (IntervalUnion((1e10, 1e10 + 1, 1e10 + 1.7, 1e10 + 3)), (3, 4, 6))):
+        for n in degrees:
+            r = minimal_polynomial(e, n)
+            b = blow_up_set(e, r)
+            assert is_subset(e, b.c_prime, tol=0.0), (e, n)
+            assert b.c_prime.hull == e.hull, (e, n)
+            assert b.c_prime.ell <= n
 
 
 @pytest.mark.parametrize("name", sorted(EXTREMA_SETS))
