@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConvergenceError, InvalidInputError
-from .intervals import AngleCoordinates, IntervalUnion, normalize, to_angles
+from .intervals import AffineMap, AngleCoordinates, IntervalUnion, normalize, to_angles
 from .remez import minimal_polynomial
 
 # Ascent keeps this far inside the feasible box, where a sine factor would
@@ -307,35 +307,37 @@ def capacity_lower_bound(e: IntervalUnion) -> tuple:
 
     A single interval has exact capacity, a quarter of its length, and no
     params; otherwise the optimized Solynin bound of the hull-normalized set
-    is scaled back.
+    is scaled back by the hull's radius.
     """
-    e_norm, fwd = normalize(e)
-    scale = 1.0 / abs(fwd.scale)
+    return _lower_bound(*normalize(e))
+
+
+def _lower_bound(e_norm: IntervalUnion, fwd: AffineMap) -> tuple:
+    """`capacity_lower_bound` of the set that `fwd` maps onto e_norm."""
     if e_norm.ell == 1:
-        return 0.5 * scale, None
+        return 0.5 * fwd.rad, None
     lower, params = solynin_optimized_bound(to_angles(e_norm))
-    return lower * scale, params
+    return lower * fwd.rad, params
 
 
 def capacity_bracket(e: IntervalUnion, n: int) -> CapacityBracket:
     """Bracket the capacity of e between the best closed-form lower bound
     and the degree-n deviation upper estimate.
 
-    The set is hull-normalized first and the bracket scaled back, since
-    capacity is affine-covariant: cap(s E + t) = |s| cap(E).
+    The set is hull-normalized once and the bracket scaled back by the
+    hull's radius, since capacity is affine-covariant: cap(s E + t) = |s| cap(E).
     """
     if n < 1:
         raise InvalidInputError("degree must be at least 1")
     e_norm, fwd = normalize(e)
-    scale = 1.0 / abs(fwd.scale)
-    lower, params = capacity_lower_bound(e)
-    upper = lower if e_norm.ell == 1 else capacity_upper_estimate(e_norm, n) * scale
+    lower, params = _lower_bound(e_norm, fwd)
+    upper = lower if e_norm.ell == 1 else capacity_upper_estimate(e_norm, n) * fwd.rad
     return CapacityBracket(
         lower=lower,
         lower_params=params,
         upper=upper,
         degree_used=n,
-        scale=scale,
+        scale=fwd.rad,
     )
 
 

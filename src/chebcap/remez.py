@@ -1,8 +1,11 @@
 """Monic minimal polynomials on interval unions via a Remez exchange.
 
-The solve runs on the hull normalized to [-1, 1]; deviations are affinely
-covariant, L_n(s E + t) = |s|^n L_n(E), which is how results return to the
-original frame.  Each iterate is the leveled interpolant on the reference,
+The solve runs on the hull normalized to [-1, 1] by `intervals.normalize`,
+whose map is within 1 ulp on a hull far from the origin too; deviations are
+affinely covariant, L_n(s E + t) = |s|^n L_n(E), which is how results return
+to the original frame, where a reported point carries a relative rounding
+of ulp(max |x|) / rad on the hull.  Each iterate is the leveled interpolant
+on the reference,
 in the barycentric form of `leveled`, whose evaluation error on the set does
 not grow with the size of M in the gaps.  One pass over the reference nodes
 (`leveled.leveled`) gives its weights and level, M' at every node and M''
@@ -89,6 +92,10 @@ class MinimalPolyResult:
     up to that rounding.  `iterations` counts the exchange iterations run:
     the accepted iterate is the last of them on convergence, and the
     smallest-gap one after MAX_ITER.
+    `frame` is `intervals.normalize`'s map of the hull, within 1 ulp on a
+    hull far from the origin, and `hull_scale` its rad^n;
+    `alternation_points`, the nodes mapped back by `frame.inverse`, carry a
+    relative rounding of ulp(max |x|) / rad.
     `poly`, the monomial coefficients in the original frame, for reporting,
     is computed from the reference on first read; `poly_rounding` says
     whether they describe M on the set.
@@ -103,7 +110,6 @@ class MinimalPolyResult:
     iterations: int
     residual: float
     frame: AffineMap
-    hull_scale: float
     nodes: tuple
     weights: tuple
     level: float
@@ -111,6 +117,10 @@ class MinimalPolyResult:
     @property
     def degree(self) -> int:
         return len(self.nodes) - 1
+
+    @property
+    def hull_scale(self) -> float:
+        return self.frame.rad ** self.degree
 
     @functools.cached_property
     def poly(self) -> Polynomial:
@@ -126,8 +136,7 @@ class MinimalPolyResult:
         """Horner's rounding bound for `poly` on the set over the deviation,
         eps sum |c_i| r^i / deviation with r the largest |x| on the hull:
         above 1 the coefficients do not describe M on the set."""
-        back = self.frame.inverse()
-        r = max(abs(back(-1.0)), abs(back(1.0)))
+        r = max(abs(self.frame.lo), abs(self.frame.hi))
         noise = 0.0
         for c in reversed(self.poly.coeffs):
             noise = noise * r + abs(c)
@@ -161,10 +170,13 @@ class MinimalPolyResult:
 
 @dataclass(frozen=True)
 class BlowUpResult:
-    """Inverse image C' of [-L, L] under the minimal polynomial (its superset sandwich)."""
+    """Inverse image C' of [-L, L] under the minimal polynomial (its superset
+    sandwich): `normalized` in the result's frame, and `c_prime` mapped out,
+    each end with a relative rounding of ulp(max |x|) / rad on the hull."""
 
     c_prime: IntervalUnion
     ell_prime: int
+    normalized: IntervalUnion
 
 
 @dataclass(frozen=True)
@@ -174,7 +186,6 @@ class WitnessReport:
 
     sup_ok: bool
     alternation_ok: bool
-    sandwich_applicable: bool
     sandwich_ok: bool
     sup_excess: float
     sandwich_deviation_diff: float
@@ -182,8 +193,7 @@ class WitnessReport:
 
     @property
     def passed(self) -> bool:
-        ok = self.sup_ok and self.alternation_ok
-        return ok and (self.sandwich_ok or not self.sandwich_applicable)
+        return self.sup_ok and self.alternation_ok and self.sandwich_ok
 
 
 def _init_reference(e: IntervalUnion, n: int) -> np.ndarray:
@@ -423,7 +433,7 @@ def minimal_polynomial(c: IntervalUnion, n: int) -> MinimalPolyResult:
     if n > DEGREE_CAP:
         raise DegreeCapError(f"degree {n} exceeds cap {DEGREE_CAP}")
     cn, fwd = normalize(c)
-    rad = 1.0 / fwd.scale
+    rad = fwd.rad
     try:
         hull_scale = rad**n
     except OverflowError:
@@ -483,26 +493,30 @@ def _finalize(state, iterations, fwd, hull_scale) -> MinimalPolyResult:
     _, u, w, h, emax, gap = state
     return MinimalPolyResult(
         deviation=hull_scale * emax,
-        alternation_points=tuple(fwd.inverse()(u).tolist()),
+        alternation_points=tuple(fwd.inverse(u).tolist()),
         iterations=iterations,
         residual=hull_scale * gap,
         frame=fwd,
-        hull_scale=hull_scale,
         nodes=tuple(u.tolist()),
         weights=tuple(w.tolist()),
         level=h,
     )
 
 
-def _normalized_endpoints(c: IntervalUnion, result: MinimalPolyResult) -> list:
-    """c's endpoints in the result's normalized frame, the hull snapped to
-    [-1, 1]; refuses a c whose hull is not the one the result was solved on."""
-    pts = [result.frame(x) for x in c.endpoints]
-    tol = 1e-12 * (1.0 + abs(result.frame.shift))  # the frame map's rounding
-    if abs(pts[0] + 1.0) > tol or abs(pts[-1] - 1.0) > tol:
+def _in_frame(c: IntervalUnion, result: MinimalPolyResult) -> IntervalUnion:
+    """c in the result's frame, by `normalize`; refuses a c whose hull is not
+    the one the result was solved on."""
+    cn, fwd = normalize(c)
+    if fwd != result.frame:
         raise InvalidInputError("the result was not solved on the hull of this set")
-    pts[0], pts[-1] = -1.0, 1.0
-    return pts
+    return cn
+
+
+def _union(ends) -> IntervalUnion:
+    """The union of the (a, b) pairs of `ends` with a < b: a band around a
+    zero of M narrower than an ulp is left out."""
+    keep = ends[0::2] < ends[1::2]
+    return IntervalUnion(tuple(ends.reshape(-1, 2)[keep].ravel().tolist()))
 
 
 def _gap_search(cells, u, w, loglev):
@@ -646,13 +660,15 @@ def blow_up_set(c: IntervalUnion, result: MinimalPolyResult) -> BlowUpResult:
     E, from the second.
 
     C' is computed once per result and set, from the result's cached
-    interlaced solve; a call that raises stores none.
+    interlaced solve, and contains E on its ends in the frame; a call that
+    raises stores none.
     """
     done = result._blow_ups.get(c.endpoints)
     if done is not None:
         return done
     n = result.degree
-    pts = np.array(_normalized_endpoints(c, result))
+    cn = _in_frame(c, result)
+    pts = np.array(cn.endpoints)
     edges = pts[[0, -1]]
     if len(pts) > 2:
         u, w = result._reference
@@ -660,78 +676,76 @@ def blow_up_set(c: IntervalUnion, result: MinimalPolyResult) -> BlowUpResult:
             cuts = _gap_cuts(pts[1:-1], u, w, result.level,
                              result.deviation / result.hull_scale, result._interlaced)
         edges = np.concatenate((pts[:1], cuts, pts[-1:]))
-    # Ends of C' that are E's own endpoints (the hull's, and a gap end that is
-    # its own crossing) are taken from c: mapped back through the frame, they
-    # move by the frame's rounding, outside c far from the origin.
-    own = dict(zip(pts.tolist(), c.endpoints))
-    back = result.frame.inverse()
-    ends = np.array([own.get(x, back(x)) for x in edges.tolist()])
-    keep = ends[0::2] < ends[1::2]  # a band around z narrower than an ulp of the original frame
-    c_prime = IntervalUnion(tuple(ends.reshape(-1, 2)[keep].ravel().tolist()))
-    if not is_subset(c, c_prime, tol=1e-8):
+    normalized = _union(edges)
+    # Mapped out, E's own endpoints among the ends (the hull's, and a gap end
+    # that is its own crossing) are c's, and every other end is kept within
+    # its gap of c, so C' contains c in the caller's frame as it does here.
+    edges = np.array(normalized.endpoints)
+    j = pts.searchsorted(edges)  # edges in (pts[j - 1], pts[j]]
+    ce = np.array(c.endpoints)
+    ends = np.where(edges == pts[j], ce[j],
+                    np.clip(result.frame.inverse(edges), ce[j - 1], ce[j]))
+    c_prime = _union(ends)
+    if not is_subset(cn, normalized, tol=0.0):
         raise ConvergenceError("blow-up set does not contain the input set", last_iterate=c_prime)
-    if not 1 <= c_prime.ell <= n:
-        raise ConvergenceError(f"blow-up produced {c_prime.ell} intervals for degree {n}",
+    if not 1 <= normalized.ell <= n:
+        raise ConvergenceError(f"blow-up produced {normalized.ell} intervals for degree {n}",
                                last_iterate=c_prime)
-    result._blow_ups[c.endpoints] = done = BlowUpResult(c_prime=c_prime, ell_prime=c_prime.ell)
+    result._blow_ups[c.endpoints] = done = BlowUpResult(c_prime, c_prime.ell, normalized)
     return done
 
 
 def minimality_witness(c: IntervalUnion, result: MinimalPolyResult) -> WitnessReport:
     """Check the two alternation facts and the sandwich invariance of L_n.
 
-    sup |M| on c is the largest |M| at `_interlaced_extrema`'s candidates,
-    every local maximum of |M| on c, so `sup_excess` is exact to rounding,
-    from the result's cached `leveled.interlaced_zeros` solve that C' reads
-    too, with the hull snapped to [-1, 1]: mapped through the frame, the hull
-    of a set far from the origin lands just outside it, where |M| already
-    exceeds L.
+    All three run in the result's frame, within 1 ulp of c's however far
+    from the origin.  sup |M| on c is the largest |M| at
+    `_interlaced_extrema`'s candidates, every local maximum of |M| on c, so
+    `sup_excess` is exact to rounding, from the result's cached
+    `leveled.interlaced_zeros` solve that C' reads too.  The alternation is
+    read at the nodes.
     The sandwich: the blow-up set C' contains C and has the same minimal
     polynomial and deviation, up to 1e-8 relative plus the residual of each
     solve (a deviation accepted at MAX_ITER may sit that far above L_n).  It is
-    checked by solving again on C' from `blow_up_set`; a C' that does not
-    contain c to 1e-9 is reported as not applicable rather than a failure,
-    and a re-solve that raises is reported in `sandwich_error`, with the
-    sandwich not ok.
+    checked by solving again on `blow_up_set`'s C' in the frame, which
+    contains c there (`blow_up_set` raises otherwise); a re-solve that raises
+    is reported in `sandwich_error`, with the sandwich not ok.
     """
     n = result.degree
     dev = result.deviation
+    scale = result.hull_scale
     slack = result.residual + 1e-12 * dev
 
     (u, w), h = result._reference, result.level
-    pts = np.array(_normalized_endpoints(c, result))
+    pts = np.array(_in_frame(c, result).endpoints)
     crit = result._interlaced[1]
-    sup = result.hull_scale * float(np.abs(_interlaced_extrema(pts, u, w, h, crit)[1]).max())
+    sup = scale * float(np.abs(_interlaced_extrema(pts, u, w, h, crit)[1]).max())
     sup_excess = max(0.0, sup - dev)
     sup_ok = sup_excess <= slack
 
-    t = result.frame(np.array(result.alternation_points))
-    vals = result.hull_scale * leveled.evaluate(t, u, w, h, 0)[0]
+    vals = scale * leveled.evaluate(u, u, w, h, 0)[0]
     signs_ok = all(
         (v > 0) == ((n - j) % 2 == 0) and v != 0.0 for j, v in enumerate(vals)
     )
     level_ok = bool(np.max(np.abs(np.abs(vals) - dev)) <= slack + 1e-9 * dev)
     alternation_ok = signs_ok and level_ok
 
-    c_prime = blow_up_set(c, result).c_prime
-    applicable = is_subset(c, c_prime, tol=1e-9)
+    c_prime = blow_up_set(c, result).normalized
     diff = math.inf
     sandwich_ok = False
     error = None
-    if applicable:
-        try:
-            again = minimal_polynomial(c_prime, n)
-        except ChebcapError as exc:
-            width = min(b - a for a, b in c_prime.intervals)
-            error = f"{type(exc).__name__}: narrowest component of C' {width:.3g} wide"
-        else:
-            diff = abs(again.deviation - dev)
-            sandwich_ok = diff <= (1e-8 * max(dev, again.deviation)
-                                   + result.residual + again.residual)
+    try:
+        again = minimal_polynomial(c_prime, n)
+    except ChebcapError as exc:
+        width = result.frame.rad * min(b - a for a, b in c_prime.intervals)
+        error = f"{type(exc).__name__}: narrowest component of C' {width:.3g} wide"
+    else:
+        diff = abs(scale * again.deviation - dev)
+        sandwich_ok = diff <= (1e-8 * max(dev, scale * again.deviation)
+                               + result.residual + scale * again.residual)
     return WitnessReport(
         sup_ok=sup_ok,
         alternation_ok=alternation_ok,
-        sandwich_applicable=applicable,
         sandwich_ok=sandwich_ok,
         sup_excess=sup_excess,
         sandwich_deviation_diff=diff,

@@ -66,7 +66,7 @@ def compose_poly(outer: Polynomial, inner: Polynomial) -> Polynomial:
 def certified_lower(e: IntervalUnion) -> float:
     """Closed-form capacity lower bound, scaled back to the original set."""
     e_norm, fwd = normalize(e)
-    scale = 1.0 / abs(fwd.scale)
+    scale = fwd.rad
     if e_norm.ell == 1:
         return 0.5 * scale
     return solynin_optimized_bound(to_angles(e_norm))[0] * scale

@@ -203,7 +203,7 @@ def test_deviation_dominates_twice_lower_power():
     # closed-form product maximization
     for e in (e_alpha(0.5), ASYM, TRIPLE):
         e_norm, fwd = normalize(e)
-        lower = solynin_optimized_bound(to_angles(e_norm))[0] / abs(fwd.scale)
+        lower = solynin_optimized_bound(to_angles(e_norm))[0] * fwd.rad
         for n in range(1, 31):
             dev = minimal_polynomial(e, n).deviation
             assert dev >= 2.0 * lower**n * (1 - 1e-9)
@@ -260,7 +260,7 @@ def test_ratio_sequence_solves_each_degree_once(monkeypatch):
 def test_one_lower_bound_behind_bracket_and_ratios():
     for e in (IntervalUnion((0.0, 4.0)), e_alpha(0.6), ASYM, TRIPLE):
         e_norm, fwd = normalize(e)
-        scale = 1.0 / abs(fwd.scale)
+        scale = fwd.rad
         lower, params = capacity_lower_bound(e)
         if e_norm.ell == 1:
             assert (lower, params) == (0.5 * scale, None)

@@ -61,10 +61,12 @@ def test_compose_affine_is_substitution():
         c = rng.uniform(-2, 2, rng.randint(2, 7))
         c[-1] = 1.0
         p = Polynomial(tuple(c))
-        s, t = rng.uniform(0.5, 2.0), rng.uniform(-1, 1)
+        lo = rng.uniform(-1, 1)
         from chebcap.intervals import AffineMap
 
-        q = p.compose_affine(AffineMap(s, t))
+        a = AffineMap(lo, lo + rng.uniform(1.0, 4.0))
+        s, t = a.scale, a.shift
+        q = p.compose_affine(a)
         xs = rng.uniform(-2, 2, 16)
         assert np.allclose(q(xs), p(s * xs + t), rtol=1e-12, atol=1e-12)
 

@@ -2,10 +2,12 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from chebcap.cli import _random_union, _verify_fixtures
 from chebcap.errors import InvalidInputError
 from chebcap.intervals import (
     AffineMap,
@@ -60,12 +62,12 @@ def test_touching_intervals_merge():
 
 
 def test_affine_map_roundtrip_and_validation():
-    m = AffineMap(2.0, -3.0)
+    m = AffineMap(1.0, 2.0)  # x -> 2 x - 3
+    assert (m.scale, m.shift) == (2.0, -3.0)
     assert m(1.5) == 0.0
-    inv = m.inverse()
-    assert inv(m(0.7)) == pytest.approx(0.7, abs=1e-15)
+    assert m.inverse(m(0.7)) == pytest.approx(0.7, abs=1e-15)
     with pytest.raises(InvalidInputError):
-        AffineMap(0.0, 1.0)
+        AffineMap(1.0, 1.0)
     with pytest.raises(InvalidInputError):
         AffineMap(1.0, math.nan)
 
@@ -76,7 +78,7 @@ def test_normalize_snaps_hull_exactly():
     assert norm.endpoints[0] == -1.0
     assert norm.endpoints[-1] == 1.0
     assert norm.is_normalized()
-    back = fwd.inverse()
+    back = fwd.inverse
     for orig, x in zip(e.endpoints, norm.endpoints):
         assert back(x) == pytest.approx(orig, abs=1e-12)
 
@@ -91,10 +93,58 @@ def test_normalize_random_roundtrip():
         e = IntervalUnion(tuple(pts))
         norm, fwd = normalize(e)
         assert norm.is_normalized()
-        back = fwd.inverse()
+        back = fwd.inverse
         scale = max(1.0, max(abs(p) for p in pts))
         for orig, x in zip(e.endpoints, norm.endpoints):
             assert abs(back(x) - orig) <= 1e-12 * scale
+
+
+def _shifted_unions(count):
+    """`count` seeded unions of one to five intervals up to 10 wide, shifted
+    by +-10^u, u uniform on [-2, 15]: a share of them holds or nears the
+    origin."""
+    rng = np.random.RandomState(41)
+    while count:
+        pts = np.sort(rng.uniform(0.0, rng.uniform(0.5, 10.0), 2 * rng.randint(1, 6)))
+        pts += rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 15.0)
+        if np.all(np.diff(pts) > 0.0):  # no two ends rounded together
+            count -= 1
+            yield IntervalUnion(tuple(pts.tolist()))
+
+
+def test_normalize_is_exact_far_from_the_origin():
+    # Against exact rationals, each normalized end lies within 1 ulp of its
+    # image (x - lo - rad) * scale on a hull whose ends share a sign within a
+    # factor 2 (there x - mid is exact), within 3 ulps nearer the origin, and
+    # within 1.5 ulps of (x - lo - rad) / rad where the slope 1 / rad rounds.
+    found = [IntervalUnion((b, b + 1.0, b + 1.7, b + 3.0))
+             for b in (1e2, 1e4, 1e8, 1e10, 1e12, 1e14)]
+    far = 0
+    for e in found + list(_shifted_unions(1000)):
+        norm, fwd = normalize(e)
+        lo, hi = e.hull
+        rad = (Fraction(hi) - Fraction(lo)) / 2
+        away = lo * hi > 0.0 and max(abs(lo), abs(hi)) <= 2.0 * min(abs(lo), abs(hi))
+        far += away
+        assert Fraction(fwd.rad) == rad or not away
+        assert fwd.scale == float(1 / Fraction(fwd.rad))
+        for x, got in zip(e.endpoints, norm.endpoints):
+            t = Fraction(x) - Fraction(lo) - Fraction(fwd.rad)
+            for want, ulps in ((t * Fraction(fwd.scale), 1.0 if away else 3.0),
+                               (t / Fraction(fwd.rad), 1.5 if away else 4.0)):
+                assert abs(Fraction(got) - want) <= ulps * Fraction(math.ulp(float(want))), (e, x)
+    assert far > 500
+
+
+def test_normalize_is_the_identity_on_the_hull_minus_one_one():
+    rng = np.random.RandomState(0)
+    sets = [e for _, e in _verify_fixtures()] + [_random_union(rng) for _ in range(200)]
+    for e in sets:
+        norm, fwd = normalize(e)
+        assert norm.endpoints == e.endpoints and fwd.rad == fwd.scale == 1.0
+        x = np.array(e.endpoints + (0.0, -0.0, 0.3, -5e-324))
+        for got in (fwd(x), fwd.inverse(x)):
+            assert np.array_equal(got, x) and np.array_equal(np.signbit(got), np.signbit(x))
 
 
 def test_angles_land_on_exact_boundary_values():

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -275,10 +276,8 @@ def test_blow_up_rejects_result_from_another_hull():
 
 
 def test_blow_up_far_from_origin():
-    # The hull of these sets maps onto [-1, 1] only to the frame map's
-    # rounding (~1.5e-11 for the first), which the hull check must tolerate;
-    # mapped back, the hull's ends would land 2e-6 outside [1e10, 1e10 + 3].
-    # C' takes E's own endpoints from E, so it contains E exactly.
+    # C' takes E's own endpoints from E and keeps every other end within its
+    # gap of E, so it contains E exactly.
     for e, degrees in ((IntervalUnion((31415.9, 31416.11, 31416.32, 31416.6)), (3, 6)),
                        (IntervalUnion((1e10, 1e10 + 1, 1e10 + 1.7, 1e10 + 3)), (3, 4, 6))):
         for n in degrees:
@@ -287,6 +286,35 @@ def test_blow_up_far_from_origin():
             assert is_subset(e, b.c_prime, tol=0.0), (e, n)
             assert b.c_prime.hull == e.hull, (e, n)
             assert b.c_prime.ell <= n
+
+
+def _exactly_normalized(e):
+    """e's hull mapped onto [-1, 1] in exact rationals, each end rounded once."""
+    lo, hi = (Fraction(x) for x in e.hull)
+    return IntervalUnion(tuple(float((2 * Fraction(x) - lo - hi) / (hi - lo))
+                               for x in e.endpoints))
+
+
+def test_translation_keeps_the_deviation_and_the_witness():
+    # L_n(E + b) = L_n(E): on pair-0.6, asym, triple, quad and
+    # [0, 1] u [1.7, 3] shifted by b, each deviation equals the solve on the
+    # exactly normalized ends times rad^n within n eps, and the witness
+    # passes wherever it passes unshifted, its sandwich re-solving on C' in
+    # the frame.
+    for e in (e_alpha(0.6), IntervalUnion((-1.0, 0.0, 0.5, 1.0)), TRIPLE, QUAD,
+              IntervalUnion((0.0, 1.0, 1.7, 3.0))):
+        verdicts = {n: minimality_witness(e, minimal_polynomial(e, n)).passed
+                    for n in (4, 8, 16, 24, 32)}
+        for b in (1e2, 1e4, 1e8, 1e12, 1e14):
+            shifted = IntervalUnion(tuple(x + b for x in e.endpoints))
+            exact = _exactly_normalized(shifted)
+            for n in (4, 8, 16, 24, 32, 64):
+                r = minimal_polynomial(shifted, n)
+                if n != 24:
+                    want = minimal_polynomial(exact, n).deviation * r.hull_scale
+                    assert abs(r.deviation - want) <= n * np.finfo(float).eps * want, (e, b, n)
+                if verdicts.get(n):
+                    assert minimality_witness(shifted, r).passed, (e, b, n)
 
 
 @pytest.mark.parametrize("name", sorted(EXTREMA_SETS))
@@ -328,8 +356,8 @@ def test_witness_passes_on_large_alpha_pair_at_degree_32():
 
 
 def test_witness_far_from_origin():
-    # The frame maps this hull onto [-1, 1] only to ~1.5e-11, and |M| exceeds
-    # L just outside it; the witness's sup grid must not step out there.
+    # |M| exceeds L just outside the hull; the witness's sup must not step
+    # out there.
     e = IntervalUnion((31415.9, 31416.11, 31416.32, 31416.6))
     for n in (3, 6):
         assert minimality_witness(e, minimal_polynomial(e, n)).passed
@@ -386,12 +414,10 @@ def test_witness_sandwich_allows_the_residuals_of_a_stall_accepted_solve():
     high = r.deviation * (1.0 + 5e-8)
     stalled = dataclasses.replace(r, deviation=high, residual=1e-7 * r.deviation)
     w = minimality_witness(TRIPLE, stalled)
-    assert w.sandwich_applicable
     assert w.sandwich_ok
     assert w.passed
     exact = dataclasses.replace(r, deviation=high, residual=0.0)
     w = minimality_witness(TRIPLE, exact)
-    assert w.sandwich_applicable
     assert not w.sandwich_ok
 
 
@@ -1653,7 +1679,7 @@ def test_witness_reports_a_re_solve_that_raises(alpha, n):
     with pytest.raises(ConvergenceError):
         minimal_polynomial(c_prime, n)
     w = minimality_witness(e, r)
-    assert w.sup_ok and w.alternation_ok and w.sandwich_applicable
+    assert w.sup_ok and w.alternation_ok
     assert not w.sandwich_ok and not w.passed and w.sandwich_deviation_diff == math.inf
     assert w.sandwich_error == f"ConvergenceError: narrowest component of C' {width:.3g} wide"
     assert minimality_witness(e, minimal_polynomial(e, n + 1)).sandwich_error is None
