@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ConvergenceError, InvalidInputError
+from .errors import InvalidInputError
 from .intervals import AffineMap, AngleCoordinates, IntervalUnion, normalize, to_angles
 from .remez import minimal_polynomial
 
@@ -135,39 +135,9 @@ def _midpoint_params(angles: AngleCoordinates) -> SolyninParams:
 
 
 def solynin_midpoint_bound(angles: AngleCoordinates) -> float:
-    """Lower bound at the midpoint parameter choice, evaluated two ways.
-
-    The closed form below substitutes the midpoints into the product
-    directly; the generic evaluation must agree to 1e-12, which guards both
-    implementations against each other.
-    """
-    phi, psi = angles.phi, angles.psi
-    ell = len(phi)
-    if ell < 2:
-        raise InvalidInputError("the capacity lower bound needs at least two intervals")
-    value = 0.5
-    for j in range(ell - 1):
-        # arc-side factor: gamma_j is 0 at the first arc, a midpoint after
-        if j == 0:
-            value *= _sine_factor(psi[0], 0.5 * (phi[1] + psi[0]))
-        else:
-            value *= _sine_factor(0.5 * (psi[j] - phi[j]), 0.5 * (phi[j + 1] - phi[j]))
-        # gap-side factor: gamma_{j+1} is pi at the last arc, a midpoint before
-        if j == ell - 2:
-            value *= _sine_factor(
-                math.pi - phi[ell - 1],
-                math.pi - 0.5 * (phi[ell - 1] + psi[ell - 2]),
-            )
-        else:
-            value *= _sine_factor(
-                0.5 * (psi[j + 1] - phi[j + 1]), 0.5 * (psi[j + 1] - psi[j])
-            )
-    generic = solynin_bound(angles, _midpoint_params(angles))
-    if abs(value - generic) > 1e-12:
-        raise ConvergenceError(
-            f"midpoint bound evaluation paths disagree: {value!r} vs {generic!r}"
-        )
-    return value
+    """Lower bound at the midpoint parameter choice; a set of fewer than two
+    intervals is refused, as by `solynin_bound`."""
+    return solynin_bound(angles, _midpoint_params(angles))
 
 
 def _log_factor(num: float, den: float) -> tuple:
@@ -287,7 +257,7 @@ def solynin_optimized_bound(angles: AngleCoordinates) -> tuple:
 
     params = SolyninParams(gamma=(0.0, *z[1::2], math.pi), delta=tuple(z[0::2]))
     best = solynin_bound(angles, params)
-    midpoint = solynin_midpoint_bound(angles)
+    midpoint = solynin_bound(angles, start)
     if best < midpoint:
         return midpoint, start
     return best, params

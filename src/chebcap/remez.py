@@ -181,8 +181,10 @@ class BlowUpResult:
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """Sup, alternation and re-solve evidence of a minimal polynomial;
-    `sandwich_error` names a re-solve's error and C''s narrowest width."""
+    """Sup, alternation and re-solve evidence of a minimal polynomial.
+    `alternation_ok`: the sup's candidates with |M| at least the deviation
+    less the slack hold n + 1 alternating sign runs; `sandwich_error` names
+    a re-solve's error and C''s narrowest width."""
 
     sup_ok: bool
     alternation_ok: bool
@@ -703,7 +705,10 @@ def minimality_witness(c: IntervalUnion, result: MinimalPolyResult) -> WitnessRe
     `_interlaced_extrema`'s candidates, every local maximum of |M| on c, so
     `sup_excess` is exact to rounding, from the result's cached
     `leveled.interlaced_zeros` solve that C' reads too.  The alternation is
-    read at the nodes.
+    n + 1 alternating sign runs of those candidates with |M| at least the
+    deviation less the slack (`_next_reference`'s runs, de la Vallee
+    Poussin's hypothesis), the slack being the residual, 1e-12 and, for
+    M's rounding, 1e-9 of the deviation.
     The sandwich: the blow-up set C' contains C and has the same minimal
     polynomial and deviation, up to 1e-8 relative plus the residual of each
     solve (a deviation accepted at MAX_ITER may sit that far above L_n).  It is
@@ -718,17 +723,16 @@ def minimality_witness(c: IntervalUnion, result: MinimalPolyResult) -> WitnessRe
 
     (u, w), h = result._reference, result.level
     pts = np.array(_in_frame(c, result).endpoints)
-    crit = result._interlaced[1]
-    sup = scale * float(np.abs(_interlaced_extrema(pts, u, w, h, crit)[1]).max())
-    sup_excess = max(0.0, sup - dev)
+    xs, vals = _interlaced_extrema(pts, u, w, h, result._interlaced[1])
+    size = scale * np.abs(vals)
+    sup_excess = max(0.0, float(size.max()) - dev)
     sup_ok = sup_excess <= slack
-
-    vals = scale * leveled.evaluate(u, u, w, h, 0)[0]
-    signs_ok = all(
-        (v > 0) == ((n - j) % 2 == 0) and v != 0.0 for j, v in enumerate(vals)
-    )
-    level_ok = bool(np.max(np.abs(np.abs(vals) - dev)) <= slack + 1e-9 * dev)
-    alternation_ok = signs_ok and level_ok
+    high = size >= dev - slack - 1e-9 * dev
+    try:
+        _next_reference(xs[high], vals[high], n + 1)
+        alternation_ok = True
+    except ConvergenceError:
+        alternation_ok = False
 
     c_prime = blow_up_set(c, result).normalized
     diff = math.inf

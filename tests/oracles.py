@@ -10,6 +10,7 @@ at tiny degrees.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -337,3 +338,28 @@ def arc_sup_oracle(coeffs, intervals, scan: int = 2000, dps: int = 40) -> float:
             for t in [ts[0], ts[-1]] + [t for t in found if ts[0] <= t <= ts[-1]]:
                 best = max(best, square_and_slope(mpmath.mpf(t))[0])
         return float(mpmath.sqrt(best))
+
+
+def solynin_midpoint_closed_form(phi, psi) -> float:
+    """Solynin's capacity lower bound at the midpoint parameters, for the arcs
+    [phi_j, psi_j] of a normalized set of at least two intervals, with the
+    midpoints substituted into the product by hand: gamma_j is 0 at the first
+    arc, pi at the last and the arc's midpoint between, and delta_j the
+    gap's midpoint.  Each factor is sin(pi num / (2 den))^(2 den^2 / pi^2)."""
+    def factor(num, den):
+        return math.sin(0.5 * math.pi * num / den) ** (2.0 * den * den / (math.pi * math.pi))
+
+    ell = len(phi)
+    value = 0.5
+    for j in range(ell - 1):
+        # arc-side factor: gamma_j is 0 at the first arc, a midpoint after
+        if j == 0:
+            value *= factor(psi[0], 0.5 * (phi[1] + psi[0]))
+        else:
+            value *= factor(0.5 * (psi[j] - phi[j]), 0.5 * (phi[j + 1] - phi[j]))
+        # gap-side factor: gamma_{j+1} is pi at the last arc, a midpoint before
+        if j == ell - 2:
+            value *= factor(math.pi - phi[ell - 1], math.pi - 0.5 * (phi[ell - 1] + psi[ell - 2]))
+        else:
+            value *= factor(0.5 * (psi[j + 1] - phi[j + 1]), 0.5 * (psi[j + 1] - psi[j]))
+    return value

@@ -18,10 +18,11 @@ from chebcap.capacity import (
     solynin_optimized_bound,
 )
 from chebcap.cli import _verify_fixtures
-from chebcap.errors import ConvergenceError, InvalidInputError
+from chebcap.errors import InvalidInputError
 from chebcap.intervals import IntervalUnion, normalize, to_angles
 from chebcap.inverse_image import e_alpha
 from chebcap.remez import minimal_polynomial
+from oracles import solynin_midpoint_closed_form
 
 FULL = IntervalUnion((-1.0, 1.0))
 ASYM = IntervalUnion((-1.0, 0.0, 0.5, 1.0))
@@ -109,20 +110,13 @@ def test_midpoint_closed_form_values():
 
 
 def test_midpoint_agrees_with_generic_evaluation():
+    # The midpoint bound is the generic product at the midpoint parameters;
+    # the closed form with the midpoints substituted by hand checks it.
     rng = np.random.RandomState(31)
     for _ in range(50):
-        e = random_union(rng)
-        ang = to_angles(e)
-        direct = solynin_midpoint_bound(ang)
-        ell = ang.ell
-        gamma = [0.0]
-        gamma += [0.5 * (ang.phi[j] + ang.psi[j]) for j in range(1, ell - 1)]
-        gamma.append(math.pi)
-        delta = [0.5 * (ang.psi[j] + ang.phi[j + 1]) for j in range(ell - 1)]
-        generic = solynin_bound(
-            ang, SolyninParams(gamma=tuple(gamma), delta=tuple(delta))
-        )
-        assert abs(direct - generic) <= 1e-12
+        ang = to_angles(random_union(rng))
+        closed = solynin_midpoint_closed_form(ang.phi, ang.psi)
+        assert abs(solynin_midpoint_bound(ang) - closed) <= 1e-12
 
 
 def test_optimizer_dominates_midpoint_and_is_deterministic():
@@ -367,10 +361,23 @@ def test_gradient_steps_where_newton_has_none(monkeypatch):
         assert solynin_bound(ang, params) == got
 
 
-def test_midpoint_paths_disagreeing_is_numerical(monkeypatch):
-    # The two evaluations of the midpoint bound guard each other; their
-    # disagreement is a failure of the computation, not of the input.
-    true_bound = _capacity.solynin_bound
-    monkeypatch.setattr(_capacity, "solynin_bound", lambda a, p: (1 + 1e-9) * true_bound(a, p))
-    with pytest.raises(ConvergenceError, match="evaluation paths disagree"):
-        solynin_midpoint_bound(to_angles(TRIPLE))
+def test_ascent_ending_below_the_midpoint_returns_the_midpoint(monkeypatch):
+    # An ascent that walks downhill, each of its trials read 1 too high so it
+    # accepts them, ends below the midpoint bound (on TRIPLE at 0.4408, against
+    # 0.4744); the midpoint bound and its parameters are returned instead.
+    newton_step, log_bound = _capacity._newton_step, _capacity._log_bound
+
+    def downhill(*args):
+        step = newton_step(*args)
+        return step and [-s for s in step]
+
+    def trial_reads_higher(phi, psi, z, order):
+        f, *rest = log_bound(phi, psi, z, order)
+        return (f + 1.0 if order == 0 else f, *rest)
+
+    monkeypatch.setattr(_capacity, "_newton_step", downhill)
+    monkeypatch.setattr(_capacity, "_log_bound", trial_reads_higher)
+    for e in (TRIPLE, ASYM):
+        ang = to_angles(e)
+        got = solynin_optimized_bound(ang)
+        assert got == (solynin_midpoint_bound(ang), _capacity._midpoint_params(ang))

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from chebcap import arcs as _arcs
-from chebcap import capacity as _capacity
 from chebcap import cli
 from chebcap import chebpoly as _chebpoly
 from chebcap.cli import RunConfig, main
@@ -167,17 +166,6 @@ def test_arcs_cli_to_degree_96(intervals):
         if intervals.startswith("-1 ") and m > 0 and m % 2 == 0:
             got = json.loads(text)["results"]["deviation_upper"]
             assert got == pytest.approx(2.0 * 0.75 ** (m / 2), rel=1e-12), n
-
-
-def test_capacity_self_check_failure_exits_numerical(capsys, monkeypatch):
-    true_bound = _capacity.solynin_bound
-    monkeypatch.setattr(_capacity, "solynin_bound", lambda a, p: (1 + 1e-9) * true_bound(a, p))
-    code, out, err = run_cli(
-        capsys, "capacity", "--intervals", "-1 -0.6; 0.6 1", "--degree", "8"
-    )
-    assert code == cli.EXIT_NO_CONVERGENCE == 3
-    assert out == ""
-    assert "evaluation paths disagree" in err
 
 
 def test_verify_battery_passes(capsys):

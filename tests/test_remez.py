@@ -421,6 +421,23 @@ def test_witness_sandwich_allows_the_residuals_of_a_stall_accepted_solve():
     assert not w.sandwich_ok
 
 
+@pytest.mark.parametrize("n", [8, 16, 24])
+def test_witness_alternation_reads_m_on_the_set_not_at_the_nodes(n):
+    # M is +-h at its own nodes by construction, so a reference with a node
+    # in a gap reads as alternating there.  With the node nearest -0.4 moved
+    # to -0.4, in a gap of TRIPLE, the leveled interpolant has fewer than
+    # n + 1 sign runs with |M| near h on the set itself.  (At n = 12 the
+    # moved reference still alternates on the set at its lower level.)
+    r = minimal_polynomial(TRIPLE, n)
+    u = np.array(r.nodes)
+    u[np.argmin(np.abs(u + 0.4))] = -0.4
+    w, h = leveled.leveled(u)[:2]
+    moved = dataclasses.replace(r, nodes=tuple(u.tolist()), weights=tuple(w.tolist()), level=h,
+                                deviation=r.hull_scale * h * (1.0 + 1e-13), residual=0.0)
+    assert not minimality_witness(TRIPLE, moved).alternation_ok
+    assert minimality_witness(TRIPLE, r).alternation_ok
+
+
 def _interlaced_candidates(ends, u, w, h):
     """The interlaced search's candidates, on its own interlaced solve."""
     return _remez._interlaced_extrema(ends, u, w, h, leveled.interlaced_zeros(u, w)[1])
@@ -1716,21 +1733,26 @@ def test_witness_and_blow_up_share_one_interlaced_solve(monkeypatch):
     # The witness passes.  The result caches its interlaced solve and each
     # C', so the witness and `blow_up_set` take one interlaced solve per
     # result between them, in either order with each called twice, and the
-    # witness reads no first form.  On one interval C' is the hull, and
+    # witness reads no first form and evaluates M at no reference's nodes
+    # (M is +-h there by construction).  On one interval C' is the hull, and
     # `blow_up_set` alone takes none.  The re-solve on C' takes no
     # interlaced solve.
     sets = ((FULL, 20), (e_alpha(0.6), 24), (IntervalUnion((-1.0, 0.0, 0.5, 1.0)), 12),
             (TRIPLE, 20), (QUAD, 30))
     interlaced = _counting(monkeypatch, leveled, "interlaced_zeros")
     first = _counting(monkeypatch, leveled, "first_form")
+    points, evaluate = [], leveled.evaluate
+    monkeypatch.setattr(leveled, "evaluate", lambda x, *a: points.append(x) or evaluate(x, *a))
     for e, n in sets:
         for calls in ((minimality_witness, blow_up_set), (blow_up_set, minimality_witness)):
             r = minimal_polynomial(e, n)
             interlaced.clear()
+            points.clear()
             for call in calls + calls:
                 got = call(e, r)
                 assert call is blow_up_set or got.passed, (e, n)
             assert len(interlaced) == 1 and first == [], (e, calls)
+            assert points and not any(np.array_equal(x, r.nodes) for x in points), (e, calls)
     r = minimal_polynomial(FULL, 20)
     interlaced.clear()
     blow_up_set(FULL, r)
